@@ -25,7 +25,7 @@ from .characters import (Character, CharacterTable, character_table,
 from .complexes import (GSimplicialComplex, IsotropyStratum, OrbitData,
                         QuotientResult, SimplicialComplex,
                         barycentric_subdivide, centralizer_fixed_action,
-                        check_admissible, fixed_subcomplex, isotropy_strata,
+                        fixed_subcomplex, isotropy_strata,
                         orbits_and_stabilizers, quotient_complex)
 from .homology import (ChainComplex, HomologyResult, KRanks, boundary_matrix,
                        euler_characteristic, fraction_free_rank,

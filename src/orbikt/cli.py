@@ -408,8 +408,8 @@ def _cmd_bc(inputs, args):
 def _cmd_ktheory(inputs, args):
     gx = inputs.require_action()
     result = isolated_k_theory(gx, allow_subdivide=not args.no_subdivide)
-    bc_cross_check(gx, result)
-    _decomp, bc_payload = _bc_payload(gx, not args.no_subdivide)
+    decomp, bc_payload = _bc_payload(gx, not args.no_subdivide)
+    bc_cross_check(decomp, result)
     group = gx.group
     od = orbits_and_stabilizers(gx)
 

@@ -67,13 +67,19 @@ class SimplicialComplex:
             yield from level
 
     def maximal_simplices(self):
+        """Simplices with no proper coface, in (len, s) order.
+
+        Since the complex is closed under faces, a simplex has a proper
+        coface exactly when it is a codimension-1 face of some simplex one
+        dimension up, so one pass over each level finds the non-maximal
+        ones in O(#simplices * dim).
+        """
         out = []
-        for k in range(self.dimension, -1, -1):
-            for s in self.simplices[k]:
-                sset = set(s)
-                if not any(sset < set(t) for t in out):
-                    out.append(s)
-        return sorted(out, key=lambda s: (len(s), s))
+        for k, level in enumerate(self.simplices):
+            up = self.simplices[k + 1] if k < self.dimension else ()
+            covered = {t[:i] + t[i + 1:] for t in up for i in range(k + 2)}
+            out.extend(s for s in level if s not in covered)
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -159,11 +165,6 @@ class GSimplicialComplex:
             raise NotAdmissible(
                 "element %d permutes the vertices of invariant simplex %r"
                 % witness, witness=witness)
-
-
-def check_admissible(gx: GSimplicialComplex):
-    """(ok, witness): witness is one (g, simplex) violation or None."""
-    return gx.admissibility_witness()
 
 
 def barycentric_subdivide(gx: GSimplicialComplex) -> GSimplicialComplex:

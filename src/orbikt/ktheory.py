@@ -252,9 +252,13 @@ def isolated_k_theory(gx: GSimplicialComplex,
                            k0, k1, boundary_status, torsion_bounds, capped)
 
 
-def bc_cross_check(gx: GSimplicialComplex, result: IsolatedKResult):
-    """Assert the localization totals match the isolated-regime ranks."""
-    totals = bc_decomposition(gx).totals
+def bc_cross_check(decomp: BCDecomposition, result: IsolatedKResult):
+    """Assert the localization totals match the isolated-regime ranks.
+
+    decomp is the caller's bc_decomposition of the same action, built with
+    the caller's subdivision policy; it is compared, not recomputed.
+    """
+    totals = decomp.totals
     if (totals.even, totals.odd) != (result.k0[0], result.k1[0]):
         raise InternalInconsistency(
             "localization totals (%d, %d) disagree with isolated ranks "

@@ -275,3 +275,48 @@ def test_group_file_loading(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["group", "--group",
                                     str(tmp_path / "missing.txt")])
     assert code == 1 and "cannot read" in err
+
+
+# -- compute-once path of ktheory ---------------------------------------------------
+
+
+def _count_calls(monkeypatch, modules, name, calls):
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("allow_subdivide", True))
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+
+
+def _traced_ktheory(capsys, monkeypatch, argv):
+    import orbikt.cli as cli
+    import orbikt.ktheory as ktheory
+
+    bc_calls, quotient_calls = [], []
+    _count_calls(monkeypatch, (ktheory, cli), "bc_decomposition", bc_calls)
+    _count_calls(monkeypatch, (ktheory, cli), "quotient_complex",
+                 quotient_calls)
+    code, _out, _err = run_cli(capsys, argv)
+    return code, bc_calls, quotient_calls
+
+
+def test_ktheory_decomposes_once(capsys, monkeypatch):
+    code, bc_calls, quotient_calls = _traced_ktheory(
+        capsys, monkeypatch, ["ktheory", "--fixture", "z4-torus"])
+    assert code == 0
+    # one decomposition over the 4 classes of Z4, plus the isolated quotient
+    assert len(bc_calls) == 1
+    assert len(quotient_calls) == 5
+
+
+def test_ktheory_respects_no_subdivide(capsys, monkeypatch):
+    code, bc_calls, quotient_calls = _traced_ktheory(
+        capsys, monkeypatch,
+        ["ktheory", "--fixture", "z2-flip-torus", "--no-subdivide"])
+    assert code == 0
+    assert bc_calls == [False]
+    # two classes of Z2, plus the isolated quotient
+    assert quotient_calls == [False] * 3

@@ -2,9 +2,9 @@ import pytest
 
 from orbikt import (BadAction, GSimplicialComplex, NotAComplex, NotAdmissible,
                     NotRegular, SimplicialComplex, barycentric_subdivide,
-                    check_admissible, cyclic_group, dihedral_group,
-                    fixed_subcomplex, fixture, isotropy_strata,
-                    orbits_and_stabilizers, quotient_complex, trivial_group)
+                    cyclic_group, dihedral_group, fixed_subcomplex, fixture,
+                    isotropy_strata, orbits_and_stabilizers,
+                    quotient_complex, trivial_group)
 
 
 def interval():
@@ -68,7 +68,7 @@ def test_reflection_of_interval_is_not_admissible():
     assert not ok
     assert elt == 1
     assert simplex == (0, 1)
-    assert check_admissible(gx) == (False, (1, (0, 1)))
+    assert gx.admissibility_witness() == (False, (1, (0, 1)))
     with pytest.raises(NotAdmissible):
         gx.require_admissible()
 

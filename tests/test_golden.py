@@ -1,0 +1,35 @@
+"""CLI outputs compared byte for byte with files under tests/golden/.
+
+The files record the outputs of the commands below; a change to any of them
+is a change in the program's answers and must be deliberate.
+"""
+
+import os
+
+import pytest
+
+from orbikt.cli import main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+GOLDEN = {
+    "ktheory_z4-torus.json":
+        ["ktheory", "--fixture", "z4-torus", "--format", "json"],
+    "ktheory_z2-circle.json":
+        ["ktheory", "--fixture", "z2-circle", "--format", "json"],
+    "bc_d4-torus.json": ["bc", "--fixture", "d4-torus", "--format", "json"],
+    "quotient_z4-torus.json":
+        ["quotient", "--fixture", "z4-torus", "--format", "json"],
+    "complex_d4-torus.json":
+        ["complex", "--fixture", "d4-torus", "--format", "json"],
+    "fixture_z4-torus_emit.txt": ["fixture", "z4-torus", "--emit"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden(name, capsysbinary):
+    code = main(GOLDEN[name])
+    out, err = capsysbinary.readouterr()
+    assert code == 0 and err == b""
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
+        assert out == f.read()

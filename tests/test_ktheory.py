@@ -153,8 +153,25 @@ def test_isolated_k_refuses_dihedral_torus(d4_torus):
 def test_bc_cross_check_agrees(z4_torus, z2_flip_torus, z2_circle):
     for gx in (z4_torus, z2_flip_torus, z2_circle):
         res = isolated_k_theory(gx)
-        totals = bc_cross_check(gx, res)
+        totals = bc_cross_check(bc_decomposition(gx), res)
         assert (totals.even, totals.odd) == (res.k0[0], res.k1[0])
+
+
+def test_bc_cross_check_keeps_callers_subdivision_policy(z2_flip_torus,
+                                                         monkeypatch):
+    import orbikt.ktheory as ktheory
+
+    res = isolated_k_theory(z2_flip_torus, allow_subdivide=False)
+    decomp = bc_decomposition(z2_flip_torus, allow_subdivide=False)
+
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("bc_cross_check recomputed the decomposition")
+
+    monkeypatch.setattr(ktheory, "bc_decomposition", no_recompute)
+    monkeypatch.setattr(ktheory, "quotient_complex", no_recompute)
+    totals = bc_cross_check(decomp, res)
+    assert totals == decomp.totals
+    assert all(q.subdivisions == 0 for _, _, q, _ in decomp.per_class)
 
 
 # -- invariant cohomology against quotient Betti numbers ---------------------------

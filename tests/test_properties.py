@@ -142,6 +142,31 @@ def small_complex(draw):
     return SimplicialComplex(n, maximal)
 
 
+@st.composite
+def ragged_complex(draw):
+    """Non-pure complexes up to dimension 4: some vertices are used by no
+    listed simplex, and short simplices may dangle off larger ones."""
+    n = draw(st.integers(0, 8))
+    maximal = []
+    if n:
+        for _ in range(draw(st.integers(0, 6))):
+            maximal.append(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                         max_size=min(n, 5), unique=True)))
+    return SimplicialComplex(n, maximal)
+
+
+@SETTINGS
+@given(ragged_complex())
+def test_maximal_simplices_match_definition(complex):
+    simplices = list(complex.all_simplices())
+    brute = sorted((s for s in simplices
+                    if not any(set(s) < set(t) for t in simplices)),
+                   key=lambda s: (len(s), s))
+    maximal = complex.maximal_simplices()
+    assert maximal == brute
+    assert SimplicialComplex(complex.vertex_count, maximal) == complex
+
+
 @SETTINGS
 @given(small_complex())
 def test_boundary_of_boundary_vanishes(complex):
