@@ -30,8 +30,9 @@ from .complexes import (GSimplicialComplex, IsotropyStratum, OrbitData,
 from .homology import (ChainComplex, HomologyResult, KRanks, boundary_matrix,
                        euler_characteristic, fraction_free_rank,
                        homology_integral, induced_homology_matrix,
-                       invariant_cohomology_dims, k_ranks, rational_rank,
+                       invariant_cohomology_dims, k_ranks,
                        smith_invariant_factors)
+from .linalg import rational_rank
 from .crossed import (FiberDecomposition, FiltrationReport,
                       InclusionMultiplicityMatrix, PrimNode, PrimPoset,
                       aggregate_strata, fiber_decomposition,

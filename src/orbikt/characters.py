@@ -20,48 +20,12 @@ from .errors import (
     NotSubgroup,
 )
 from .groups import FiniteGroup, Subgroup, conjugacy_data
+from .linalg import Echelon, nullspace
 
 CHARACTER_TABLE_BOUND = 512
 
 
-# -- linear algebra over F_p ---------------------------------------------------
-
-
-def _rref_mod(rows, p):
-    """Row-reduce over F_p; returns (reduced rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        pivots.append(c)
-        rank += 1
-    return rows[:rank], pivots
-
-
-def _nullspace_mod(matrix, p):
-    """Basis of the kernel of a square matrix over F_p (column vectors)."""
-    m = len(matrix)
-    reduced, pivots = _rref_mod(matrix, p)
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [0] * m
-        v[c] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = (-row[c]) % p
-        basis.append(v)
-    return basis
+# -- polynomials over F_p -----------------------------------------------------
 
 
 def _poly_eval_mod(poly, x, p):
@@ -108,40 +72,27 @@ def _poly_mul_mod(a, b, p):
 
 
 def _min_poly_mod(matrix, p):
-    """Minimal polynomial of a square matrix over F_p (monic, low-first)."""
+    """Minimal polynomial of a square matrix over F_p (monic, low-first).
+
+    The lcm, over the unit vectors v, of the minimal polynomials of their
+    Krylov sequences v, Av, A^2 v, ...; each is read off the coordinates of
+    the first Krylov vector that depends on the earlier ones.
+    """
     m = len(matrix)
     minpoly = [1]
     for start in range(m):
-        v = [0] * m
-        v[start] = 1
-        # minimal polynomial of the Krylov sequence of v
-        echelon, combos = [], []
-        vec, combo = v, [1]
-        while True:
-            red = list(vec)
-            cmb = list(combo) + [0] * (m + 1 - len(combo))
-            for row, rc in zip(echelon, combos):
-                lead = next(i for i, x in enumerate(row) if x)
-                if red[lead]:
-                    f = red[lead]
-                    red = [(a - f * b) % p for a, b in zip(red, row)]
-                    cmb = [(a - f * b) % p for a, b in zip(cmb, rc)]
-            if all(x % p == 0 for x in red):
-                while len(cmb) > 1 and cmb[-1] % p == 0:
-                    cmb.pop()
-                inv = pow(cmb[-1], p - 2, p)
-                poly = [(c * inv) % p for c in cmb]
-                break
-            lead = next(i for i, x in enumerate(red) if x)
-            inv = pow(red[lead], p - 2, p)
-            echelon.append([(x * inv) % p for x in red])
-            combos.append([(x * inv) % p for x in cmb])
-            vec = [sum(matrix[i][j] * vec[j] for j in range(m)) % p
-                   for i in range(m)]
-            combo = [0] + combo
+        vec = [0] * m
+        vec[start] = 1
+        ech = Echelon(p)
+        while ech.insert(vec):
+            vec = [sum(a * x for a, x in zip(matrix_row, vec)) % p
+                   for matrix_row in matrix]
+        poly = [-c % p for c in ech.coordinates(vec)] + [1]
         g = _poly_gcd_mod(minpoly, poly, p)
         quot, rem = _poly_divmod_mod(_poly_mul_mod(minpoly, poly, p), g, p)
-        assert len(rem) == 1 and rem[0] == 0
+        if rem != [0]:
+            raise InternalInconsistency(
+                "minimal polynomial lcm: gcd does not divide the product")
         minpoly = quot
         if len(minpoly) == m + 1:
             break
@@ -213,7 +164,6 @@ def _dixon_rows(group):
 
     # split F_p^r into common eigenspaces of the class matrices
     spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
-    spaces[0], _ = _rref_mod(spaces[0], p)
     for i in range(r):
         if i == c_e:
             continue
@@ -226,13 +176,17 @@ def _dixon_rows(group):
                 new_spaces.append(basis)
                 continue
             m = len(basis)
-            _, pivots = _rref_mod(basis, p)
-            images = [
-                [sum(nmat[a][b] * v[b] for b in range(r)) % p for a in range(r)]
-                for v in basis
-            ]
-            # coordinates read off at pivot positions (basis is in rref)
-            amat = [[images[i2][pivots[j]] for i2 in range(m)] for j in range(m)]
+            ech = Echelon(p)
+            for v in basis:
+                ech.insert(v)
+            # amat[j][t]: coordinate j of N v_t over the basis
+            columns = [ech.coordinates([sum(a * x for a, x in zip(row, v))
+                                        for row in nmat])
+                       for v in basis]
+            if None in columns:
+                raise InternalInconsistency(
+                    "class matrix does not preserve an eigenspace")
+            amat = [list(row) for row in zip(*columns)]
             minpoly = _min_poly_mod(amat, p)
             roots = [x for x in range(p) if _poly_eval_mod(minpoly, x, p) == 0]
             if len(roots) == 1:
@@ -247,10 +201,10 @@ def _dixon_rows(group):
                 vecs = [
                     [sum(coords[t] * basis[t][j] for t in range(m)) % p
                      for j in range(r)]
-                    for coords in _nullspace_mod(shifted, p)
+                    for coords in nullspace(shifted, m, p)
                 ]
                 if vecs:
-                    new_spaces.append(_rref_mod(vecs, p)[0])
+                    new_spaces.append(vecs)
                     found += len(vecs)
             if found != m:
                 raise InternalInconsistency("eigenspace split lost dimensions")

@@ -118,15 +118,21 @@ class GSimplicialComplex:
         ident = self.vertex_action[self.group.identity]
         if tuple(ident) != tuple(range(n)):
             raise BadAction("identity does not act trivially")
+        # Checking h over a generating set is a complete proof: every element
+        # is a product of generators, so rho(g) rho(h) = rho(gh) for all g and
+        # generators h gives a homomorphism by induction on word length, and
+        # then every rho(g) is a composite of generator maps that keep
+        # simplices inside the complex.
+        gens = self.group._generating_set()
         for g in range(self.group.order):
-            for h in range(self.group.order):
+            for h in gens:
                 gh = self.group.mult[g][h]
                 for v in range(n):
                     if (self.vertex_action[g][self.vertex_action[h][v]]
                             != self.vertex_action[gh][v]):
                         raise BadAction(
                             "action is not a homomorphism at (%d,%d)" % (g, h))
-        for g in range(self.group.order):
+        for g in gens:
             for s in self.complex.all_simplices():
                 if self.simplex_image(g, s) not in self.complex:
                     raise BadAction(

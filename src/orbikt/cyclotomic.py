@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import InternalInconsistency
+
 
 def euler_phi(m: int) -> int:
     assert m >= 1
@@ -20,8 +22,8 @@ def euler_phi(m: int) -> int:
 def _poly_div_exact(num, den):
     """Divide integer polynomials exactly (den monic up to sign), num/den.
 
-    Polynomials are lists of ints, constant term first.  Asserts the division
-    is exact and returns the quotient.
+    Polynomials are lists of ints, constant term first.  Raises
+    InternalInconsistency unless the division is exact; returns the quotient.
     """
     num = list(num)
     q = [0] * (len(num) - len(den) + 1)
@@ -33,7 +35,8 @@ def _poly_div_exact(num, den):
         if c:
             for j, d in enumerate(den):
                 num[i - len(den) + 1 + j] -= c * d
-    assert all(c == 0 for c in num), "polynomial division not exact"
+    if any(num):
+        raise InternalInconsistency("polynomial division not exact")
     return q
 
 

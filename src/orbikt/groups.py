@@ -9,7 +9,7 @@ not a sample).
 
 from __future__ import annotations
 
-from .errors import NotAGroup, NotSubgroup
+from .errors import InternalInconsistency, NotAGroup, NotSubgroup
 
 GROUP_ORDER_BOUND = 512
 
@@ -309,7 +309,11 @@ class ConjugacyData:
                 class_of[x] = i
         self.class_of = tuple(class_of)
         for cls, cent in zip(self.classes, self.centralizers):
-            assert len(cls) * cent.order == n, "orbit-stabilizer failure"
+            if len(cls) * cent.order != n:
+                raise InternalInconsistency(
+                    "orbit-stabilizer failure: class of %d has size %d but its"
+                    " centralizer has order %d in a group of order %d"
+                    % (cls[0], len(cls), cent.order, n))
 
     def __len__(self):
         return len(self.classes)

@@ -14,6 +14,7 @@ from math import gcd
 
 from .complexes import GSimplicialComplex, SimplicialComplex
 from .errors import InternalInconsistency
+from .linalg import Echelon, nullspace
 
 
 def boundary_matrix(complex: SimplicialComplex, k):
@@ -249,106 +250,6 @@ def euler_characteristic(complex: SimplicialComplex) -> int:
     return sum((-1) ** k * d for k, d in enumerate(complex.f_vector()))
 
 
-# -- rational linear algebra (exact) -------------------------------------------
-
-
-class _Echelon:
-    """Incremental echelon over Q that remembers how each reduced row was
-    built from the inserted vectors (so membership queries return coordinates)."""
-
-    def __init__(self):
-        self.pivots = []
-        self.rows = []
-        self.combos = []  # combos[r]: {inserted-index: coefficient}
-        self.added = 0
-
-    def _reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        combo = {}
-        for p, row, rc in zip(self.pivots, self.rows, self.combos):
-            f = v[p]
-            if f:
-                for i, x in enumerate(row):
-                    if x:
-                        v[i] -= f * x
-                for idx, c in rc.items():
-                    combo[idx] = combo.get(idx, Fraction(0)) - f * c
-        return v, combo
-
-    def insert(self, vec):
-        """Insert vec; True if independent of everything inserted so far."""
-        v, combo = self._reduce(vec)
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        inv = Fraction(1) / v[p]
-        self.pivots.append(p)
-        self.rows.append([x * inv for x in v])
-        combo = {i: c * inv for i, c in combo.items()}
-        combo[self.added] = combo.get(self.added, Fraction(0)) + inv
-        self.combos.append(combo)
-        self.added += 1
-        return True
-
-    def coordinates(self, vec):
-        """Coordinates of vec over the inserted vectors, or None if outside."""
-        v, combo = self._reduce(vec)
-        if any(v):
-            return None
-        coords = [Fraction(0)] * self.added
-        for idx, c in combo.items():
-            coords[idx] = -c
-        return coords
-
-
-def _rref_fractions(rows, width):
-    """RREF over Q; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for c in range(width):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0),
-                     None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1, 1) / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(c)
-        rank += 1
-    return rows[:rank], pivots
-
-
-def rational_rank(matrix):
-    if not matrix or not matrix[0]:
-        return 0
-    reduced, _ = _rref_fractions([[Fraction(x) for x in row]
-                                  for row in matrix], len(matrix[0]))
-    return len(reduced)
-
-
-def _nullspace_fractions(matrix, width):
-    """Basis of the kernel (as vectors of length width)."""
-    if not matrix:
-        return [[Fraction(1 if i == j else 0) for i in range(width)]
-                for j in range(width)]
-    reduced, pivots = _rref_fractions([[Fraction(x) for x in row]
-                                       for row in matrix], width)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [Fraction(0)] * width
-        v[c] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[c]
-        basis.append(v)
-    return basis
-
-
 def chain_map_matrix(gx: GSimplicialComplex, g, k):
     """The signed permutation matrix of g acting on k-chains."""
     simplices = gx.complex.simplices[k] if k <= gx.complex.dimension else []
@@ -374,34 +275,29 @@ def _homology_basis(cc: ChainComplex, k):
     """(echelon over [boundaries | reps], boundary count, homology reps)."""
     n_k = cc.dims[k] if k < len(cc.dims) else 0
     d_k = cc.boundaries[k] if 0 < k < len(cc.dims) else []
-    cycles = _nullspace_fractions(d_k, n_k)
+    cycles = nullspace(d_k, n_k)
     d_next = cc.boundaries[k + 1] if k + 1 < len(cc.dims) else []
-    ech = _Echelon()
-    n_boundaries = 0
+    ech = Echelon()
     if d_next:
         for j in range(len(d_next[0])):
-            col = [d_next[i][j] for i in range(len(d_next))]
-            if ech.insert(col):
-                n_boundaries += 1
-    reps = []
-    for cyc in cycles:
-        if ech.insert(cyc):
-            reps.append(cyc)
+            ech.insert([row[j] for row in d_next])
+    n_boundaries = ech.rank
+    reps = [cyc for cyc in cycles if ech.insert(cyc)]
     return ech, n_boundaries, reps
 
 
 def _induced_on_basis(gx, g, k, ech, n_boundaries, reps):
     t_g = chain_map_matrix(gx, g, k)
     b = len(reps)
-    matrix = [[Fraction(0)] * b for _ in range(b)]
+    matrix = [[None] * b for _ in range(b)]
     for l, h in enumerate(reps):
-        image = [sum(Fraction(t_g[i][j]) * h[j] for j in range(len(h)) if t_g[i][j])
+        image = [sum(t_g[i][j] * h[j] for j in range(len(h)) if t_g[i][j])
                  for i in range(len(h))]
         coords = ech.coordinates(image)
         if coords is None:
             raise InternalInconsistency("chain map does not preserve cycles")
         for i in range(b):
-            matrix[i][l] = coords[n_boundaries + i]
+            matrix[i][l] = Fraction(coords[n_boundaries + i])
     return matrix
 
 
@@ -416,8 +312,8 @@ def invariant_cohomology_dims(gx: GSimplicialComplex):
     """Per-degree dimension of the G-invariant part of H^k(X; Q).
 
     Computed on homology with Q coefficients (same dimensions as the dual
-    cohomology statement): average the induced maps over the group and take
-    the rank of the idempotent.
+    cohomology statement): the average of the induced maps over the group is
+    an idempotent, so its rank is its trace, (1/|G|) sum_g tr(g_*).
     """
     gx.require_admissible()
     cc = ChainComplex.from_complex(gx.complex)
@@ -425,15 +321,15 @@ def invariant_cohomology_dims(gx: GSimplicialComplex):
     dims = []
     for k in range(len(cc.dims)):
         ech, n_boundaries, reps = _homology_basis(cc, k)
-        b = len(reps)
-        if b == 0:
-            dims.append(0)
-            continue
-        avg = [[Fraction(0)] * b for _ in range(b)]
-        for g in range(order):
-            m_g = _induced_on_basis(gx, g, k, ech, n_boundaries, reps)
-            for i in range(b):
-                for j in range(b):
-                    avg[i][j] += Fraction(m_g[i][j], order)
-        dims.append(rational_rank(avg))
+        total = 0
+        if reps:
+            for g in range(order):
+                m_g = _induced_on_basis(gx, g, k, ech, n_boundaries, reps)
+                total += sum(m_g[i][i] for i in range(len(reps)))
+        dim, rest = divmod(total, order)
+        if rest:
+            raise InternalInconsistency(
+                "averaging idempotent has trace %s, not a multiple of |G| = %d"
+                " in degree %d" % (total, order, k))
+        dims.append(int(dim))
     return tuple(dims)

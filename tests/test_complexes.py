@@ -50,6 +50,19 @@ def test_action_must_be_homomorphism():
         GSimplicialComplex(c, g, [(1, 0), (1, 0)])
 
 
+@pytest.mark.parametrize("bad", [2, 3])
+def test_action_check_covers_non_generators(bad):
+    # element 1 alone generates Z4, so the validator checks products with it
+    # only; a wrong permutation on a non-generator must still be caught
+    c = two_point_circle()
+    rotations = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
+    GSimplicialComplex(c, cyclic_group(4), rotations)
+    wrong = list(rotations)
+    wrong[bad] = (0, 1, 2, 3)
+    with pytest.raises(BadAction, match="homomorphism"):
+        GSimplicialComplex(c, cyclic_group(4), wrong)
+
+
 def test_action_must_preserve_simplices():
     c = SimplicialComplex(3, [(0, 1)])
     g = cyclic_group(2)

@@ -23,6 +23,14 @@ GOLDEN = {
     "complex_d4-torus.json":
         ["complex", "--fixture", "d4-torus", "--format", "json"],
     "fixture_z4-torus_emit.txt": ["fixture", "z4-torus", "--emit"],
+    "group_product-dihedral-8-cyclic-6.json":
+        ["group", "--group", "builtin:product:dihedral:8:cyclic:6",
+         "--format", "json"],
+    "group_cyclic-24.json":
+        ["group", "--group", "builtin:cyclic:24", "--format", "json"],
+    "group_product-dihedral-4-dihedral-4.json":
+        ["group", "--group", "builtin:product:dihedral:4:dihedral:4",
+         "--format", "json"],
 }
 
 

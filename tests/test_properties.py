@@ -12,6 +12,7 @@ from orbikt import (Cyclotomic, GSimplicialComplex, SimplicialComplex,
                     homology_integral, induced_character, multiplicity,
                     product_group, rational_rank, smith_invariant_factors,
                     specialization, trivial_group)
+from orbikt.linalg import Echelon, nullspace
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -188,7 +189,16 @@ def test_boundary_of_boundary_vanishes(complex):
 def test_rank_oracles_agree(matrix):
     rank = rational_rank(matrix)
     assert fraction_free_rank(matrix) == rank
-    assert len(smith_invariant_factors(matrix)) == rank
+    factors = smith_invariant_factors(matrix)
+    assert len(factors) == rank
+    assert len(nullspace(matrix, 3)) == 3 - rank
+    # over F_p the rank drops by the invariant factors that p divides
+    for p in (2, 3, 193):
+        ech = Echelon(p)
+        for row in matrix:
+            ech.insert(row)
+        assert ech.rank == sum(1 for d in factors if d % p)
+        assert len(nullspace(matrix, 3, p)) == 3 - ech.rank
 
 
 @SETTINGS
