@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _power_vectors
 from .errors import (
     BoundExceeded,
     InternalInconsistency,
@@ -85,7 +86,7 @@ def _min_poly_mod(matrix, p):
         vec[start] = 1
         ech = Echelon(p)
         while ech.insert(vec):
-            vec = [sum(a * x for a, x in zip(matrix_row, vec)) % p
+            vec = [sum(map(mul, matrix_row, vec)) % p
                    for matrix_row in matrix]
         poly = [-c % p for c in ech.coordinates(vec)] + [1]
         g = _poly_gcd_mod(minpoly, poly, p)
@@ -150,11 +151,12 @@ def _class_matrix(cd, i, group):
     return n
 
 
-def _dixon_rows(group):
+def _dixon_rows(group, conductor):
     """Exact character values per conjugacy class, unsorted.
 
     Returns (rows, degrees) where rows[s] is a list of Cyclotomic values at
-    conductor exp(G), one per class in conjugacy order.
+    the given conductor (a multiple of exp(G)), one per class in conjugacy
+    order.  Equal values are one shared object.
     """
     cd = conjugacy_data(group)
     r = len(cd.classes)
@@ -180,7 +182,7 @@ def _dixon_rows(group):
             for v in basis:
                 ech.insert(v)
             # amat[j][t]: coordinate j of N v_t over the basis
-            columns = [ech.coordinates([sum(a * x for a, x in zip(row, v))
+            columns = [ech.coordinates([sum(map(mul, row, v)) % p
                                         for row in nmat])
                        for v in basis]
             if None in columns:
@@ -193,16 +195,15 @@ def _dixon_rows(group):
                 new_spaces.append(basis)
                 continue
             found = 0
+            basis_columns = list(zip(*basis))
             for lam in roots:
                 shifted = [
                     [(amat[a][b] - (lam if a == b else 0)) % p for b in range(m)]
                     for a in range(m)
                 ]
-                vecs = [
-                    [sum(coords[t] * basis[t][j] for t in range(m)) % p
-                     for j in range(r)]
-                    for coords in nullspace(shifted, m, p)
-                ]
+                vecs = [[sum(map(mul, coords, col)) % p
+                         for col in basis_columns]
+                        for coords in nullspace(shifted, m, p)]
                 if vecs:
                     new_spaces.append(vecs)
                     found += len(vecs)
@@ -220,7 +221,7 @@ def _dixon_rows(group):
         inv0 = pow(v[c_e], p - 2, p)
         omegas.append([(x * inv0) % p for x in v])
 
-    sizes = [len(c) for c in cd.classes]
+    size_inv = [pow(len(c), p - 2, p) for c in cd.classes]
     inv_class = [cd.class_of[group.inv[rep]] for rep in cd.reps]
 
     # degrees: d^2 = |G| / sum_i omega_i * omega_{i*} / h_i   (mod p)
@@ -228,14 +229,13 @@ def _dixon_rows(group):
     for om in omegas:
         s = 0
         for i in range(r):
-            s = (s + om[i] * om[inv_class[i]] * pow(sizes[i], p - 2, p)) % p
+            s = (s + om[i] * om[inv_class[i]] * size_inv[i]) % p
         d2 = (group.order * pow(s, p - 2, p)) % p
         d = next((x for x in range(1, p // 2 + 1) if (x * x) % p == d2), None)
         if d is None or d > group.order:
             raise InternalInconsistency("degree recovery failed")
         degrees.append(d)
-        values_mod.append(
-            [(d * om[i] * pow(sizes[i], p - 2, p)) % p for i in range(r)])
+        values_mod.append([(d * om[i] * size_inv[i]) % p for i in range(r)])
 
     # power map: class of rep_i^l
     power_class = []
@@ -246,27 +246,35 @@ def _dixon_rows(group):
             x = group.mult[x][rep]
         power_class.append(row)
 
-    # lift each value to a sum of e-th roots of unity
+    # lift each value to a sum of e-th roots of unity: the multiplicity of
+    # zeta^j is (1/e) sum_l chi(rep^l) zeta^(-jl), a DFT over F_p
     z = pow(_primitive_root(p), (p - 1) // e, p)
-    zinv = pow(z, p - 2, p)
+    zinv_powers = [pow(z, (e - k) % e, p) for k in range(e)]
+    dft = [[zinv_powers[(j * l) % e] for l in range(e)] for j in range(e)]
     inv_e = pow(e % p, p - 2, p)
+    # zeta_e^j is zeta_conductor^(j * step)
+    step = conductor // e
+    powers = _power_vectors(conductor)
+    phi = len(powers[0])
+    values = {}  # multiplicities -> value
     rows = []
     for d, vals in zip(degrees, values_mod):
         row = []
         for i in range(r):
-            mults = []
-            for j in range(e):
-                acc = 0
-                for l in range(e):
-                    acc = (acc + vals[power_class[i][l]]
-                           * pow(zinv, (j * l) % (p - 1), p)) % p
-                mults.append((acc * inv_e) % p)
+            seq = [vals[c] for c in power_class[i]]
+            mults = tuple(sum(map(mul, seq, dft_row)) * inv_e % p
+                          for dft_row in dft)
             if sum(mults) != d or any(mj > d for mj in mults):
                 raise InternalInconsistency("eigenvalue multiplicity lift failed")
-            value = Cyclotomic.zero(e)
-            for j, mj in enumerate(mults):
-                if mj:
-                    value = value + Cyclotomic.root_of_unity(e, j) * mj
+            value = values.get(mults)
+            if value is None:
+                coeffs = [0] * phi
+                for j, mj in enumerate(mults):
+                    if mj:
+                        vec = powers[j * step]
+                        for t in range(phi):
+                            coeffs[t] += mj * vec[t]
+                value = values[mults] = Cyclotomic(conductor, coeffs)
             row.append(value)
         rows.append(row)
     return rows, degrees
@@ -282,7 +290,10 @@ class Character:
         self.group = group
         self.conjugacy = conjugacy_data(group)
         self.values = tuple(values)
-        assert len(self.values) == len(self.conjugacy.classes)
+        if len(self.values) != len(self.conjugacy.classes):
+            raise InternalInconsistency(
+                "%d character values for %d classes"
+                % (len(self.values), len(self.conjugacy.classes)))
 
     @property
     def degree_value(self):
@@ -349,8 +360,7 @@ def character_table(group: FiniteGroup, conductor=None,
     if cached is not None:
         return cached
 
-    rows, degrees = _dixon_rows(group)
-    rows = [[v.lift(conductor) for v in row] for row in rows]
+    rows, degrees = _dixon_rows(group, conductor)
     one = Cyclotomic.one(conductor)
     records = []
     for row, d in zip(rows, degrees):
@@ -366,7 +376,32 @@ def character_table(group: FiniteGroup, conductor=None,
     return table
 
 
+def _integer_coefficients(value):
+    """The power-basis coefficients of a character value, as ints.
+
+    Character values are algebraic integers and the power basis of
+    Z[zeta_m] is an integral basis, so every coefficient must be integral.
+    """
+    if any(c.denominator != 1 for c in value.coeffs):
+        raise InternalInconsistency(
+            "character value %s is not an algebraic integer" % (value,))
+    return [c.numerator for c in value.coeffs]
+
+
 def _verify_table(table):
+    """Check the table's identities; raise InternalInconsistency on a failure.
+
+    Checks: one irrep per class, sum of squared degrees = |G|, irrep 0 is
+    the trivial character, each degree divides |G| and is the value at the
+    identity, every value is an algebraic integer (integral power-basis
+    coefficients), and row orthogonality
+    sum_i |C_i| chi_a(C_i) conj(chi_b(C_i)) = |G| [a == b].  Orthogonality is
+    checked for all r^2 pairs of rows when |G| <= 64, and above that for the
+    r diagonal pairs and the r - 1 pairs of the trivial row with another.
+
+    Each sum is accumulated over Z in the exponents of zeta mod m and reduced
+    modulo Phi_m once, through the integral power vectors of zeta^k.
+    """
     group = table.group
     cd = table.conjugacy
     n = group.order
@@ -383,17 +418,52 @@ def _verify_table(table):
             raise InternalInconsistency("degree does not divide |G|")
         if vals[cd.class_of[group.identity]] != d:
             raise InternalInconsistency("degree disagrees with identity value")
+    m = table.conductor
+    powers = _power_vectors(m)
+    phi = len(powers[0])
     sizes = [len(c) for c in cd.classes]
+    # terms[a][i]: chi_a(C_i) as (exponent, coefficient) pairs; conj_terms
+    # the same for |C_i| conj(chi_a(C_i)), using conj(zeta^k) = zeta^(m-k).
+    # Both are built once per value object and size; every key's object is
+    # held by the table for the whole call, so its id is not reused.
+    by_value, by_conj = {}, {}
+    terms, conj_terms = [], []
+    for _, _, vals in table.irreps:
+        row, conj_row = [], []
+        for value, size in zip(vals, sizes):
+            nz = by_value.get(id(value))
+            if nz is None:
+                nz = by_value[id(value)] = [
+                    (k, c) for k, c in enumerate(_integer_coefficients(value))
+                    if c]
+            conj = by_conj.get((id(value), size))
+            if conj is None:
+                conj = by_conj[id(value), size] = [
+                    (-k % m, size * c) for k, c in nz]
+            row.append(nz)
+            conj_row.append(conj)
+        terms.append(row)
+        conj_terms.append(conj_row)
     pairs = ([(a, b) for a in range(r) for b in range(r)]
              if n <= 64 else
              [(a, a) for a in range(r)] + [(0, b) for b in range(1, r)])
     for a, b in pairs:
-        va, vb = table.values(a), table.values(b)
-        acc = Cyclotomic.zero(table.conductor)
-        for i in range(r):
-            acc = acc + va[i] * vb[i].conjugate() * sizes[i]
+        # exponents k + kb < phi + m; fold them mod m, then reduce the
+        # exponents >= phi by the power vectors
+        acc = [0] * (m + phi)
+        for ta, tb in zip(terms[a], conj_terms[b]):
+            for k, c in ta:
+                for kb, cb in tb:
+                    acc[k + kb] += c * cb
+        reduced = [x + y for x, y in zip(acc, acc[m:])]
+        for k in range(phi, m):
+            c = acc[k]
+            if c:
+                vec = powers[k]
+                for t in range(phi):
+                    reduced[t] += c * vec[t]
         want = n if a == b else 0
-        if acc != want:
+        if reduced[0] != want or any(reduced[1:]):
             raise InternalInconsistency("row orthogonality fails (%d,%d)"
                                         % (a, b))
 
@@ -441,7 +511,8 @@ def multiplicity(chi: Character, psi: Character, sub: Subgroup) -> int:
 
 def restrict_character(chi: Character, sub: Subgroup) -> Character:
     """The restriction of a parent-group character to a reified subgroup."""
-    assert chi.group is sub.parent
+    if chi.group is not sub.parent:
+        raise NotSubgroup("chi is not a character of the ambient group")
     cd = conjugacy_data(sub.group)
     values = [chi.value_on_element(sub.elements[rep]) for rep in cd.reps]
     return Character(sub.group, values)

@@ -14,8 +14,10 @@ from math import gcd
 from .errors import InternalInconsistency
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
-    assert m >= 1
+    if m < 1:
+        raise InternalInconsistency("conductor must be positive")
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
@@ -28,7 +30,8 @@ def _poly_div_exact(num, den):
     num = list(num)
     q = [0] * (len(num) - len(den) + 1)
     lead = den[-1]
-    assert lead in (1, -1)
+    if lead not in (1, -1):
+        raise InternalInconsistency("divisor is not monic up to sign")
     for i in range(len(num) - 1, len(den) - 2, -1):
         c = num[i] * lead
         q[i - len(den) + 1] = c
@@ -43,7 +46,8 @@ def _poly_div_exact(num, den):
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int):
     """Integer coefficients of Phi_m, constant term first."""
-    assert m >= 1
+    if m < 1:
+        raise InternalInconsistency("conductor must be positive")
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
@@ -53,16 +57,19 @@ def cyclotomic_polynomial(m: int):
 
 @lru_cache(maxsize=None)
 def _power_vectors(m: int):
-    """Reduced coefficient vectors of zeta_m^k for k = 0..m-1."""
+    """Reduced coefficient vectors of zeta_m^k for k = 0..m-1.
+
+    The entries are ints: Phi_m is monic with integer coefficients.
+    """
     phi = euler_phi(m)
     phim = cyclotomic_polynomial(m)
     vectors = []
     # repeatedly multiply by zeta and reduce by Phi_m (monic)
-    cur = [Fraction(0)] * phi
-    cur[0] = Fraction(1)
+    cur = [0] * phi
+    cur[0] = 1
     for _ in range(m):
         vectors.append(tuple(cur))
-        nxt = [Fraction(0)] + cur[:-1]
+        nxt = [0] + cur[:-1]
         spill = cur[-1]
         if spill:
             for j in range(phi):
@@ -77,9 +84,10 @@ class Cyclotomic:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor, coeffs):
-        phi = euler_phi(conductor)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        assert len(coeffs) == phi, "coefficient vector has wrong length"
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c)
+                       for c in coeffs)
+        if len(coeffs) != euler_phi(conductor):
+            raise InternalInconsistency("coefficient vector has wrong length")
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -110,9 +118,14 @@ class Cyclotomic:
 
     # -- ring operations ---------------------------------------------------
 
+    def _same_conductor(self, other):
+        if other.conductor != self.conductor:
+            raise InternalInconsistency("conductor mismatch: %d and %d"
+                                        % (self.conductor, other.conductor))
+
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
-            assert other.conductor == self.conductor, "conductor mismatch"
+            self._same_conductor(other)
             return other
         if isinstance(other, (int, Fraction)):
             return Cyclotomic.from_rational(self.conductor, other)
@@ -147,7 +160,7 @@ class Cyclotomic:
             return Cyclotomic(self.conductor, [a * q for a in self.coeffs])
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        assert other.conductor == self.conductor, "conductor mismatch"
+        self._same_conductor(other)
         phi = len(self.coeffs)
         prod = [Fraction(0)] * (2 * phi - 1)
         for i, a in enumerate(self.coeffs):
@@ -184,7 +197,9 @@ class Cyclotomic:
     def lift(self, new_conductor):
         """Embed into Q(zeta_M) for a multiple M of the conductor."""
         m, big = self.conductor, new_conductor
-        assert big % m == 0, "new conductor must be a multiple"
+        if big % m != 0:
+            raise InternalInconsistency(
+                "new conductor %d is not a multiple of %d" % (big, m))
         if big == m:
             return self
         step = big // m
@@ -207,14 +222,16 @@ class Cyclotomic:
         return all(c == 0 for c in self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
-        assert self.is_rational(), "value is not rational"
+        if not self.is_rational():
+            raise InternalInconsistency("value is not rational")
         return self.coeffs[0]
 
     def is_integer(self):
         return self.is_rational() and self.coeffs[0].denominator == 1
 
     def integer_value(self) -> int:
-        assert self.is_integer(), "value is not a rational integer"
+        if not self.is_integer():
+            raise InternalInconsistency("value is not a rational integer")
         return int(self.coeffs[0])
 
     def __eq__(self, other):

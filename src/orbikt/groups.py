@@ -226,7 +226,8 @@ class Subgroup:
         return hash((id(self.parent), self.elements))
 
     def __le__(self, other):
-        assert other.parent is self.parent
+        if other.parent is not self.parent:
+            raise NotSubgroup("subgroups of different groups")
         return set(self.elements) <= set(other.elements)
 
     def conjugate(self, g):

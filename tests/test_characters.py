@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from orbikt import (BoundExceeded, Cyclotomic, character_table,
-                    conjugate_irrep, cyclic_group, dihedral_group,
-                    induced_character, multiplicity, product_group,
-                    restrict_character, subgroup_table, trivial_group)
+from orbikt import (BoundExceeded, Cyclotomic, InternalInconsistency,
+                    NotSubgroup, character_table, conjugate_irrep,
+                    cyclic_group, dihedral_group, induced_character,
+                    multiplicity, product_group, restrict_character,
+                    subgroup_table, trivial_group)
+from orbikt.characters import Character, CharacterTable, _verify_table
 from orbikt.groups import conjugacy_data
 
 
@@ -179,3 +181,79 @@ def test_tables_are_cached():
     assert character_table(g) is character_table(g)
     h1, h2 = g.subgroup([4]), g.subgroup([4])
     assert subgroup_table(h1) is subgroup_table(h2)
+
+
+def test_restrict_character_rejects_foreign_subgroup():
+    chi = character_table(dihedral_group(4)).character(4)
+    other = dihedral_group(4).subgroup([1])
+    with pytest.raises(NotSubgroup):
+        restrict_character(chi, other)
+
+
+def test_character_rejects_wrong_value_count():
+    g = dihedral_group(4)
+    with pytest.raises(InternalInconsistency):
+        Character(g, character_table(g).values(4)[:-1])
+
+
+def _with_value(table, rid, cls, value):
+    """A copy of the table with one value of irrep rid replaced."""
+    irreps = list(table.irreps)
+    _, d, vals = irreps[rid]
+    vals = list(vals)
+    vals[cls] = value
+    irreps[rid] = (rid, d, tuple(vals))
+    return CharacterTable(table.group, table.conductor, irreps)
+
+
+# C24 and D4xD4 (|G| <= 64) check every pair of rows; D8xC6 (|G| = 96)
+# checks the diagonal pairs and the trivial row against each other row.
+MUTATED_GROUPS = {
+    "C24": (lambda: cyclic_group(24), 23 * 23),
+    "D4xD4": (lambda: product_group(dihedral_group(4), dihedral_group(4)),
+              24 * 24),
+    "D8xC6": (lambda: product_group(dihedral_group(8), cyclic_group(6)),
+              41 * 41),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_GROUPS))
+def test_verify_table_catches_every_single_value_change(name):
+    """Adding zeta to any one non-identity value of any non-trivial row
+    breaks orthogonality, whichever set of pairs is checked."""
+    build, expected = MUTATED_GROUPS[name]
+    g = build()
+    table = character_table(g)
+    _verify_table(table)
+    zeta = Cyclotomic.root_of_unity(table.conductor, 1)
+    identity = conjugacy_data(g).class_of[g.identity]
+    caught = 0
+    for rid, _d, vals in table.irreps[1:]:
+        for cls, value in enumerate(vals):
+            if cls == identity:
+                continue
+            with pytest.raises(InternalInconsistency):
+                _verify_table(_with_value(table, rid, cls, value + zeta))
+            caught += 1
+    assert caught == expected
+
+
+@pytest.mark.parametrize("name", ["C24", "D4xD4"])
+def test_verify_table_checks_pairs_of_non_trivial_rows(name):
+    """A repeated linear row keeps every degree, norm and inner product
+    with the trivial row; only the pair of the two copies shows it."""
+    g = MUTATED_GROUPS[name][0]()
+    table = character_table(g)
+    assert table.degree(1) == table.degree(2) == 1
+    irreps = list(table.irreps)
+    irreps[2] = (2, 1, table.values(1))
+    with pytest.raises(InternalInconsistency, match=r"orthogonality"):
+        _verify_table(CharacterTable(g, table.conductor, irreps))
+
+
+def test_verify_table_rejects_non_integral_value():
+    g = dihedral_group(4)
+    table = character_table(g)
+    half = table.values(4)[2] + Fraction(1, 2)
+    with pytest.raises(InternalInconsistency, match="algebraic integer"):
+        _verify_table(_with_value(table, 4, 2, half))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbikt import Cyclotomic
+from orbikt import Cyclotomic, InternalInconsistency
 from orbikt.cyclotomic import cyclotomic_polynomial, euler_phi
 
 
@@ -102,3 +102,24 @@ def test_golden_ratio_relation_in_fifth_roots():
     # (z5 + z5^4) satisfies x^2 + x - 1 = 0
     x = zeta(5) + zeta(5, 4)
     assert x * x + x - Cyclotomic.one(5) == Cyclotomic.zero(5)
+
+
+def test_arithmetic_guards_raise():
+    """The guards are raises, not asserts, so ``python -O`` keeps them."""
+    with pytest.raises(InternalInconsistency):
+        zeta(4) + zeta(3)
+    with pytest.raises(InternalInconsistency):
+        zeta(4) * zeta(3)
+    with pytest.raises(InternalInconsistency):
+        zeta(4).lift(6)
+    with pytest.raises(InternalInconsistency):
+        Cyclotomic(5, [1, 2, 3])
+    with pytest.raises(InternalInconsistency):
+        zeta(4).integer_value()
+
+
+def test_constructor_keeps_fraction_coefficients():
+    half = Fraction(1, 2)
+    value = Cyclotomic(4, [half, 1])
+    assert value.coeffs[0] is half
+    assert all(type(c) is Fraction for c in value.coeffs)

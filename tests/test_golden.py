@@ -5,9 +5,12 @@ is a change in the program's answers and must be deliberate.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import orbikt
 from orbikt.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -31,6 +34,11 @@ GOLDEN = {
     "group_product-dihedral-4-dihedral-4.json":
         ["group", "--group", "builtin:product:dihedral:4:dihedral:4",
          "--format", "json"],
+    "group_cyclic-30.json":
+        ["group", "--group", "builtin:cyclic:30", "--format", "json"],
+    "group_product-cyclic-3-dihedral-5.json":
+        ["group", "--group", "builtin:product:cyclic:3:dihedral:5",
+         "--format", "json"],
 }
 
 
@@ -41,3 +49,16 @@ def test_output_matches_golden(name, capsysbinary):
     assert code == 0 and err == b""
     with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
         assert out == f.read()
+
+
+def test_golden_holds_without_asserts():
+    """Under ``python -O`` (asserts stripped) the answers are unchanged."""
+    name = "group_cyclic-24.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(orbikt.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "orbikt.cli"] + GOLDEN[name],
+        env=env, capture_output=True, timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == b""
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
+        assert proc.stdout == f.read()

@@ -1,8 +1,8 @@
 import pytest
 
-from orbikt import (FiniteGroup, NotAGroup, commuting_pairs, conjugacy_data,
-                    cyclic_group, dihedral_group, group_from_permutations,
-                    product_group, trivial_group)
+from orbikt import (FiniteGroup, NotAGroup, NotSubgroup, commuting_pairs,
+                    conjugacy_data, cyclic_group, dihedral_group,
+                    group_from_permutations, product_group, trivial_group)
 
 
 def test_trivial_group():
@@ -81,6 +81,13 @@ def test_subgroup_closure_and_index():
     assert h.index_in_parent == 2
     assert g.subgroup([]).elements == (0,)
     assert g.subgroup([1]).elements == (0, 1, 2, 3)
+
+
+def test_subgroup_order_needs_a_common_parent():
+    g = dihedral_group(4)
+    assert g.subgroup([2]) <= g.subgroup([1])
+    with pytest.raises(NotSubgroup):
+        g.subgroup([2]) <= dihedral_group(4).subgroup([1])
 
 
 def test_subgroup_reification_is_canonical():
