@@ -162,9 +162,9 @@ def _read_file(path):
         raise ParseError("cannot read %s: %s" % (path, exc))
 
 
-def _load_group(source):
+def _load_group(source, max_order):
     if source.startswith("builtin:"):
-        return parse_builtin_spec(source[len("builtin:"):])
+        return parse_builtin_spec(source[len("builtin:"):], max_order)
     return parse_group_text(_read_file(source))
 
 
@@ -178,7 +178,7 @@ def resolve_inputs(args) -> Inputs:
         return Inputs(group=gx.group, complex=gx.complex, gx=gx,
                       fixture_name=args.fixture)
 
-    group = _load_group(args.group) if args.group else None
+    group = _load_group(args.group, args.max_order) if args.group else None
     complex = None
     action_text = None
     if args.complex_file:

@@ -8,32 +8,52 @@ constant-isotropy strata.
 
 from __future__ import annotations
 
-from .errors import BadAction, NotAComplex, NotAdmissible, NotRegular
+from itertools import chain, combinations
+
+from .errors import (BadAction, BoundExceeded, NotAComplex, NotAdmissible,
+                     NotRegular)
 from .groups import FiniteGroup, Subgroup
+
+# Most simplices a complex may have, counted before any face is listed as the
+# vertices plus every face of every given simplex.  The grid-24 torus counts
+# about 17k; one simplex on 19 vertices (524k faces) takes seconds to close.
+MAX_SIMPLICES = 2 ** 20
+
+
+def faces(simplex):
+    """Every non-empty face of a vertex tuple, each in the tuple's order."""
+    return chain.from_iterable(combinations(simplex, k)
+                               for k in range(1, len(simplex) + 1))
 
 
 class SimplicialComplex:
     """A finite abstract simplicial complex, closed under faces.
 
     Simplices are strictly increasing vertex tuples; every vertex index below
-    vertex_count occurs as a 0-simplex.
+    vertex_count occurs as a 0-simplex.  A complex that could have more than
+    MAX_SIMPLICES simplices (the vertices plus every face of every given
+    simplex) is refused with BoundExceeded before any face is listed.
     """
 
     def __init__(self, vertex_count, maximal_simplices):
         if vertex_count < 0:
             raise NotAComplex("negative vertex count")
-        closure = set()
+        given = []
         for s in maximal_simplices:
             s = tuple(sorted(set(s)))
             if not s:
                 raise NotAComplex("empty simplex")
             if s[0] < 0 or s[-1] >= vertex_count:
                 raise NotAComplex("vertex index out of range in %r" % (s,))
-            for mask in range(1, 1 << len(s)):
-                face = tuple(v for i, v in enumerate(s) if mask >> i & 1)
-                closure.add(face)
-        for v in range(vertex_count):
-            closure.add((v,))
+            given.append(s)
+        bound = vertex_count + sum((1 << len(s)) - 1 for s in given)
+        if bound > MAX_SIMPLICES:
+            raise BoundExceeded(
+                "complex may have up to %d simplices, more than %d"
+                % (bound, MAX_SIMPLICES))
+        closure = {(v,) for v in range(vertex_count)}
+        for s in given:
+            closure.update(faces(s))
         self.vertex_count = vertex_count
         dim = max((len(s) - 1 for s in closure), default=-1)
         self.simplices = tuple(
@@ -424,11 +444,7 @@ def isotropy_strata(gx: GSimplicialComplex):
 
     for members in by_class.values():
         for a in members:
-            faces_a = set()
-            for m in od.members(a):
-                for mask in range(1, 1 << len(m)):
-                    faces_a.add(tuple(v for i, v in enumerate(m)
-                                      if mask >> i & 1))
+            faces_a = {f for m in od.members(a) for f in faces(m)}
             for b in members:
                 if b != a and od.rep(b) in faces_a:
                     union(a, b)

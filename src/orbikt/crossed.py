@@ -9,8 +9,12 @@ trivial-isotropy-representation nodes, and validation of ideal filtrations.
 
 from __future__ import annotations
 
-from .characters import Character, conjugate_irrep, multiplicity, subgroup_table
-from .complexes import GSimplicialComplex, isotropy_strata, orbits_and_stabilizers
+from dataclasses import dataclass
+
+from .characters import (Character, CharacterTable, conjugate_irrep,
+                         multiplicity, subgroup_table)
+from .complexes import (GSimplicialComplex, faces, isotropy_strata,
+                        orbits_and_stabilizers)
 from .errors import (
     InternalInconsistency,
     NonConstantStabilizer,
@@ -20,6 +24,7 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup
 
 
+@dataclass(frozen=True)
 class FiberDecomposition:
     """Block decomposition of the compacts of l2(G) fixed under K.
 
@@ -27,17 +32,18 @@ class FiberDecomposition:
     multiplicity d_sigma inside the |G|-dimensional regular representation.
     """
 
-    def __init__(self, group, stabilizer, blocks, table):
-        self.group = group
-        self.stabilizer = stabilizer
-        self.blocks = tuple(blocks)  # records (irrep_id, block_dim, multiplicity)
-        self.table = table
-        total = sum(dim * mult for _, dim, mult in blocks)
-        if total != group.order:
+    group: FiniteGroup
+    stabilizer: Subgroup
+    blocks: tuple  # records (irrep_id, block_dim, multiplicity)
+    table: CharacterTable
+
+    def __post_init__(self):
+        total = sum(dim * mult for _, dim, mult in self.blocks)
+        if total != self.group.order:
             raise InternalInconsistency(
                 "fiber blocks sum to %d, expected |G| = %d"
-                % (total, group.order))
-        if len(blocks) != len(table.irreps):
+                % (total, self.group.order))
+        if len(self.blocks) != len(self.table.irreps):
             raise InternalInconsistency("block count != irrep count")
 
 
@@ -46,19 +52,19 @@ def fiber_decomposition(group: FiniteGroup, sub: Subgroup) -> FiberDecomposition
         raise NotSubgroup("stabilizer is not a subgroup of the given group")
     table = subgroup_table(sub)
     index = group.order // sub.order
-    blocks = [(rid, index * d, d) for rid, d, _ in table.irreps]
+    blocks = tuple((rid, index * d, d) for rid, d, _ in table.irreps)
     return FiberDecomposition(group, sub, blocks, table)
 
 
+@dataclass(frozen=True)
 class InclusionMultiplicityMatrix:
     """Multiplicities m[sigma][tau] of sigma in tau restricted from K to L."""
 
-    def __init__(self, ambient, sub, entries, row_table, col_table):
-        self.ambient = ambient  # K
-        self.sub = sub          # L, contained in K
-        self.entries = tuple(tuple(row) for row in entries)
-        self.row_table = row_table  # irreps of L
-        self.col_table = col_table  # irreps of K
+    ambient: Subgroup  # K
+    sub: Subgroup      # L, contained in K
+    entries: tuple
+    row_table: CharacterTable  # irreps of L
+    col_table: CharacterTable  # irreps of K
 
     def row(self, sigma_id):
         return self.entries[sigma_id]
@@ -86,59 +92,45 @@ def inclusion_multiplicities(group: FiniteGroup, sub: Subgroup,
             raise InternalInconsistency(
                 "degree identity fails for column %d: %d != %d"
                 % (tau_id, total, tau_degree))
-    return InclusionMultiplicityMatrix(ambient, sub, entries,
-                                       row_table, col_table)
+    return InclusionMultiplicityMatrix(
+        ambient, sub, tuple(tuple(row) for row in entries),
+        row_table, col_table)
 
 
+@dataclass(frozen=True, slots=True)
 class PrimNode:
     """A point of the primitive-ideal space: (simplex orbit, stabilizer irrep)."""
 
-    __slots__ = ("orbit_id", "irrep_id")
-
-    def __init__(self, orbit_id, irrep_id):
-        self.orbit_id = orbit_id
-        self.irrep_id = irrep_id
+    orbit_id: int
+    irrep_id: int
 
     def key(self):
         return (self.orbit_id, self.irrep_id)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimNode) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "PrimNode(orbit=%d, irrep=%d)" % (self.orbit_id, self.irrep_id)
-
 
 class PrimPoset:
-    """Nodes with the specialization preorder: leq[a][b] iff node a lies in
-    the closure of node b."""
+    """Nodes with the specialization preorder, kept as up-sets: above[a] is
+    the set of every b with a <= b, that is, node a lies in the closure of
+    node b.  The preorder is sparse, so no n x n matrix is formed."""
 
-    def __init__(self, nodes, leq, stabilizer_orders, irrep_degrees,
+    def __init__(self, nodes, above, stabilizer_orders, irrep_degrees,
                  aggregated=False):
         self.nodes = tuple(nodes)
-        self.leq = tuple(tuple(row) for row in leq)
+        self.above = tuple(frozenset(up) for up in above)
         self.stabilizer_orders = tuple(stabilizer_orders)
         self.irrep_degrees = tuple(irrep_degrees)
         self.aggregated = aggregated
         self._verify_preorder()
 
     def _verify_preorder(self):
-        n = len(self.nodes)
-        for a in range(n):
-            if not self.leq[a][a]:
+        for a, up in enumerate(self.above):
+            if a not in up:
                 raise InternalInconsistency("specialization not reflexive")
-        for b in range(n):
-            below_b = [a for a in range(n) if self.leq[a][b]]
-            for c in range(n):
-                if self.leq[b][c]:
-                    for a in below_b:
-                        if not self.leq[a][c]:
-                            raise InternalInconsistency(
-                                "specialization not transitive at "
-                                "(%d, %d, %d)" % (a, b, c))
+            for b in up:
+                if not self.above[b] <= up:
+                    raise InternalInconsistency(
+                        "specialization not transitive at (%d, %d, %d)"
+                        % (a, b, min(self.above[b] - up)))
 
     def __len__(self):
         return len(self.nodes)
@@ -154,35 +146,32 @@ class PrimPoset:
         return None
 
     def closure(self, node_indices):
-        out = set()
-        for b in node_indices:
-            for a in range(len(self.nodes)):
-                if self.leq[a][b]:
-                    out.add(a)
-        return out
+        """Every node lying below some node of the set."""
+        targets = set(node_indices)
+        return {a for a, up in enumerate(self.above)
+                if not up.isdisjoint(targets)}
 
     def open_violation(self, node_indices):
         """None if the set is open, else a witness (inside, outside) pair
-        with inside in the set, outside not, and inside <= outside."""
+        with inside in the set, outside not, and inside <= outside; outside
+        is the smallest such node for the first such inside node."""
         inside = set(node_indices)
         for a in inside:
-            for b in range(len(self.nodes)):
-                if self.leq[a][b] and b not in inside:
-                    return (a, b)
+            outside = self.above[a] - inside
+            if outside:
+                return (a, min(outside))
         return None
 
     def is_open(self, node_indices):
         return self.open_violation(node_indices) is None
 
     def is_antisymmetric(self):
-        n = len(self.nodes)
-        return all(not (self.leq[a][b] and self.leq[b][a])
-                   for a in range(n) for b in range(n) if a != b)
+        return all(a not in self.above[b]
+                   for a, up in enumerate(self.above) for b in up if b != a)
 
     def relation_pairs(self):
-        n = len(self.nodes)
-        return [(a, b) for a in range(n) for b in range(n)
-                if a != b and self.leq[a][b]]
+        return [(a, b) for a, up in enumerate(self.above)
+                for b in sorted(up) if b != a]
 
 
 def prim_nodes(gx: GSimplicialComplex):
@@ -215,19 +204,14 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
     od = orbits_and_stabilizers(gx)
     nodes = prim_nodes(gx)
     index = {node.key(): i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    leq = [[False] * n for _ in range(n)]
+    above = [set() for _ in nodes]
 
     # for each orbit pair (s_orb, t_orb): translates of rep_t with rep_s as face
     face_translates = {}
     for t_orb in range(len(od)):
         for member in od.members(t_orb):
             h = od.transporter(t_orb)[member]
-            faces = set()
-            for mask in range(1, 1 << len(member)):
-                faces.add(tuple(v for i, v in enumerate(member)
-                                if mask >> i & 1))
-            for face in faces:
+            for face in faces(member):
                 s_orb = od.orbit_of[face]
                 if od.rep(s_orb) == face:
                     face_translates.setdefault((s_orb, t_orb), []).append(h)
@@ -253,14 +237,12 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
                 chi = table_s.character(sigma_id)
                 if any(_restriction_positive(stab_s, chi, sub_m, tau_m)
                        for sub_m, tau_m in targets):
-                    a = index[(s_orb, sigma_id)]
-                    b = index[(t_orb, tau_id)]
-                    leq[a][b] = True
+                    above[index[(s_orb, sigma_id)]].add(index[(t_orb, tau_id)])
 
     stab_orders = [od.stabilizer(node.orbit_id).order for node in nodes]
     degrees = [subgroup_table(od.stabilizer(node.orbit_id)).degree(node.irrep_id)
                for node in nodes]
-    return PrimPoset(nodes, leq, stab_orders, degrees)
+    return PrimPoset(nodes, above, stab_orders, degrees)
 
 
 def ix_nodes(poset_or_gx):
@@ -287,9 +269,9 @@ def aggregate_strata(poset: PrimPoset, gx: GSimplicialComplex) -> PrimPoset:
     stratum's orbit representatives, so that irreps match by table id.
     """
     od = orbits_and_stabilizers(gx)
-    strata = isotropy_strata(gx)
     stratum_of = {}
-    for st in strata:
+    nodes, stab_orders, degrees = [], [], []
+    for st in isotropy_strata(gx):
         base = od.stabilizer(st.orbit_ids[0])
         for oid in st.orbit_ids:
             stab = od.stabilizer(oid)
@@ -298,37 +280,26 @@ def aggregate_strata(poset: PrimPoset, gx: GSimplicialComplex) -> PrimPoset:
                     "stratum %d mixes stabilizers %r and %r"
                     % (st.stratum_id, base.elements, stab.elements))
             stratum_of[oid] = st.stratum_id
-    new_nodes = []
-    new_index = {}
-    for st in strata:
-        table = subgroup_table(od.stabilizer(st.orbit_ids[0]))
-        for rid, _, _ in table.irreps:
-            new_index[(st.stratum_id, rid)] = len(new_nodes)
-            new_nodes.append(PrimNode(st.stratum_id, rid))
-    m = len(new_nodes)
-    leq = [[False] * m for _ in range(m)]
-    for a, node_a in enumerate(poset.nodes):
-        ka = new_index[(stratum_of[node_a.orbit_id], node_a.irrep_id)]
-        for b, node_b in enumerate(poset.nodes):
-            if poset.leq[a][b]:
-                kb = new_index[(stratum_of[node_b.orbit_id], node_b.irrep_id)]
-                leq[ka][kb] = True
-    stab_orders = [od.stabilizer(strata[n.orbit_id].orbit_ids[0]).order
-                   for n in new_nodes]
-    degrees = []
-    for node in new_nodes:
-        table = subgroup_table(od.stabilizer(strata[node.orbit_id].orbit_ids[0]))
-        degrees.append(table.degree(node.irrep_id))
-    return PrimPoset(new_nodes, leq, stab_orders, degrees, aggregated=True)
+        for rid, degree, _ in subgroup_table(base).irreps:
+            nodes.append(PrimNode(st.stratum_id, rid))
+            stab_orders.append(base.order)
+            degrees.append(degree)
+    index = {node.key(): i for i, node in enumerate(nodes)}
+    merged = [index[(stratum_of[node.orbit_id], node.irrep_id)]
+              for node in poset.nodes]
+    above = [set() for _ in nodes]
+    for a, up in enumerate(poset.above):
+        above[merged[a]].update(merged[b] for b in up)
+    return PrimPoset(nodes, above, stab_orders, degrees, aggregated=True)
 
 
+@dataclass(frozen=True)
 class FiltrationReport:
     """Validation and block data for an increasing open filtration."""
 
-    def __init__(self, steps, step_counts, cumulative_counts):
-        self.steps = steps  # per step: list of (node key, degree, block_dim)
-        self.step_counts = tuple(step_counts)
-        self.cumulative_counts = tuple(cumulative_counts)
+    steps: tuple  # per step: list of (node key, degree, block_dim)
+    step_counts: tuple
+    cumulative_counts: tuple
 
 
 def filtration_report(poset: PrimPoset, gx: GSimplicialComplex,
@@ -340,9 +311,7 @@ def filtration_report(poset: PrimPoset, gx: GSimplicialComplex,
     (irrep degree and fiber block dimension).
     """
     group = gx.group
-    seen = set()
     steps = []
-    step_counts = []
     cumulative_counts = []
     indices = set()
     for k, keys in enumerate(increments):
@@ -352,10 +321,9 @@ def filtration_report(poset: PrimPoset, gx: GSimplicialComplex,
             if idx is None:
                 raise NotOpen("step %d names unknown node %r" % (k + 1, key),
                               step=k + 1, witness=key)
-            if idx in seen:
+            if idx in indices:
                 raise NotOpen("step %d repeats node %r" % (k + 1, key),
                               step=k + 1, witness=key)
-            seen.add(idx)
             indices.add(idx)
             degree = poset.irrep_degrees[idx]
             block_dim = group.order // poset.stabilizer_orders[idx] * degree
@@ -371,6 +339,7 @@ def filtration_report(poset: PrimPoset, gx: GSimplicialComplex,
                 witness=(poset.nodes[inside].key(),
                          poset.nodes[outside].key()))
         steps.append(detail)
-        step_counts.append(len(detail))
         cumulative_counts.append(len(indices))
-    return FiltrationReport(steps, step_counts, cumulative_counts)
+    return FiltrationReport(tuple(steps),
+                            tuple(len(detail) for detail in steps),
+                            tuple(cumulative_counts))

@@ -37,7 +37,7 @@ line lists the (stratum-id, irrep-id) pairs ADDED at that step)::
 import re
 
 from .complexes import GSimplicialComplex, SimplicialComplex
-from .errors import BadAction, NotAGroup, ParseError
+from .errors import BadAction, BoundExceeded, NotAGroup, ParseError
 from .groups import (FiniteGroup, cyclic_group, dihedral_group,
                      group_from_permutations, product_group, trivial_group)
 
@@ -132,12 +132,21 @@ def serialize_group(group: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_builtin_spec(spec) -> FiniteGroup:
+def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
     """Parse a colon-separated builtin group spec such as ``cyclic:4`` or
-    ``product:cyclic:2:dihedral:3`` (prefix notation, consumed recursively)."""
+    ``product:cyclic:2:dihedral:3`` (prefix notation, consumed recursively).
+
+    With ``max_order``, each group's order is computed from the spec and
+    checked before its table is built, so an oversized group is refused
+    with BoundExceeded without allocating it."""
     tokens = [t for t in spec.split(":") if t != ""]
     if not tokens:
         raise ParseError("empty builtin group spec")
+
+    def check(order):
+        if max_order is not None and order > max_order:
+            raise BoundExceeded("group order %d exceeds --max-order %d"
+                                % (order, max_order))
 
     def consume(pos):
         if pos >= len(tokens):
@@ -150,11 +159,15 @@ def parse_builtin_spec(spec) -> FiniteGroup:
                 raise ParseError("builtin spec %r: %s needs a parameter"
                                  % (spec, head))
             n = _int_token(tokens[pos + 1], 0, "%s parameter" % head)
-            maker = cyclic_group if head == "cyclic" else dihedral_group
-            return maker(n), pos + 2
+            if head == "cyclic":
+                check(n)
+                return cyclic_group(n), pos + 2
+            check(2 * n)
+            return dihedral_group(n), pos + 2
         if head == "product":
             left, pos = consume(pos + 1)
             right, pos = consume(pos)
+            check(left.order * right.order)
             return product_group(left, right), pos
         raise ParseError("unknown builtin group %r (expected trivial, "
                          "cyclic, dihedral, or product)" % head)

@@ -1,4 +1,5 @@
 import json
+import time
 
 from orbikt.cli import main
 
@@ -262,6 +263,20 @@ def test_input_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, [])
     assert code == 1
+
+
+def test_oversized_inputs_are_refused_before_allocation(capsys, tmp_path):
+    path = tmp_path / "simplex22.txt"
+    path.write_text("vertices 22\nsimplex %s\n"
+                    % " ".join(str(v) for v in range(22)))
+    for argv in (["complex", "--complex", str(path)],
+                 ["group", "--group", "builtin:cyclic:100000"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == ""
+        assert err.startswith("orbikt: BoundExceeded: ")
+        assert err.count("\n") == 1
 
 
 def test_group_file_loading(capsys, tmp_path):

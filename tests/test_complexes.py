@@ -1,10 +1,10 @@
 import pytest
 
-from orbikt import (BadAction, GSimplicialComplex, NotAComplex, NotAdmissible,
-                    NotRegular, SimplicialComplex, barycentric_subdivide,
-                    cyclic_group, dihedral_group, fixed_subcomplex, fixture,
-                    isotropy_strata, orbits_and_stabilizers,
-                    quotient_complex, trivial_group)
+from orbikt import (BadAction, BoundExceeded, GSimplicialComplex, NotAComplex,
+                    NotAdmissible, NotRegular, SimplicialComplex,
+                    barycentric_subdivide, cyclic_group, dihedral_group,
+                    fixed_subcomplex, fixture, isotropy_strata,
+                    orbits_and_stabilizers, quotient_complex, trivial_group)
 
 
 def interval():
@@ -39,6 +39,14 @@ def test_bad_simplices_rejected():
         SimplicialComplex(-1, [])            # negative vertex count
     # repeated vertices are normalized away, not rejected
     assert SimplicialComplex(3, [(0, 0, 1)]).f_vector() == (3, 1)
+
+
+def test_face_count_bound_is_checked_before_listing_faces():
+    # 20 vertices plus the 2^20 - 1 faces of one simplex on all of them
+    with pytest.raises(BoundExceeded):
+        SimplicialComplex(20, [range(20)])
+    with pytest.raises(BoundExceeded):
+        SimplicialComplex(2 ** 20 + 1, [])
 
 
 def test_action_must_be_homomorphism():

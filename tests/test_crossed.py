@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbikt import (NotOpen, NotSubgroup, PrimNode, aggregate_strata,
-                    cyclic_group, dihedral_group, fiber_decomposition,
-                    filtration_report, inclusion_multiplicities, ix_nodes,
-                    prim_nodes, specialization, subgroup_table)
+from orbikt import (InternalInconsistency, NotOpen, NotSubgroup, PrimNode,
+                    PrimPoset, aggregate_strata, cyclic_group, dihedral_group,
+                    fiber_decomposition, filtration_report,
+                    inclusion_multiplicities, ix_nodes, prim_nodes,
+                    specialization, subgroup_table)
 
 
 # -- fiber block decompositions ---------------------------------------------------
@@ -149,7 +151,7 @@ def test_sign_nodes_lie_below_adjacent_free_edge_only(z2_circle):
     sign = [i for i, n in enumerate(poset.nodes) if n.irrep_id == 1]
     assert len(sign) == 2
     for i in sign:
-        above = [j for j in range(len(poset)) if poset.leq[i][j] and j != i]
+        above = [j for j in poset.above[i] if j != i]
         assert len(above) == 1
         (j,) = above
         assert poset.stabilizer_orders[j] == 1
@@ -170,6 +172,56 @@ def test_closure_sizes_of_free_edge_nodes(z2_circle):
             signs = [k for k in closure if poset.nodes[k].irrep_id == 1]
             assert len(signs) == (1 if len(closure) == 4 else 0)
     assert sorted(sizes) == [3, 3, 4, 4]
+
+
+def _poset_of(leq):
+    """A PrimPoset on nodes 0..n-1 from a dense boolean relation."""
+    n = len(leq)
+    return PrimPoset([PrimNode(i, 0) for i in range(n)],
+                     [[b for b in range(n) if leq[a][b]] for a in range(n)],
+                     [1] * n, [1] * n)
+
+
+@st.composite
+def preorder_and_subset(draw):
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(node, node), max_size=2 * n))
+    leq = [[a == b or (a, b) in pairs for b in range(n)] for a in range(n)]
+    for k in range(n):  # Warshall: the transitive closure
+        for a in range(n):
+            for b in range(n):
+                leq[a][b] = leq[a][b] or (leq[a][k] and leq[k][b])
+    return leq, draw(st.sets(node))
+
+
+@settings(max_examples=80, deadline=None)
+@given(preorder_and_subset())
+def test_up_set_queries_match_dense_definitions(case):
+    leq, subset = case
+    n = len(leq)
+    poset = _poset_of(leq)
+    assert poset.closure(subset) == {
+        a for a in range(n) if any(leq[a][b] for b in subset)}
+    inside = set(subset)
+    witness = next(((a, b) for a in inside for b in range(n)
+                    if leq[a][b] and b not in inside), None)
+    assert poset.open_violation(subset) == witness
+    assert poset.is_open(subset) == (witness is None)
+    assert poset.is_antisymmetric() == all(
+        not (leq[a][b] and leq[b][a])
+        for a in range(n) for b in range(n) if a != b)
+    assert poset.relation_pairs() == [
+        (a, b) for a in range(n) for b in range(n) if a != b and leq[a][b]]
+
+
+def test_poset_rejects_relations_that_are_not_preorders():
+    nodes = [PrimNode(i, 0) for i in range(3)]
+    with pytest.raises(InternalInconsistency, match="not reflexive"):
+        PrimPoset(nodes, [{0}, {1, 2}, set()], [1] * 3, [1] * 3)
+    with pytest.raises(InternalInconsistency,
+                       match=r"not transitive at \(0, 1, 2\)"):
+        PrimPoset(nodes, [{0, 1}, {1, 2}, {2}], [1] * 3, [1] * 3)
 
 
 # -- aggregation -------------------------------------------------------------------

@@ -1,11 +1,11 @@
 import pytest
 
-from orbikt import (BadAction, NotAGroup, ParseError, circle_complex,
-                    cyclic_group, dihedral_group, parse_action_text,
-                    parse_builtin_spec, parse_bundle_text, parse_complex_text,
-                    parse_filtration_text, parse_group_text,
-                    serialize_action, serialize_bundle, serialize_complex,
-                    serialize_filtration, serialize_group,
+from orbikt import (BadAction, BoundExceeded, NotAGroup, ParseError,
+                    circle_complex, cyclic_group, dihedral_group,
+                    parse_action_text, parse_builtin_spec, parse_bundle_text,
+                    parse_complex_text, parse_filtration_text,
+                    parse_group_text, serialize_action, serialize_bundle,
+                    serialize_complex, serialize_filtration, serialize_group,
                     split_bundle_text)
 
 
@@ -57,6 +57,14 @@ def test_builtin_specs():
     assert p.order == 4 and p.is_abelian and p.exponent() == 2
     nested = parse_builtin_spec("product:product:cyclic:2:cyclic:2:cyclic:3")
     assert nested.order == 12
+
+
+def test_builtin_spec_order_is_bounded_before_construction():
+    assert parse_builtin_spec("dihedral:256", max_order=512).order == 512
+    for spec in ("cyclic:513", "dihedral:257", "product:cyclic:30:cyclic:30",
+                 "product:cyclic:2:product:cyclic:16:dihedral:9"):
+        with pytest.raises(BoundExceeded):
+            parse_builtin_spec(spec, max_order=512)
 
 
 def test_builtin_spec_errors():

@@ -39,6 +39,10 @@ GOLDEN = {
     "group_product-cyclic-3-dihedral-5.json":
         ["group", "--group", "builtin:product:cyclic:3:dihedral:5",
          "--format", "json"],
+    "prim_d4-torus.json":
+        ["prim", "--fixture", "d4-torus", "--format", "json"],
+    "prim_d4-torus_aggregate.json":
+        ["prim", "--fixture", "d4-torus", "--aggregate", "--format", "json"],
 }
 
 
