@@ -2,12 +2,14 @@
 triples used by the CLI and the test suite.
 
 Available names: ``d4-torus``, ``z4-torus``, ``z2-flip-torus``, ``z2-circle``,
-and ``trivial-on(torus)`` / ``trivial-on(circle)``.
+``z2-antipodal-sphere`` and ``trivial-on(torus)`` / ``trivial-on(circle)``.
 
 The torus is triangulated on a 4x4 grid of quarter-integer points plus one
 center point per grid square (32 vertices, 96 edges, 64 triangles); the
 dihedral symmetries act by exact rational linear maps modulo 1, so every
-claimed symmetry is verified, not assumed.  The circle is the 8-gon.
+claimed symmetry is verified, not assumed.  The circle is the 8-gon.  The
+sphere is the boundary of the octahedron; its antipodal map is free, so the
+quotient is the real projective plane and carries 2-torsion.
 """
 
 from fractions import Fraction
@@ -18,7 +20,8 @@ from .errors import UnknownFixture
 from .groups import cyclic_group, dihedral_group, trivial_group
 
 FIXTURE_NAMES = ("d4-torus", "z4-torus", "z2-flip-torus", "z2-circle",
-                 "trivial-on(torus)", "trivial-on(circle)")
+                 "z2-antipodal-sphere", "trivial-on(torus)",
+                 "trivial-on(circle)")
 
 _GRID = 4  # grid squares per side; vertex coordinates live in (1/GRID)Z^2 / Z^2
 
@@ -124,6 +127,16 @@ def _z2_circle() -> GSimplicialComplex:
     return GSimplicialComplex(circle_complex(n), group, [identity, reflect])
 
 
+def _z2_antipodal_sphere() -> GSimplicialComplex:
+    """The octahedron: vertices 2k and 2k + 1 are the two poles on axis k,
+    one triangle per choice of a pole on each axis; the generator swaps
+    every pair of poles."""
+    octahedron = SimplicialComplex(6, [(a, b, c) for a in (0, 1)
+                                       for b in (2, 3) for c in (4, 5)])
+    return GSimplicialComplex(octahedron, cyclic_group(2),
+                              [tuple(range(6)), (1, 0, 3, 2, 5, 4)])
+
+
 def _trivial_on(complex: SimplicialComplex) -> GSimplicialComplex:
     return GSimplicialComplex(complex, trivial_group(),
                               [tuple(range(complex.vertex_count))])
@@ -134,6 +147,7 @@ _BUILDERS = {
     "z4-torus": _z4_torus,
     "z2-flip-torus": _z2_flip_torus,
     "z2-circle": _z2_circle,
+    "z2-antipodal-sphere": _z2_antipodal_sphere,
     "trivial-on(torus)": lambda: _trivial_on(torus_complex()),
     "trivial-on(circle)": lambda: _trivial_on(circle_complex()),
 }

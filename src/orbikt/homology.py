@@ -2,7 +2,8 @@
 
 Integer Smith normal form gives Betti numbers and torsion; every rank is
 independently recomputed by fraction-free (integer, division-free) Gaussian
-elimination and the two must agree.  Also: induced chain maps of group
+elimination and the two must agree.  Both oracles eliminate on sparse rows
+built from the dense boundary matrices.  Also: induced chain maps of group
 elements, invariant cohomology dimensions, Euler characteristics, and
 rational K-ranks (even/odd Betti sums) of compact polyhedra.
 """
@@ -10,6 +11,8 @@ rational K-ranks (even/odd Betti sums) of compact polyhedra.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 
 from .complexes import GSimplicialComplex, SimplicialComplex
@@ -38,19 +41,18 @@ class ChainComplex:
     def __init__(self, dims, boundaries):
         self.dims = tuple(dims)
         self.boundaries = boundaries  # boundaries[k] maps C_k -> C_{k-1}
+        # each column's nonzero support, read once per matrix, so checking
+        # d_{k-1} d_k = 0 costs the nonzeros, not the entries
+        supports = [_column_supports(b) for b in boundaries]
         for k in range(2, len(self.dims)):
-            a, b = boundaries[k - 1], boundaries[k]
-            if not a or not b:
+            a_cols, b_cols = supports[k - 1], supports[k]
+            if not a_cols or not b_cols:
                 continue
-            # sparse check: apply the outer boundary to each column's support
-            a_cols = [[(i, a[i][j]) for i in range(len(a)) if a[i][j]]
-                      for j in range(len(a[0]))]
-            for j in range(len(b[0])):
+            for column in b_cols:
                 acc = {}
-                for t in range(len(b)):
-                    if b[t][j]:
-                        for i, val in a_cols[t]:
-                            acc[i] = acc.get(i, 0) + val * b[t][j]
+                for t, coeff in column:
+                    for i, val in a_cols[t]:
+                        acc[i] = acc.get(i, 0) + val * coeff
                 if any(acc.values()):
                     raise InternalInconsistency(
                         "boundary of boundary is nonzero in degree %d" % k)
@@ -62,118 +64,195 @@ class ChainComplex:
         return cls(dims, boundaries)
 
 
+def _column_supports(matrix):
+    """Per column, the (row, value) pairs of its nonzero entries."""
+    if not matrix:
+        return []
+    cols = [[] for _ in matrix[0]]
+    positions = range(len(cols))
+    for i, row in enumerate(matrix):
+        for j in compress(positions, row):
+            cols[j].append((i, row[j]))
+    return cols
+
+
+def _add_multiple(rows, cols, dst, src, q):
+    """rows[dst] += q * rows[src], keeping the column index ``cols`` exact;
+    a row that cancels to zero is removed."""
+    target = rows[dst]
+    for j, y in rows[src].items():
+        x = target.get(j, 0) + q * y
+        if x:
+            if j not in target:
+                cols[j].add(dst)
+            target[j] = x
+        elif j in target:
+            del target[j]
+            cols[j].discard(dst)
+    if not target:
+        del rows[dst]
+
+
+def _drop_row(rows, cols, r):
+    """Remove row r, and its entries from the column index ``cols``."""
+    for j in rows.pop(r):
+        cols[j].discard(r)
+
+
 def smith_invariant_factors(matrix):
     """Invariant factors (positive, divisibility chain) of an integer matrix.
 
-    Classic elimination with pivoting on a smallest nonzero entry (unit
-    entries found by early exit, the common case for boundary matrices).
+    Works on sparse ``{column: value}`` rows with a row set per column, so no
+    dense copy of the matrix is made.  Two stages, one elimination:
+
+    1. Unit pass.  The columns are walked in order; in each, the pivot is a
+       +-1 entry of the shortest row that has one (Markowitz-style: the
+       fewest entries to spread), and row operations clear the rest of the
+       column.  The pivot row and column are then dropped, contributing one
+       factor 1.  This is exact: with the column cleared, the column
+       operations that would clear the pivot row touch no other row, so the
+       remaining rows are the rest of the Smith form unchanged.  A column
+       with no unit entry at its turn is left for the core.
+    2. Core.  What remains (where any torsion lives) is reduced by pivoting
+       on an entry of least absolute value: row and column operations leave
+       remainders smaller than the pivot, which become the next pivot, until
+       the pivot is alone in its row and column.  A non-unit pivot that does
+       not divide every remaining entry first absorbs a row holding such an
+       entry, so the factors come out as a divisibility chain; the chain is
+       checked again before returning.
+
+    Independent of ``fraction_free_rank`` (no shared helper, different pivot
+    rule, column operations), so ``_checked_rank`` compares two algorithms.
     """
-    a = [row[:] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    t = 0
-    while t < m and t < n:
-        pivot = None
+    n = len(matrix[0]) if matrix else 0
+    positions = range(n)
+    rows = {}
+    cols = [set() for _ in positions]
+    for i, row in enumerate(matrix):
+        support = {j: row[j] for j in compress(positions, row)}
+        if support:
+            rows[i] = support
+            for j in support:
+                cols[j].add(i)
+    factors = []
+    for c in positions:
+        units = [i for i in cols[c] if rows[i][c] in (1, -1)]
+        if not units:
+            continue
+        r = min(units, key=lambda i: (len(rows[i]), i))
+        p = rows[r][c]
+        for i in cols[c] - {r}:
+            _add_multiple(rows, cols, i, r, -rows[i][c] * p)
+        _drop_row(rows, cols, r)
+        factors.append(1)
+    while rows:
         best = None
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                x = row[j]
-                if x:
-                    x = abs(x)
-                    if best is None or x < best:
-                        pivot, best = (i, j), x
-                        if x == 1:
-                            break
+        for i, row in rows.items():
+            for j, x in row.items():
+                if best is None or abs(x) < best:
+                    best, r, c = abs(x), i, j
             if best == 1:
                 break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        p = a[t][t]
-        reduced = False
-        for i in range(t + 1, m):
-            if a[i][t] % p:
-                q = a[i][t] // p
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                reduced = True
-                break
-        if reduced:
-            continue
-        for j in range(t + 1, n):
-            if a[t][j] % p:
-                q = a[t][j] // p
-                for row in a:
-                    row[j] -= q * row[t]
-                reduced = True
-                break
-        if reduced:
-            continue
-        pivot_row = a[t]
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // p
-                a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
-        if any(pivot_row[j] for j in range(t + 1, n)):
-            for j in range(t + 1, n):
-                if pivot_row[j]:
-                    q = pivot_row[j] // p
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-        if abs(p) != 1:
-            stuck = None
-            for i in range(t + 1, m):
-                row = a[i]
-                if any(row[j] % p for j in range(t + 1, n)):
-                    stuck = i
+        while True:
+            p = rows[r][c]
+            # clear column c by row operations; a remainder is a smaller pivot
+            moved = False
+            for i in cols[c] - {r}:
+                _add_multiple(rows, cols, i, r, -(rows[i][c] // p))
+                if c in rows.get(i, ()):
+                    r, moved = i, True
                     break
-            if stuck is not None:
-                a[t] = [x + y for x, y in zip(a[t], a[stuck])]
+            if moved:
                 continue
-        diag.append(abs(p))
-        t += 1
-    diag.sort()
-    for i in range(len(diag) - 1):
-        if diag[i + 1] % diag[i]:
+            # clear row r by column operations; column c is zero outside
+            # row r, so each one changes row r only
+            pivot_row = rows[r]
+            for j in pivot_row.keys() - {c}:
+                x = pivot_row[j] % p
+                if x:
+                    pivot_row[j] = x
+                    c, moved = j, True
+                    break
+                del pivot_row[j]
+                cols[j].discard(r)
+            if moved:
+                continue
+            if p not in (1, -1):
+                stuck = next((i for i, row in rows.items()
+                              if any(x % p for x in row.values())), None)
+                if stuck is not None:
+                    _add_multiple(rows, cols, r, stuck, 1)
+                    continue
+            break
+        _drop_row(rows, cols, r)
+        factors.append(abs(p))
+    factors.sort()
+    for i in range(len(factors) - 1):
+        if factors[i + 1] % factors[i]:
             raise InternalInconsistency("invariant factors fail divisibility")
-    return diag
+    return factors
 
 
 def fraction_free_rank(matrix):
     """Rank over Q by division-free integer Gaussian elimination.
 
-    Row operation row_i <- p*row_i - a[i][c]*row_t with gcd normalization;
-    never leaves the integers.  Independent of the Smith-normal-form route.
+    Sparse ``{column: value}`` rows.  The pivot is the shortest remaining
+    row, at its lowest column; every other row holding that column becomes
+    p*row_i - a_ic*row_pivot, divided by the gcd of its entries, so the
+    arithmetic never leaves the integers.  Row operations only, and no
+    helper shared with ``smith_invariant_factors`` or ``linalg``: each
+    boundary matrix goes through two distinct algorithms.
     """
-    rows = [row[:] for row in matrix if any(row)]
-    rank = 0
     n = len(matrix[0]) if matrix else 0
-    for c in range(n):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][c]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                new = [p * x - f * y for x, y in zip(rows[i], rows[rank])]
-                g = 0
-                for x in new:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                rows[i] = [x // g for x in new] if g > 1 else new
+    positions = range(n)
+    rows = {}
+    cols = [set() for _ in positions]
+    for i, row in enumerate(matrix):
+        support = {j: row[j] for j in compress(positions, row)}
+        if support:
+            rows[i] = support
+            for j in support:
+                cols[j].add(i)
+    queue = [(len(row), i) for i, row in rows.items()]
+    heapify(queue)
+    rank = 0
+    while queue:
+        length, r = heappop(queue)
+        pivot_row = rows.get(r)
+        if pivot_row is None or len(pivot_row) != length:
+            continue  # stale entry: the row changed or was used
+        del rows[r]
+        c = min(pivot_row)
+        p = pivot_row[c]
+        for j in pivot_row:
+            cols[j].discard(r)
+        for i in list(cols[c]):
+            row = rows[i]
+            f = row[c]
+            if p != 1:
+                for j in row:
+                    row[j] *= p
+            for j, y in pivot_row.items():
+                x = row.get(j, 0) - f * y
+                if x:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = x
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+                continue
+            g = 0
+            for x in row.values():
+                g = gcd(g, x)
+                if g == 1:
+                    break
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+            heappush(queue, (len(row), i))
         rank += 1
     return rank
 

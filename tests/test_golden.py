@@ -20,6 +20,8 @@ GOLDEN = {
         ["ktheory", "--fixture", "z4-torus", "--format", "json"],
     "ktheory_z2-circle.json":
         ["ktheory", "--fixture", "z2-circle", "--format", "json"],
+    "ktheory_z2-antipodal-sphere.json":
+        ["ktheory", "--fixture", "z2-antipodal-sphere", "--format", "json"],
     "bc_d4-torus.json": ["bc", "--fixture", "d4-torus", "--format", "json"],
     "quotient_z4-torus.json":
         ["quotient", "--fixture", "z4-torus", "--format", "json"],

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
 
-from orbikt import (ChainComplex, SimplicialComplex, boundary_matrix,
-                    euler_characteristic, fixture, fraction_free_rank,
-                    homology_integral, induced_homology_matrix,
-                    invariant_cohomology_dims, k_ranks, rational_rank,
-                    smith_invariant_factors)
+import pytest
+
+from orbikt import (ChainComplex, InternalInconsistency, SimplicialComplex,
+                    boundary_matrix, euler_characteristic, fixture,
+                    fraction_free_rank, homology_integral,
+                    induced_homology_matrix, invariant_cohomology_dims,
+                    k_ranks, rational_rank, smith_invariant_factors)
 
 
 def sphere2():
@@ -25,6 +28,11 @@ def test_boundary_of_boundary_is_zero():
     for complex in (sphere2(), projective_plane(),
                     fixture("d4-torus").complex):
         ChainComplex.from_complex(complex)  # constructor asserts dd = 0
+
+
+def test_nonzero_boundary_of_boundary_is_refused():
+    with pytest.raises(InternalInconsistency, match="degree 2"):
+        ChainComplex((1, 1, 1), [[], [[1]], [[1]]])
 
 
 def test_boundary_matrix_signs():
@@ -91,6 +99,36 @@ def test_homology_of_projective_plane_has_torsion():
     h = homology_integral(projective_plane())
     assert h.betti == (1, 0, 0)
     assert h.torsion == ((), (2,), ())
+
+
+def klein_bottle(n):
+    """The grid-n torus triangulation (a centre vertex per square) with
+    (i, j + n) identified with (-i mod n, j) instead of (i, j)."""
+    def corner(i, j):
+        if j == n:
+            i, j = -i, 0
+        return (i % n) * n + j
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            c00, c10 = corner(i, j), corner(i + 1, j)
+            c11, c01 = corner(i + 1, j + 1), corner(i, j + 1)
+            m = n * n + i * n + j
+            triangles += [(c00, c10, m), (c10, c11, m),
+                          (c11, c01, m), (c01, c00, m)]
+    return SimplicialComplex(2 * n * n, triangles)
+
+
+def test_homology_of_grid_16_klein_bottle_is_fast():
+    """d2 is 1536 x 1024: the unit pass, then the 2-torsion core."""
+    complex = klein_bottle(16)
+    start = time.perf_counter()
+    h = homology_integral(complex)
+    elapsed = time.perf_counter() - start
+    assert h.betti == (1, 1, 0)
+    assert h.torsion == ((), (2,), ())
+    assert elapsed < 3.0
 
 
 def test_euler_characteristics():

@@ -3,6 +3,8 @@ chain-complex identities, dual-oracle rank agreement, closure-operator laws,
 and subdivision invariance."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -199,6 +201,51 @@ def test_rank_oracles_agree(matrix):
             ech.insert(row)
         assert ech.rank == sum(1 for d in factors if d % p)
         assert len(nullspace(matrix, 3, p)) == 3 - ech.rank
+
+
+@st.composite
+def sparse_matrix(draw, max_rows, max_cols):
+    """Integer matrices of varying density whose entries include non-units."""
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    entry = st.one_of([st.just(0)] * draw(st.integers(0, 3))
+                      + [st.integers(-6, 6)])
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+
+
+def _det(matrix):
+    """Determinant by cofactor expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:]
+                                     for row in matrix[1:]])
+               for j, x in enumerate(matrix[0]) if x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrix(5, 5))
+def test_smith_factors_match_determinantal_divisors(matrix):
+    """d_1 * ... * d_k is the gcd of the k x k minors (0 beyond the rank)."""
+    factors = smith_invariant_factors(matrix)
+    m, n = len(matrix), len(matrix[0])
+    product = 1
+    for k in range(1, min(m, n) + 1):
+        divisor = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                divisor = gcd(divisor, _det([[matrix[i][j] for j in cols]
+                                             for i in rows]))
+        product = product * factors[k - 1] if k <= len(factors) else 0
+        assert divisor == product
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrix(12, 12))
+def test_fraction_free_rank_matches_rational_rank(matrix):
+    rank = rational_rank(matrix)
+    assert fraction_free_rank(matrix) == rank
+    assert len(smith_invariant_factors(matrix)) == rank
 
 
 @SETTINGS
