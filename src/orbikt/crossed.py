@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import (Character, CharacterTable, conjugate_irrep,
-                         multiplicity, subgroup_table)
+from .characters import (CharacterTable, conjugate_irrep, multiplicity,
+                         subgroup_table)
 from .complexes import (GSimplicialComplex, faces, isotropy_strata,
                         orbits_and_stabilizers)
 from .errors import (
@@ -72,7 +72,14 @@ class InclusionMultiplicityMatrix:
 
 def inclusion_multiplicities(group: FiniteGroup, sub: Subgroup,
                              ambient: Subgroup) -> InclusionMultiplicityMatrix:
-    """m[sigma][tau] over sigma in irreps(L = sub), tau in irreps(K = ambient)."""
+    """m[sigma][tau] over sigma in irreps(L = sub), tau in irreps(K = ambient).
+
+    Two identities check every entry.  Column (degree): each tau restricts
+    to L with its degree, sum_sigma m[sigma][tau] deg sigma = deg tau.  Row
+    (Frobenius reciprocity): sigma induced to K has degree [K:L] deg sigma,
+    so sum_tau m[sigma][tau] deg tau = [K:L] deg sigma.  A wrong entry
+    breaks both its row and its column.
+    """
     if sub.parent is not group or ambient.parent is not group:
         raise NotSubgroup("both subgroups must live in the given group")
     if not set(sub.elements) <= set(ambient.elements):
@@ -92,6 +99,14 @@ def inclusion_multiplicities(group: FiniteGroup, sub: Subgroup,
             raise InternalInconsistency(
                 "degree identity fails for column %d: %d != %d"
                 % (tau_id, total, tau_degree))
+    index = ambient.order // sub.order
+    for sigma_id, sigma_degree, _ in row_table.irreps:
+        total = sum(entries[sigma_id][tau_id] * tau_degree
+                    for tau_id, tau_degree, _ in col_table.irreps)
+        if total != index * sigma_degree:
+            raise InternalInconsistency(
+                "Frobenius identity fails for row %d: %d != %d"
+                % (sigma_id, total, index * sigma_degree))
     return InclusionMultiplicityMatrix(
         ambient, sub, tuple(tuple(row) for row in entries),
         row_table, col_table)
@@ -186,19 +201,21 @@ def prim_nodes(gx: GSimplicialComplex):
     return nodes
 
 
-def _restriction_positive(big_sub, chi: Character, small_sub, psi_id):
-    """Whether psi occurs in chi restricted from big_sub to small_sub."""
-    inner = big_sub.sub_from_parent(small_sub.elements)
-    psi = subgroup_table(small_sub).character(psi_id)
-    return multiplicity(chi, psi, inner) > 0
-
-
 def specialization(gx: GSimplicialComplex) -> PrimPoset:
     """The specialization preorder on prim nodes.
 
     (s, sigma) lies in the closure of (t, tau) iff some translate m = h.rep_t
     has rep_s as a face and sigma restricted to the stabilizer of m contains
-    the transported irrep h.tau.
+    the transported irrep h.tau, that is, iff entry (h.tau, sigma) of the
+    restriction matrix from Stab(rep_s) to Stab(m) = h Stab(rep_t) h^-1 is
+    positive.
+
+    Transport and restriction depend on a subgroup only through its element
+    tuple (equal element tuples share one reified group and one table), so
+    keying them by element tuples is exact.  Within one call each transport
+    is computed once per (Stab(rep_t), h, tau), and each restriction matrix,
+    with its degree and Frobenius identities, once per (Stab(rep_s),
+    Stab(m)) pair.
     """
     gx.require_admissible()
     od = orbits_and_stabilizers(gx)
@@ -216,28 +233,31 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
                 if od.rep(s_orb) == face:
                     face_translates.setdefault((s_orb, t_orb), []).append(h)
 
-    transported = {}  # (t_orb, h, tau) -> (subgroup, tau' id)
+    transported = {}  # (Stab(t) elements, h, tau) -> (Stab(m), h.tau id)
+    matrices = {}     # (Stab(s), Stab(m)) elements -> restriction matrix
     for (s_orb, t_orb), hs in face_translates.items():
         stab_s = od.stabilizer(s_orb)
-        table_s = subgroup_table(stab_s)
         stab_t = od.stabilizer(t_orb)
-        table_t = subgroup_table(stab_t)
-        for tau_id, _, _ in table_t.irreps:
-            targets = []
+        for tau_id, _, _ in subgroup_table(stab_t).irreps:
+            targets = {}  # (Stab(m) elements, h.tau id) -> Stab(m)
             for h in hs:
-                key = (t_orb, h, tau_id)
+                key = (stab_t.elements, h, tau_id)
                 if key not in transported:
                     transported[key] = conjugate_irrep(h, tau_id, stab_t)
                 sub_m, tau_m = transported[key]
-                if not set(sub_m.elements) <= set(stab_s.elements):
-                    raise InternalInconsistency(
-                        "face stabilizer does not contain cell stabilizer")
-                targets.append((sub_m, tau_m))
-            for sigma_id, _, _ in table_s.irreps:
-                chi = table_s.character(sigma_id)
-                if any(_restriction_positive(stab_s, chi, sub_m, tau_m)
-                       for sub_m, tau_m in targets):
-                    above[index[(s_orb, sigma_id)]].add(index[(t_orb, tau_id)])
+                targets[sub_m.elements, tau_m] = sub_m
+            up = index[(t_orb, tau_id)]
+            for (elements, tau_m), sub_m in targets.items():
+                pair = (stab_s.elements, elements)
+                if pair not in matrices:
+                    if not set(elements) <= set(stab_s.elements):
+                        raise InternalInconsistency(
+                            "face stabilizer does not contain cell stabilizer")
+                    matrices[pair] = inclusion_multiplicities(
+                        gx.group, sub_m, stab_s)
+                for sigma_id, m in enumerate(matrices[pair].row(tau_m)):
+                    if m > 0:
+                        above[index[(s_orb, sigma_id)]].add(up)
 
     stab_orders = [od.stabilizer(node.orbit_id).order for node in nodes]
     degrees = [subgroup_table(od.stabilizer(node.orbit_id)).degree(node.irrep_id)

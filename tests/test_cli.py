@@ -327,6 +327,32 @@ def test_ktheory_decomposes_once(capsys, monkeypatch):
     assert len(quotient_calls) == 5
 
 
+def test_prim_derives_each_transport_and_matrix_once(capsys, monkeypatch):
+    import orbikt.crossed as crossed
+    from orbikt import subgroup_table
+
+    calls = {"conjugate_irrep": [], "inclusion_multiplicities": [],
+             "multiplicity": []}
+    for name, seen in calls.items():
+        def recorded(*args, _original=getattr(crossed, name), _seen=seen):
+            _seen.append(args)
+            return _original(*args)
+        monkeypatch.setattr(crossed, name, recorded)
+    code, _out, _err = run_cli(capsys, ["prim", "--fixture", "d4-torus",
+                                        "--format", "json"])
+    assert code == 0
+    transports = [(sub.elements, g, sigma_id)
+                  for g, sigma_id, sub in calls["conjugate_irrep"]]
+    assert len(set(transports)) == len(transports) > 0
+    pairs = [(sub.elements, ambient.elements)
+             for _group, sub, ambient in calls["inclusion_multiplicities"]]
+    assert len(set(pairs)) == len(pairs) > 0
+    # every multiplicity is an entry of one of those matrices
+    assert len(calls["multiplicity"]) == sum(
+        len(subgroup_table(sub).irreps) * len(subgroup_table(ambient).irreps)
+        for _group, sub, ambient in calls["inclusion_multiplicities"])
+
+
 def test_ktheory_respects_no_subdivide(capsys, monkeypatch):
     code, bc_calls, quotient_calls = _traced_ktheory(
         capsys, monkeypatch,

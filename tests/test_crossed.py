@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orbikt.crossed as crossed
 from orbikt import (InternalInconsistency, NotOpen, NotSubgroup, PrimNode,
                     PrimPoset, aggregate_strata, cyclic_group, dihedral_group,
                     fiber_decomposition, filtration_report,
@@ -105,6 +106,32 @@ def test_restriction_degree_identity_from_rotations():
     col_deg = [subgroup_table(g.full_subgroup()).degree(j) for j in range(5)]
     for j in range(5):
         assert sum(m.row(i)[j] * row_deg[i] for i in range(4)) == col_deg[j]
+    # each row irrep induced to D4 has degree [D4:C4] times its own
+    for i in range(4):
+        assert sum(m.row(i)[j] * col_deg[j] for j in range(5)) == \
+            2 * row_deg[i]
+
+
+def test_frobenius_identity_sees_a_swap_the_degree_identity_misses(
+        monkeypatch):
+    """Swapping two degree-1 rows within one column keeps every column sum,
+    so only the row identity can see it."""
+    g = dihedral_group(4)
+    rot = g.subgroup([1])
+    rows = subgroup_table(rot)
+    trivial = subgroup_table(g.full_subgroup()).character(0)
+    swap = {rows.character(0): rows.character(1),
+            rows.character(1): rows.character(0)}
+    original = crossed.multiplicity
+
+    def mutant(chi, psi, sub):
+        return original(chi, swap.get(psi, psi) if chi == trivial else psi,
+                        sub)
+
+    monkeypatch.setattr(crossed, "multiplicity", mutant)
+    with pytest.raises(InternalInconsistency,
+                       match="Frobenius identity fails for row 0"):
+        inclusion_multiplicities(g, rot, g.full_subgroup())
 
 
 def test_inclusion_requires_containment():
@@ -172,6 +199,44 @@ def test_closure_sizes_of_free_edge_nodes(z2_circle):
             signs = [k for k in closure if poset.nodes[k].irrep_id == 1]
             assert len(signs) == (1 if len(closure) == 4 else 0)
     assert sorted(sizes) == [3, 3, 4, 4]
+
+
+def _corrupt_one_multiplicity(monkeypatch, wrong):
+    """Make the first multiplicity m with wrong(m) != m come out as wrong(m)."""
+    original = crossed.multiplicity
+    corrupted = []
+
+    def mutant(chi, psi, sub):
+        m = original(chi, psi, sub)
+        if not corrupted and wrong(m) != m:
+            corrupted.append(m)
+            return wrong(m)
+        return m
+
+    monkeypatch.setattr(crossed, "multiplicity", mutant)
+    return corrupted
+
+
+@pytest.mark.parametrize("wrong", [lambda m: 0, lambda m: m + 1],
+                         ids=["dropped", "inflated"])
+def test_specialization_checks_every_restriction_entry(d4_torus, monkeypatch,
+                                                       wrong):
+    corrupted = _corrupt_one_multiplicity(monkeypatch, wrong)
+    with pytest.raises(InternalInconsistency, match="identity fails"):
+        specialization(d4_torus)
+    assert corrupted
+
+
+def test_specialization_refuses_cell_stabilizer_outside_face(d4_torus,
+                                                             monkeypatch):
+    def escaped(g, sigma_id, sub):
+        return sub.parent.full_subgroup(), 0
+
+    monkeypatch.setattr(crossed, "conjugate_irrep", escaped)
+    with pytest.raises(InternalInconsistency,
+                       match="face stabilizer does not contain cell "
+                             "stabilizer"):
+        specialization(d4_torus)
 
 
 def _poset_of(leq):

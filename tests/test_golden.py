@@ -45,6 +45,11 @@ GOLDEN = {
         ["prim", "--fixture", "d4-torus", "--format", "json"],
     "prim_d4-torus_aggregate.json":
         ["prim", "--fixture", "d4-torus", "--aggregate", "--format", "json"],
+    # element and vertex labels drawn with seed 3, so orbit representatives
+    # have stabilizers that are conjugate but not equal
+    "prim_d4-torus-6-seed3.json":
+        ["prim", "--complex", os.path.join(GOLDEN_DIR, "d4-torus-6-seed3.txt"),
+         "--format", "json"],
 }
 
 
