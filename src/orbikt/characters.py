@@ -1,16 +1,19 @@
 """Exact character tables and restriction/induction multiplicities.
 
-Tables are computed by the Burnside-Dixon class-algebra method: structure
-constants of the class sums, simultaneous eigenvectors over F_p for a prime
-p = 1 (mod exp(G)) with p > 2|G|, then lifted to exact cyclotomic values.
-Everything downstream (multiplicities, conjugate irreps, induction) is plain
-exact arithmetic on the lifted values.
+Tables are computed by the Burnside-Dixon class-algebra method (Dixon 1967,
+with Schneider's 1990 refinements): the common eigenvectors of the class
+matrices over F_p, for a prime p = 1 (mod exp(G)) with p > 2|G|, are split
+off with pseudo-random combinations of the class matrices, and the values
+they give mod p are lifted to exact cyclotomic values by a discrete Fourier
+transform, one class per Galois orbit.  Everything downstream
+(multiplicities, conjugate irreps, induction) is plain exact arithmetic on
+the lifted values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .cyclotomic import Cyclotomic, _power_vectors
@@ -21,83 +24,16 @@ from .errors import (
     NotSubgroup,
 )
 from .groups import FiniteGroup, Subgroup, conjugacy_data
-from .linalg import Echelon, nullspace
 
 CHARACTER_TABLE_BOUND = 512
 
-
-# -- polynomials over F_p -----------------------------------------------------
-
-
-def _poly_eval_mod(poly, x, p):
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
+# Rounds of fresh combinations before the split is declared failed.  A round
+# fails to separate two characters with probability about 1/p, so a table
+# that needs more than a few rounds points at a fault, not at bad luck.
+SPLIT_ROUNDS = 16
 
 
-def _poly_divmod_mod(a, b, p):
-    a = list(a)
-    binv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = (a[i] * binv) % p
-        q[i - len(b) + 1] = c
-        if c:
-            for j, d in enumerate(b):
-                a[i - len(b) + 1 + j] = (a[i - len(b) + 1 + j] - c * d) % p
-    r = a[: len(b) - 1] or [0]
-    while len(r) > 1 and r[-1] % p == 0:
-        r.pop()
-    return q, r
-
-
-def _poly_gcd_mod(a, b, p):
-    a, b = list(a), list(b)
-    while len(b) > 1 or b[0] % p:
-        _, r = _poly_divmod_mod(a, b, p)
-        a, b = b, r
-        if len(b) == 1 and b[0] % p == 0:
-            break
-    inv = pow(a[-1], p - 2, p)
-    return [(c * inv) % p for c in a]
-
-
-def _poly_mul_mod(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _min_poly_mod(matrix, p):
-    """Minimal polynomial of a square matrix over F_p (monic, low-first).
-
-    The lcm, over the unit vectors v, of the minimal polynomials of their
-    Krylov sequences v, Av, A^2 v, ...; each is read off the coordinates of
-    the first Krylov vector that depends on the earlier ones.
-    """
-    m = len(matrix)
-    minpoly = [1]
-    for start in range(m):
-        vec = [0] * m
-        vec[start] = 1
-        ech = Echelon(p)
-        while ech.insert(vec):
-            vec = [sum(map(mul, matrix_row, vec)) % p
-                   for matrix_row in matrix]
-        poly = [-c % p for c in ech.coordinates(vec)] + [1]
-        g = _poly_gcd_mod(minpoly, poly, p)
-        quot, rem = _poly_divmod_mod(_poly_mul_mod(minpoly, poly, p), g, p)
-        if rem != [0]:
-            raise InternalInconsistency(
-                "minimal polynomial lcm: gcd does not divide the product")
-        minpoly = quot
-        if len(minpoly) == m + 1:
-            break
-    return minpoly
+# -- arithmetic over F_p --------------------------------------------------------
 
 
 def _smallest_dixon_prime(exponent, order):
@@ -136,19 +72,292 @@ def _primitive_root(p):
     raise InternalInconsistency("no primitive root found")
 
 
-# -- the Dixon computation -----------------------------------------------------
+def _coefficient_stream(p):
+    """A fixed sequence of residues in 1..p-1: a 64-bit linear congruential
+    generator (Knuth's MMIX constants), so every run draws the same
+    combinations."""
+    state = 0
+    while True:
+        state = (state * 6364136223846793005
+                 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
+        yield 1 + (state >> 33) % (p - 1)
 
 
-def _class_matrix(cd, i, group):
-    """N with N[j][k] = #{(x,y) in C_i x C_j : xy = rep_k}."""
+def _berlekamp_massey(seq, p):
+    """The minimal polynomial (monic, low-first) of a sequence over F_p.
+
+    The sequence must be linearly recurrent of order at most len(seq) / 2;
+    the polynomial f of degree L satisfies sum_i f[i] seq[t + i] = 0 for
+    every t.
+    """
+    conn, prev = [1], [1]  # connection polynomials, constant term first
+    length, shift, prev_disc = 0, 1, 1
+    for n, s in enumerate(seq):
+        disc = (s + sum(map(mul, conn[1:length + 1],
+                            reversed(seq[n - length:n])))) % p
+        if disc == 0:
+            shift += 1
+            continue
+        coef = disc * pow(prev_disc, p - 2, p) % p
+        old = conn[:]
+        if len(conn) < len(prev) + shift:
+            conn += [0] * (len(prev) + shift - len(conn))
+        for i, x in enumerate(prev):
+            conn[i + shift] = (conn[i + shift] - coef * x) % p
+        if 2 * length <= n:
+            length, prev, prev_disc, shift = n + 1 - length, old, disc, 1
+        else:
+            shift += 1
+    conn += [0] * (length + 1 - len(conn))
+    return conn[length::-1]
+
+
+def _roots_mod(poly, p):
+    """All roots in F_p of a polynomial (low-first), by evaluation at every
+    point of F_p at once."""
+    points = range(p)
+    acc = [0] * p
+    for c in reversed(poly):
+        acc = [(a * x + c) % p for a, x in zip(acc, points)]
+    return [x for x, a in enumerate(acc) if not a]
+
+
+# -- splitting the class algebra --------------------------------------------------
+
+
+def _combination_matrix(cd, group, coeffs, p):
+    """M = sum_i coeffs[i] N_i mod p, read off the multiplication table.
+
+    N_i[j][k] = #{(x, y) in C_i x C_j : xy = rep_k}, so column k of M adds
+    coeffs[class of x] over all x with x^-1 rep_k in C_j: O(r |G|) in all.
+    The identity row of M is the coefficient vector itself (x = rep_k is the
+    only x with x^-1 rep_k = 1), which is checked.
+    """
     r = len(cd.classes)
-    n = [[0] * r for _ in range(r)]
-    inv = group.inv
-    for k, z in enumerate(cd.reps):
-        for x in cd.classes[i]:
-            j = cd.class_of[group.mult[inv[x]][z]]
-            n[j][k] += 1
-    return n
+    class_of = cd.class_of
+    # with y = x^-1: x^-1 rep_k = y rep_k, weighted by the class of y^-1
+    weight = [coeffs[class_of[x]] for x in group.inv]
+    columns = []
+    for z in cd.reps:
+        col = [0] * r
+        for y, w in zip(range(group.order), weight):
+            col[class_of[group.mult[y][z]]] += w
+        columns.append(col)
+    matrix = [[c % p for c in row] for row in zip(*columns)]
+    if matrix[class_of[group.identity]] != list(coeffs):
+        raise InternalInconsistency(
+            "combination matrix disagrees with its coefficients")
+    return matrix
+
+
+def _split_piece(matrix, u, bound, form, p):
+    """Split u over the eigenvalues of matrix.
+
+    u is a projection of the identity vector onto a sum of common
+    eigenspaces, spread over at most `bound` characters.  The sequence
+    s_t = <u, M^t u> of the class algebra's symmetric form has the minimal
+    polynomial f of u (each eigenvalue enters with weight sum d^2 / |G|,
+    nonzero mod p), and s_(a+b) = <M^a u, M^b u> needs only the Krylov
+    vectors up to M^bound u.  For each root lam of f, f(M)/(M - lam) applied
+    to u, scaled by 1/f'(lam), is the projection of u onto the
+    lam-eigenspace.
+    """
+    krylov = [u]
+    for _ in range(bound):
+        v = krylov[-1]
+        krylov.append([sum(map(mul, row, v)) % p for row in matrix])
+    seq = []
+    for a in range(bound):
+        seq.append(form(krylov[a], krylov[a]))
+        seq.append(form(krylov[a], krylov[a + 1]))
+    poly = _berlekamp_massey(seq, p)
+    deg = len(poly) - 1
+    # f(M) u = 0 exactly when M maps the span of u .. M^(deg-1) u into itself
+    if any(sum(c * v[j] for c, v in zip(poly, krylov)) % p
+           for j in range(len(u))):
+        raise InternalInconsistency(
+            "class matrix does not preserve an eigenspace: the Krylov"
+            " vectors do not satisfy their minimal polynomial")
+    roots = _roots_mod(poly, p)
+    if len(roots) != deg:
+        raise InternalInconsistency(
+            "minimal polynomial does not split into distinct linear factors")
+    columns = list(zip(*krylov[:deg]))
+    pieces = []
+    for lam in roots:
+        quot = [0] * deg  # f / (x - lam) by synthetic division
+        acc = 0
+        for i in range(deg, 0, -1):
+            acc = (acc * lam + poly[i]) % p
+            quot[i - 1] = acc
+        at_lam = 0
+        for c in reversed(quot):
+            at_lam = (at_lam * lam + c) % p
+        scale = pow(at_lam, p - 2, p)
+        pieces.append([sum(map(mul, quot, col)) * scale % p
+                       for col in columns])
+    # the projections onto all eigenvalues add up to u
+    if [sum(xs) % p for xs in zip(*pieces)] != u:
+        raise InternalInconsistency("eigenspace split lost dimensions")
+    return pieces
+
+
+def _split(group, cd, p):
+    """The common eigenvectors of the class matrices over F_p.
+
+    Returns (weight, vector) pairs, one per irrep chi, where vector is the
+    projection of the identity-class vector onto chi's eigenvector: its
+    entry at class i is d |C_i| chi(g_i) / |G|, so weight = |G| times its
+    identity entry is d^2.  Pieces start as the identity vector; each round
+    splits every piece whose weight exceeds 1 with a fresh combination of
+    all class matrices.  The weight of a piece is the sum of d^2 over the
+    characters it spans, so weight 1 means one linear character, and once
+    there are r pieces each spans exactly one character.
+    """
+    r = len(cd.classes)
+    n = group.order
+    c_e = cd.class_of[group.identity]
+    inv_size = [pow(len(c), p - 2, p) for c in cd.classes]
+    inv_class = [cd.class_of[group.inv[rep]] for rep in cd.reps]
+
+    def form(x, y):
+        # <x, y> = sum_j x[j*] y[j] / |C_j|: every class matrix is
+        # self-adjoint for it
+        return sum(map(mul, [x[c] for c in inv_class],
+                       map(mul, y, inv_size))) % p
+
+    def weight(vec):
+        w = n * vec[c_e] % p
+        if not w:
+            raise InternalInconsistency("eigenvector vanishes at identity class")
+        if w > n:
+            raise InternalInconsistency("eigenspace weight %d exceeds |G|" % w)
+        return w
+
+    unit = [0] * r
+    unit[c_e] = 1
+    done, pending = [], [(n, unit)]
+    stream = _coefficient_stream(p)
+    rounds = 0
+    while len(done) + len(pending) < r:
+        rounds += 1
+        if rounds > SPLIT_ROUNDS:
+            raise InternalInconsistency("class algebra did not fully split")
+        matrix = _combination_matrix(
+            cd, group, [next(stream) for _ in range(r)], p)
+        spare = r - len(done) - len(pending)
+        split = []
+        for w, vec in pending:
+            for piece in _split_piece(matrix, vec, min(w, spare + 1), form, p):
+                pw = weight(piece)
+                (done if pw == 1 else split).append((pw, piece))
+        pending = split
+    return done + pending
+
+
+# -- lifting values mod p to exact values -----------------------------------------
+
+
+def _galois_orbits(group, cd):
+    """Per class, (orbit representative class, k, power classes).
+
+    For each Galois orbit (the classes of g^k, k prime to o(g)) the first
+    class i in class order is its representative, recorded as (i, 1,
+    classes of g^0 .. g^(o-1)) with g = rep_i; every other class of the
+    orbit is recorded as (i, k, None) for one k with g^k in it.
+    """
+    source = [None] * len(cd.classes)
+    for i, rep in enumerate(cd.reps):
+        if source[i] is not None:
+            continue
+        powers, x = [], group.identity
+        while True:
+            powers.append(x)
+            x = group.mult[x][rep]
+            if x == group.identity:
+                break
+        o = len(powers)
+        source[i] = (i, 1, [cd.class_of[y] for y in powers])
+        for k in range(2, o):
+            j = cd.class_of[powers[k]]
+            if source[j] is None and gcd(k, o) == 1:
+                source[j] = (i, k, None)
+    return source
+
+
+def _lift(group, cd, p, conductor, degrees, values_mod):
+    """Exact values from the values mod p, as Cyclotomic rows.
+
+    The value of chi at g of order o is a sum of o-th roots of unity, and
+    the multiplicity of zeta_o^t is (1/o) sum_l chi(g^l) zeta_o^(-tl): a DFT
+    of length o over F_p.  It is taken once per Galois orbit; for k prime to
+    o, chi(g^k) has the multiplicity of zeta_o^t moved to zeta_o^(tk), and
+    each value so derived must agree with its eigenvector's value mod p.
+    zeta_o^t is zeta_conductor^(t conductor / o).
+    """
+    e = group.exponent()
+    z_e = pow(_primitive_root(p), (p - 1) // e, p)
+    source = _galois_orbits(group, cd)
+    # per order o: the powers of zeta_o mod p, their logarithms, and the
+    # DFT matrix
+    roots, logs, dfts = {}, {}, {}
+    for _, _, powers in source:
+        if powers is None or len(powers) in roots:
+            continue
+        o = len(powers)
+        z = pow(z_e, e // o, p)
+        roots[o] = [pow(z, t, p) for t in range(o)]
+        logs[o] = {x: t for t, x in enumerate(roots[o])}
+        dfts[o] = [[roots[o][-t * l % o] for l in range(o)] for t in range(o)]
+    cpowers = _power_vectors(conductor)
+    phi = len(cpowers[0])
+    values = {}  # eigenvalue multiset at the conductor -> value
+    rows = []
+    for d, vals in zip(degrees, values_mod):
+        spectra = {}  # orbit representative -> [(t, multiplicity)]
+        row = []
+        for j, (i, k, powers) in enumerate(source):
+            if powers is not None:
+                o = len(powers)
+                seq = [vals[c] for c in powers]
+                if d == 1:
+                    # the DFT is a unit vector at t exactly when
+                    # chi(g^l) = zeta_o^(tl) for every l: O(o), not O(o^2)
+                    t = logs[o].get(seq[1 % o], 0)
+                    zs = roots[o]
+                    if seq != [zs[t * l % o] for l in range(o)]:
+                        raise InternalInconsistency(
+                            "eigenvalue multiplicity lift failed")
+                    spec = spectra[i] = [(t, 1)]
+                else:
+                    inv_o = pow(o, p - 2, p)
+                    mults = [sum(map(mul, seq, dft_row)) * inv_o % p
+                             for dft_row in dfts[o]]
+                    if sum(mults) != d or any(m > d for m in mults):
+                        raise InternalInconsistency(
+                            "eigenvalue multiplicity lift failed")
+                    spec = spectra[i] = [(t, m) for t, m in enumerate(mults)
+                                         if m]
+            else:
+                o = len(source[i][2])
+                spec = sorted((t * k % o, m) for t, m in spectra[i])
+                if sum(m * roots[o][t] for t, m in spec) % p != vals[j]:
+                    raise InternalInconsistency(
+                        "Galois-derived value disagrees with its eigenvector"
+                        " mod p")
+            step = conductor // o
+            key = tuple((t * step, m) for t, m in spec)
+            value = values.get(key)
+            if value is None:
+                coeffs = [0] * phi
+                for t, m in key:
+                    vec = cpowers[t]
+                    for s in range(phi):
+                        coeffs[s] += m * vec[s]
+                value = values[key] = Cyclotomic(conductor, coeffs)
+            row.append(value)
+        rows.append(row)
+    return rows
 
 
 def _dixon_rows(group, conductor):
@@ -156,128 +365,32 @@ def _dixon_rows(group, conductor):
 
     Returns (rows, degrees) where rows[s] is a list of Cyclotomic values at
     the given conductor (a multiple of exp(G)), one per class in conjugacy
-    order.  Equal values are one shared object.
+    order.  Values with the same eigenvalue multiset are one shared object.
     """
     cd = conjugacy_data(group)
     r = len(cd.classes)
-    e = group.exponent()
-    p = _smallest_dixon_prime(e, group.order)
+    n = group.order
+    p = _smallest_dixon_prime(group.exponent(), n)
     c_e = cd.class_of[group.identity]
-
-    # split F_p^r into common eigenspaces of the class matrices
-    spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
-    for i in range(r):
-        if i == c_e:
-            continue
-        if all(len(s) == 1 for s in spaces):
-            break
-        nmat = _class_matrix(cd, i, group)
-        new_spaces = []
-        for basis in spaces:
-            if len(basis) == 1:
-                new_spaces.append(basis)
-                continue
-            m = len(basis)
-            ech = Echelon(p)
-            for v in basis:
-                ech.insert(v)
-            # amat[j][t]: coordinate j of N v_t over the basis
-            columns = [ech.coordinates([sum(map(mul, row, v)) % p
-                                        for row in nmat])
-                       for v in basis]
-            if None in columns:
-                raise InternalInconsistency(
-                    "class matrix does not preserve an eigenspace")
-            amat = [list(row) for row in zip(*columns)]
-            minpoly = _min_poly_mod(amat, p)
-            roots = [x for x in range(p) if _poly_eval_mod(minpoly, x, p) == 0]
-            if len(roots) == 1:
-                new_spaces.append(basis)
-                continue
-            found = 0
-            basis_columns = list(zip(*basis))
-            for lam in roots:
-                shifted = [
-                    [(amat[a][b] - (lam if a == b else 0)) % p for b in range(m)]
-                    for a in range(m)
-                ]
-                vecs = [[sum(map(mul, coords, col)) % p
-                         for col in basis_columns]
-                        for coords in nullspace(shifted, m, p)]
-                if vecs:
-                    new_spaces.append(vecs)
-                    found += len(vecs)
-            if found != m:
-                raise InternalInconsistency("eigenspace split lost dimensions")
-        spaces = new_spaces
-    if any(len(s) != 1 for s in spaces):
-        raise InternalInconsistency("class algebra did not fully split")
-
-    # normalize eigenvectors to omega-vectors (value 1 at the identity class)
-    omegas = []
-    for (v,) in spaces:
-        if v[c_e] % p == 0:
-            raise InternalInconsistency("eigenvector vanishes at identity class")
-        inv0 = pow(v[c_e], p - 2, p)
-        omegas.append([(x * inv0) % p for x in v])
-
     size_inv = [pow(len(c), p - 2, p) for c in cd.classes]
     inv_class = [cd.class_of[group.inv[rep]] for rep in cd.reps]
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
 
-    # degrees: d^2 = |G| / sum_i omega_i * omega_{i*} / h_i   (mod p)
     degrees, values_mod = [], []
-    for om in omegas:
-        s = 0
-        for i in range(r):
-            s = (s + om[i] * om[inv_class[i]] * size_inv[i]) % p
-        d2 = (group.order * pow(s, p - 2, p)) % p
-        d = next((x for x in range(1, p // 2 + 1) if (x * x) % p == d2), None)
-        if d is None or d > group.order:
+    for w, vec in _split(group, cd, p):
+        # normalize to the omega-vector (value 1 at the identity class)
+        inv0 = pow(vec[c_e], p - 2, p)
+        om = [x * inv0 % p for x in vec]
+        # d^2 = |G| / sum_i omega_i omega_{i*} / h_i  (mod p); distinct
+        # divisors of |G| < p/2 have distinct squares mod p
+        s = sum(om[i] * om[inv_class[i]] * size_inv[i] for i in range(r)) % p
+        d2 = n * pow(s, p - 2, p) % p
+        d = next((x for x in divisors if x * x % p == d2), None)
+        if d is None or d * d != w:
             raise InternalInconsistency("degree recovery failed")
         degrees.append(d)
-        values_mod.append([(d * om[i] * size_inv[i]) % p for i in range(r)])
-
-    # power map: class of rep_i^l
-    power_class = []
-    for rep in cd.reps:
-        row, x = [], group.identity
-        for _ in range(e):
-            row.append(cd.class_of[x])
-            x = group.mult[x][rep]
-        power_class.append(row)
-
-    # lift each value to a sum of e-th roots of unity: the multiplicity of
-    # zeta^j is (1/e) sum_l chi(rep^l) zeta^(-jl), a DFT over F_p
-    z = pow(_primitive_root(p), (p - 1) // e, p)
-    zinv_powers = [pow(z, (e - k) % e, p) for k in range(e)]
-    dft = [[zinv_powers[(j * l) % e] for l in range(e)] for j in range(e)]
-    inv_e = pow(e % p, p - 2, p)
-    # zeta_e^j is zeta_conductor^(j * step)
-    step = conductor // e
-    powers = _power_vectors(conductor)
-    phi = len(powers[0])
-    values = {}  # multiplicities -> value
-    rows = []
-    for d, vals in zip(degrees, values_mod):
-        row = []
-        for i in range(r):
-            seq = [vals[c] for c in power_class[i]]
-            mults = tuple(sum(map(mul, seq, dft_row)) * inv_e % p
-                          for dft_row in dft)
-            if sum(mults) != d or any(mj > d for mj in mults):
-                raise InternalInconsistency("eigenvalue multiplicity lift failed")
-            value = values.get(mults)
-            if value is None:
-                coeffs = [0] * phi
-                for j, mj in enumerate(mults):
-                    if mj:
-                        vec = powers[j * step]
-                        for t in range(phi):
-                            coeffs[t] += mj * vec[t]
-                value = values[mults] = Cyclotomic(conductor, coeffs)
-            row.append(value)
-        rows.append(row)
-    return rows, degrees
+        values_mod.append([d * om[i] * size_inv[i] % p for i in range(r)])
+    return _lift(group, cd, p, conductor, degrees, values_mod), degrees
 
 
 # -- public types ----------------------------------------------------------------

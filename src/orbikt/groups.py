@@ -192,19 +192,43 @@ class Subgroup:
             self._validate()
 
     def _validate(self):
+        """Prove closure with O(|H| |S|) products for a generating set S.
+
+        S is built greedily: each element not yet reached joins S, and the
+        reached set grows by right multiplication with S.  Every product of a
+        reached element with an element of S must lie in H; when all of H is
+        reached, H = <S> and H S is inside H, so H H = H <S> is inside H.
+        """
+        parent = self.parent
         inside = set(self.elements)
-        if self.parent.identity not in inside:
-            raise NotSubgroup("subgroup must contain the identity")
         for a in self.elements:
-            if not 0 <= a < self.parent.order:
+            if not 0 <= a < parent.order:
                 raise NotSubgroup("element index %d out of range" % a)
-            if self.parent.inv[a] not in inside:
-                raise NotSubgroup("subgroup not closed under inverse")
-            for b in self.elements:
-                if self.parent.mult[a][b] not in inside:
-                    raise NotSubgroup("subgroup not closed under product")
-        if self.parent.order % len(self.elements) != 0:
+        if parent.identity not in inside:
+            raise NotSubgroup("subgroup must contain the identity")
+        if parent.order % len(self.elements) != 0:
             raise NotSubgroup("order does not divide |G|")
+        mult = parent.mult
+        gens, reached, seen = [], [parent.identity], {parent.identity}
+        for h in self.elements:
+            if h in seen:
+                continue
+            gens.append(h)
+            # elements reached so far meet only the new generator; elements
+            # reached from now on meet every generator
+            todo = [(x, (h,)) for x in reached]
+            while todo:
+                x, by = todo.pop()
+                row = mult[x]
+                for g in by:
+                    y = row[g]
+                    if y not in seen:
+                        if y not in inside:
+                            raise NotSubgroup(
+                                "subgroup not closed under product")
+                        seen.add(y)
+                        reached.append(y)
+                        todo.append((y, gens))
 
     @property
     def order(self):

@@ -1,12 +1,11 @@
 """Exact Gaussian elimination over Q or a prime field F_p.
 
-One incremental echelon form serves every field computation in the package:
-kernels and homology bases of boundary matrices over Q, ranks over Q, and
-the Krylov minimal polynomials and eigenspace coordinates of the Dixon
-character-table method over F_p.  The field enters only where an entry is
-normalized and where a pivot is inverted; the integer oracles of
-``homology`` (Smith normal form and fraction-free rank) deliberately stay
-separate from this module.
+One incremental echelon form serves the field computations of homology:
+kernels and homology bases of boundary matrices, and ranks, over Q; it works
+over F_p just as well.  The field enters only where an entry is normalized
+and where a pivot is inverted; the integer oracles of ``homology`` (Smith
+normal form and fraction-free rank) deliberately stay separate from this
+module.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from orbikt import (BoundExceeded, Cyclotomic, InternalInconsistency,
                     cyclic_group, dihedral_group, induced_character,
                     multiplicity, product_group, restrict_character,
                     subgroup_table, trivial_group)
+from orbikt import characters
 from orbikt.characters import Character, CharacterTable, _verify_table
 from orbikt.groups import conjugacy_data
 
@@ -257,3 +259,78 @@ def test_verify_table_rejects_non_integral_value():
     half = table.values(4)[2] + Fraction(1, 2)
     with pytest.raises(InternalInconsistency, match="algebraic integer"):
         _verify_table(_with_value(table, 4, 2, half))
+
+
+# -- the Dixon split and lift ------------------------------------------------
+
+
+def _class_matrix(cd, group, i):
+    """N_i[j][k] = #{(x, y) in C_i x C_j : xy = rep_k}, from the definition."""
+    r = len(cd.classes)
+    n = [[0] * r for _ in range(r)]
+    for k, z in enumerate(cd.reps):
+        for x in cd.classes[i]:
+            for y in range(group.order):
+                if group.mult[x][y] == z:
+                    n[cd.class_of[y]][k] += 1
+    return n
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_GROUPS))
+def test_combination_matrix_is_the_combination_of_class_matrices(name):
+    g = MUTATED_GROUPS[name][0]()
+    cd = conjugacy_data(g)
+    p = 193
+    coeffs = [(7 * i * i + 3) % p for i in range(len(cd.classes))]
+    want = [[0] * len(cd.classes) for _ in cd.classes]
+    for i, c in enumerate(coeffs):
+        for row, n_row in zip(want, _class_matrix(cd, g, i)):
+            for k, x in enumerate(n_row):
+                row[k] = (row[k] + c * x) % p
+    assert characters._combination_matrix(cd, g, coeffs, p) == want
+
+
+def test_split_that_never_separates_raises(monkeypatch):
+    """With every coefficient equal, the combination is the sum of all class
+    sums, which separates only the trivial character: the rounds run out
+    and the split refuses instead of looping."""
+    def constant(p):
+        while True:
+            yield 1
+    monkeypatch.setattr(characters, "_coefficient_stream", constant)
+    with pytest.raises(InternalInconsistency, match="did not fully split"):
+        characters._dixon_rows(cyclic_group(5), 5)
+
+
+def test_galois_derived_values_are_checked_mod_p(monkeypatch):
+    """Deriving chi(g^k) with the inverse exponent (t -> t k^-1) disagrees
+    with the eigenvectors' values mod p and is refused."""
+    real = characters._galois_orbits
+
+    def inverted(group, cd):
+        source = real(group, cd)
+        return [(i, k if powers else pow(k, -1, len(source[i][2])), powers)
+                for i, k, powers in source]
+    monkeypatch.setattr(characters, "_galois_orbits", inverted)
+    with pytest.raises(InternalInconsistency, match="Galois-derived"):
+        characters._dixon_rows(cyclic_group(5), 5)
+
+
+def test_galois_orbits_of_cyclic_group():
+    g = cyclic_group(12)
+    source = characters._galois_orbits(g, conjugacy_data(g))
+    reps = [i for i, (j, _, powers) in enumerate(source) if powers]
+    # one rational class per divisor of 12
+    assert len(reps) == 6
+    for j, (i, k, powers) in enumerate(source):
+        o = len(source[i][2])
+        assert g.power(conjugacy_data(g).reps[i], k) == conjugacy_data(g).reps[j]
+        assert (powers is None) == (i != j)
+        assert powers is None or (len(powers) == o and k == 1)
+
+
+def test_cyclic_128_table_within_ten_seconds():
+    start = time.perf_counter()
+    table = character_table(cyclic_group(128))
+    assert time.perf_counter() - start < 10
+    assert len(table) == 128 and table.conductor == 128

@@ -41,6 +41,17 @@ GOLDEN = {
     "group_product-cyclic-3-dihedral-5.json":
         ["group", "--group", "builtin:product:cyclic:3:dihedral:5",
          "--format", "json"],
+    "group_cyclic-64.json":
+        ["group", "--group", "builtin:cyclic:64", "--format", "json"],
+    "group_product-cyclic-8-cyclic-12.json":
+        ["group", "--group", "builtin:product:cyclic:8:cyclic:12",
+         "--format", "json"],
+    # |G| > 64: orthogonality is checked on the diagonal-only pair set
+    "group_dihedral-64.json":
+        ["group", "--group", "builtin:dihedral:64", "--format", "json"],
+    "group_product-dihedral-8-dihedral-8.json":
+        ["group", "--group", "builtin:product:dihedral:8:dihedral:8",
+         "--format", "json"],
     "prim_d4-torus.json":
         ["prim", "--fixture", "d4-torus", "--format", "json"],
     "prim_d4-torus_aggregate.json":

@@ -3,6 +3,7 @@ import pytest
 from orbikt import (FiniteGroup, NotAGroup, NotSubgroup, commuting_pairs,
                     conjugacy_data, cyclic_group, dihedral_group,
                     group_from_permutations, product_group, trivial_group)
+from orbikt.groups import Subgroup
 
 
 def test_trivial_group():
@@ -145,3 +146,26 @@ def test_centralizer_of_rotation():
     g = dihedral_group(4)
     assert g.centralizer(1).elements == (0, 1, 2, 3)
     assert g.centralizer(2).order == 8  # R2 is central
+
+
+@pytest.mark.parametrize("elements, message", [
+    ([0, 1, 5], "closed under product"),    # 1 + 1 = 2 is missing
+    ([0, 2, 4, 1], "does not divide"),      # order 4 in C6
+    ([0, 3, 6], "out of range"),
+    ([1, 2, 3], "identity"),
+])
+def test_non_subgroups_are_refused(elements, message):
+    g = cyclic_group(6)
+    with pytest.raises(NotSubgroup, match=message):
+        Subgroup(g, elements)
+
+
+def test_closure_check_covers_non_abelian_products():
+    g = dihedral_group(4)
+    # {E, R2, S, SR}: closed under inverses, order 4 divides 8, but
+    # S * SR = R is missing
+    with pytest.raises(NotSubgroup, match="closed under product"):
+        Subgroup(g, [0, 2, 4, 5])
+    for h in range(g.order):
+        assert Subgroup(g, g.centralizer(h).elements).elements == \
+            g.centralizer(h).elements

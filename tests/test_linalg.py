@@ -1,11 +1,12 @@
-"""Properties of the exact elimination kernel over Q and F_p: kernels,
-coordinates in a span, and Krylov minimal polynomials."""
+"""Properties of the exact elimination kernel over Q and F_p: kernels and
+coordinates in a span; and the minimal polynomials of Krylov sequences that
+the Dixon split reads with Berlekamp-Massey."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from orbikt.characters import _min_poly_mod
+from orbikt.characters import _berlekamp_massey
 from orbikt.linalg import Echelon, nullspace
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -102,23 +103,27 @@ def square_mod_p(draw):
     return p, rows
 
 
-def _mat_mul(a, b, p):
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
-            for row in a]
+def _mat_vec(a, v, p):
+    return [sum(x * y for x, y in zip(row, v)) % p for row in a]
 
 
 @SETTINGS
-@given(square_mod_p())
-def test_min_poly_is_monic_and_annihilates(case):
+@given(square_mod_p(), st.data())
+def test_berlekamp_massey_finds_the_minimal_recurrence(case, data):
+    """For s_t = u A^t v (t < 2m) the polynomial is monic, annihilates the
+    sequence, and its degree is the rank of the m x m Hankel matrix, the
+    order of the shortest recurrence."""
     p, a = case
     m = len(a)
-    poly = _min_poly_mod(a, p)
+    u, v = (data.draw(st.lists(st.integers(0, p - 1), min_size=m,
+                               max_size=m)) for _ in range(2))
+    seq = []
+    for _ in range(2 * m):
+        seq.append(sum(x * y for x, y in zip(u, v)) % p)
+        v = _mat_vec(a, v, p)
+    poly = _berlekamp_massey(seq, p)
+    deg = len(poly) - 1
     assert poly[-1] == 1
-    assert 1 <= len(poly) - 1 <= m
-    acc = [[0] * m for _ in range(m)]
-    power = [[int(i == j) for j in range(m)] for i in range(m)]
-    for c in poly:
-        acc = [[(x + c * y) % p for x, y in zip(r, q)]
-               for r, q in zip(acc, power)]
-        power = _mat_mul(power, a, p)
-    assert acc == [[0] * m for _ in range(m)]
+    assert deg == _rank([seq[i:i + m] for i in range(m)], p)
+    for t in range(2 * m - deg):
+        assert sum(c * s for c, s in zip(poly, seq[t:])) % p == 0
