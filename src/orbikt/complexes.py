@@ -60,11 +60,7 @@ class SimplicialComplex:
             tuple(sorted(s for s in closure if len(s) == k + 1))
             for k in range(dim + 1)
         )
-        self._index = {
-            s: (k, i)
-            for k, level in enumerate(self.simplices)
-            for i, s in enumerate(level)
-        }
+        self._closure = closure
 
     @property
     def dimension(self):
@@ -73,14 +69,8 @@ class SimplicialComplex:
     def f_vector(self):
         return tuple(len(level) for level in self.simplices)
 
-    def simplex_count(self):
-        return sum(self.f_vector())
-
     def __contains__(self, simplex):
-        return tuple(simplex) in self._index
-
-    def index_of(self, simplex):
-        return self._index[tuple(simplex)]
+        return tuple(simplex) in self._closure
 
     def all_simplices(self):
         for level in self.simplices:
@@ -123,7 +113,6 @@ class GSimplicialComplex:
         self.complex = complex
         self.group = group
         self.vertex_action = tuple(tuple(row) for row in vertex_action)
-        self._admissible = None
         self._orbit_data = None
         if check:
             self._validate()
@@ -169,21 +158,11 @@ class GSimplicialComplex:
         return ok
 
     def admissibility_witness(self):
-        """(True, None) or (False, (g, simplex)) for one violation."""
-        if self._admissible is None:
-            self._admissible = (True, None)
-            for g in range(self.group.order):
-                if g == self.group.identity:
-                    continue
-                row = self.vertex_action[g]
-                for s in self.complex.all_simplices():
-                    if (self.simplex_image(g, s) == s
-                            and any(row[v] != v for v in s)):
-                        self._admissible = (False, (g, s))
-                        break
-                if not self._admissible[0]:
-                    break
-        return self._admissible
+        """(True, None), or (False, (g, simplex)) for the smallest element g
+        that leaves some simplex invariant without fixing it pointwise and
+        the first such simplex in (dimension, lex) order."""
+        witness = _orbit_pass(self).witness
+        return witness is None, witness
 
     def require_admissible(self):
         ok, witness = self.admissibility_witness()
@@ -225,11 +204,13 @@ def barycentric_subdivide(gx: GSimplicialComplex) -> GSimplicialComplex:
 
 class OrbitData:
     """G-orbits of simplices: representatives, members, stabilizers,
-    transporters, ordered by (dimension, representative)."""
+    transporters, ordered by (dimension, representative), and the
+    admissibility witness (None when the action is admissible)."""
 
-    def __init__(self, orbits, orbit_of):
+    def __init__(self, orbits, orbit_of, witness):
         self.orbits = tuple(orbits)  # records (rep, members, stab, transporter)
         self.orbit_of = orbit_of     # simplex tuple -> orbit id
+        self.witness = witness
 
     def __len__(self):
         return len(self.orbits)
@@ -248,23 +229,27 @@ class OrbitData:
         return self.orbits[i][3]
 
 
-def orbits_and_stabilizers(gx: GSimplicialComplex) -> OrbitData:
-    gx.require_admissible()
+def _orbit_pass(gx: GSimplicialComplex) -> OrbitData:
+    """The orbits of gx and its admissibility witness, built once and cached
+    in gx._orbit_data.
+
+    Simplices are walked in (dimension, lex) order, so the first one met of
+    each orbit is its representative; it is mapped under every element
+    exactly once, and its members, transporters and stabilizer are read from
+    those images.  Stabilizers are conjugate along an orbit, so the orbit is
+    admissible iff Stab(rep) fixes rep pointwise.  Only when some orbit is
+    not are the violators conjugated along the transporters to every member,
+    to find the smallest violating element and its first simplex.
+    """
     if gx._orbit_data is not None:
         return gx._orbit_data
     group = gx.group
-    seen = {}
-    raw = []
-    for s in gx.complex.all_simplices():
-        if s in seen:
+    orbit_of = {}
+    orbits = []
+    violations = []  # (transporter, elements of Stab(rep) moving a vertex)
+    for rep in gx.complex.all_simplices():
+        if rep in orbit_of:
             continue
-        images = {}
-        for g in range(group.order):
-            t = gx.simplex_image(g, s)
-            if t not in images:
-                images[t] = g
-        rep = min(images)
-        # transporters and stabilizer relative to the lex-min representative
         transporter = {}
         stab = []
         for g in range(group.order):
@@ -273,21 +258,32 @@ def orbits_and_stabilizers(gx: GSimplicialComplex) -> OrbitData:
                 transporter[t] = g
             if t == rep:
                 stab.append(g)
-        members = tuple(sorted(images))
-        orbit_id = len(raw)
-        for t in members:
-            seen[t] = orbit_id
+        members = tuple(sorted(transporter))
         if len(members) * len(stab) != group.order:
             raise NotAdmissible(
                 "orbit-stabilizer identity fails for %r" % (rep,))
-        raw.append((rep, members, Subgroup(group, stab), transporter))
-    order = sorted(range(len(raw)), key=lambda i: (len(raw[i][0]), raw[i][0]))
-    renumber = {old: new for new, old in enumerate(order)}
-    orbits = [raw[i] for i in order]
-    orbit_of = {s: renumber[i] for s, i in seen.items()}
-    data = OrbitData(orbits, orbit_of)
-    gx._orbit_data = data
-    return data
+        moving = [g for g in stab
+                  if any(gx.vertex_action[g][v] != v for v in rep)]
+        if moving:
+            violations.append((transporter, moving))
+        for t in members:
+            orbit_of[t] = len(orbits)
+        orbits.append((rep, members, Subgroup(group, stab), transporter))
+    witness = None
+    if violations:
+        # t g t^-1 leaves t·rep invariant and moves one of its vertices
+        mult, inv = group.mult, group.inv
+        g, _, s = min((mult[mult[t][g]][inv[t]], len(m), m)
+                      for transporter, moving in violations
+                      for m, t in transporter.items() for g in moving)
+        witness = (g, s)
+    gx._orbit_data = OrbitData(orbits, orbit_of, witness)
+    return gx._orbit_data
+
+
+def orbits_and_stabilizers(gx: GSimplicialComplex) -> OrbitData:
+    gx.require_admissible()
+    return _orbit_pass(gx)
 
 
 def fixed_subcomplex(gx: GSimplicialComplex, elements) -> FixedSubcomplex:
@@ -313,11 +309,10 @@ def fixed_subcomplex(gx: GSimplicialComplex, elements) -> FixedSubcomplex:
 class QuotientResult:
     """Quotient complex of a Bredon-regular action, with projection data."""
 
-    def __init__(self, complex, vertex_map, subdivisions, source):
+    def __init__(self, complex, vertex_map, subdivisions):
         self.complex = complex
         self.vertex_map = tuple(vertex_map)  # source vertex -> quotient vertex
         self.subdivisions = subdivisions
-        self.source = source  # the (possibly subdivided) GSimplicialComplex
 
     def project(self, simplex):
         return tuple(sorted(set(self.vertex_map[v] for v in simplex)))
@@ -373,7 +368,7 @@ def quotient_complex(gx: GSimplicialComplex, allow_subdivide=True,
     qcomplex = SimplicialComplex(len(vertex_orbits), maximal)
     vertex_map = [new_id[vert_orbit[v]]
                   for v in range(current.complex.vertex_count)]
-    return QuotientResult(qcomplex, vertex_map, subdivisions, current)
+    return QuotientResult(qcomplex, vertex_map, subdivisions)
 
 
 class CentralizerFixedAction:
@@ -404,15 +399,10 @@ def centralizer_fixed_action(gx: GSimplicialComplex,
 class IsotropyStratum:
     """A maximal adjacency-connected set of orbits with conjugate stabilizers."""
 
-    def __init__(self, stratum_id, stabilizer_rep, orbit_ids, connected=True):
+    def __init__(self, stratum_id, stabilizer_rep, orbit_ids):
         self.stratum_id = stratum_id
         self.stabilizer_rep = stabilizer_rep  # Subgroup of the rep orbit
         self.orbit_ids = tuple(orbit_ids)
-        self.connected = connected
-
-    @property
-    def stabilizer_order(self):
-        return self.stabilizer_rep.order
 
 
 def isotropy_strata(gx: GSimplicialComplex):

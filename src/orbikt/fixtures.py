@@ -14,8 +14,7 @@ quotient is the real projective plane and carries 2-torsion.
 
 from fractions import Fraction
 
-from .complexes import GSimplicialComplex, SimplicialComplex, \
-    barycentric_subdivide
+from .complexes import GSimplicialComplex, SimplicialComplex
 from .errors import UnknownFixture
 from .groups import cyclic_group, dihedral_group, trivial_group
 
@@ -154,17 +153,12 @@ _BUILDERS = {
 
 
 def fixture(name) -> GSimplicialComplex:
-    """Build the named fixture; always admissible (subdividing if an action
-    were admissible only after subdivision, which none of the built-ins
-    need)."""
+    """Build the named fixture; every built-in action is admissible, and
+    that is checked here."""
     if name not in _BUILDERS:
         raise UnknownFixture(
             "unknown fixture %r (available: %s)"
             % (name, ", ".join(sorted(_BUILDERS))))
     gx = _BUILDERS[name]()
-    for _ in range(2):
-        if gx.is_admissible():
-            break
-        gx = barycentric_subdivide(gx)
     gx.require_admissible()
     return gx

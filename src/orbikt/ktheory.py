@@ -154,12 +154,11 @@ def bc_vs_count_identity(gx: GSimplicialComplex,
     for idx, rep in enumerate(cd.reps):
         if idx == identity_class:
             continue
-        fixed = fixed_subcomplex(gx, [rep])
-        if fixed.complex.dimension > 0:
-            raise NotApplicable(
-                "fixed set of element %d is %d-dimensional"
-                % (rep, fixed.complex.dimension))
         cfa = centralizer_fixed_action(gx, rep)
+        dimension = cfa.gcomplex.complex.dimension
+        if dimension > 0:
+            raise NotApplicable("fixed set of element %d is %d-dimensional"
+                                % (rep, dimension))
         quotient = quotient_complex(cfa.gcomplex,
                                     allow_subdivide=allow_subdivide)
         lhs += quotient.complex.vertex_count

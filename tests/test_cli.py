@@ -244,6 +244,18 @@ def test_refusals_exit_2(capsys):
     assert code == 2 and "NotIsolated" in err
 
 
+def test_orbits_refuses_inadmissible_action(capsys, tmp_path):
+    """The reflection of an interval keeps its edge but swaps its
+    endpoints; the refusal names that element and edge."""
+    path = tmp_path / "interval.txt"
+    path.write_text("group 2\ntable\n0 1\n1 0\n"
+                    "vertices 2\nsimplex 0 1\nact 1 : 1 0\n")
+    code, out, err = run_cli(capsys, ["orbits", "--complex", str(path)])
+    assert code == 2 and out == ""
+    assert err == ("orbikt: NotAdmissible: element 1 permutes the vertices "
+                   "of invariant simplex (0, 1)\n")
+
+
 def test_input_errors_exit_1(capsys):
     code, _, err = run_cli(capsys, ["bc", "--fixture", "no-such-fixture"])
     assert code == 1 and "ParseError" in err
@@ -351,6 +363,27 @@ def test_prim_derives_each_transport_and_matrix_once(capsys, monkeypatch):
     assert len(calls["multiplicity"]) == sum(
         len(subgroup_table(sub).irreps) * len(subgroup_table(ambient).irreps)
         for _group, sub, ambient in calls["inclusion_multiplicities"])
+
+
+def test_orbit_pass_maps_each_orbit_once(monkeypatch):
+    """Admissibility and orbits come from one pass that maps the first
+    simplex of each orbit under every element: |G| * #orbits images."""
+    from orbikt import GSimplicialComplex, fixture, orbits_and_stabilizers
+
+    built = fixture("d4-torus")
+    gx = GSimplicialComplex(built.complex, built.group, built.vertex_action)
+    calls = []
+    original = GSimplicialComplex.simplex_image
+
+    def counted(self, g, simplex):
+        calls.append((g, simplex))
+        return original(self, g, simplex)
+
+    monkeypatch.setattr(GSimplicialComplex, "simplex_image", counted)
+    assert gx.admissibility_witness() == (True, None)
+    od = orbits_and_stabilizers(gx)
+    assert len(od) == 33
+    assert len(calls) == gx.group.order * len(od) == 264
 
 
 def test_ktheory_respects_no_subdivide(capsys, monkeypatch):

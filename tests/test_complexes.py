@@ -130,6 +130,15 @@ def test_orbit_stabilizer_identity_on_fixtures(all_fixtures):
                 assert gx.simplex_image(g, rep) == member
 
 
+def test_orbit_stabilizer_identity_catches_a_broken_action():
+    # unchecked, the identity of Z2 swaps the two points: each point has one
+    # image and no stabilizer, so |orbit| * |Stab| = 0 differs from |G| = 2
+    gx = GSimplicialComplex(SimplicialComplex(2, []), cyclic_group(2),
+                            [(1, 0), (1, 0)], check=False)
+    with pytest.raises(NotAdmissible, match="orbit-stabilizer identity"):
+        orbits_and_stabilizers(gx)
+
+
 def test_orbit_inventory_of_dihedral_torus(d4_torus):
     od = orbits_and_stabilizers(d4_torus)
     inventory = {}

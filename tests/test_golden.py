@@ -25,6 +25,11 @@ GOLDEN = {
     "bc_d4-torus.json": ["bc", "--fixture", "d4-torus", "--format", "json"],
     "quotient_z4-torus.json":
         ["quotient", "--fixture", "z4-torus", "--format", "json"],
+    "orbits_d4-torus.json":
+        ["orbits", "--fixture", "d4-torus", "--format", "json"],
+    "orbits_d4-torus-6-seed3.json":
+        ["orbits", "--complex",
+         os.path.join(GOLDEN_DIR, "d4-torus-6-seed3.txt"), "--format", "json"],
     "complex_d4-torus.json":
         ["complex", "--fixture", "d4-torus", "--format", "json"],
     "fixture_z4-torus_emit.txt": ["fixture", "z4-torus", "--emit"],

@@ -8,12 +8,13 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from orbikt import (Cyclotomic, GSimplicialComplex, SimplicialComplex,
-                    barycentric_subdivide, boundary_matrix, character_table,
-                    cyclic_group, dihedral_group, fraction_free_rank,
-                    homology_integral, induced_character, multiplicity,
-                    product_group, rational_rank, smith_invariant_factors,
-                    specialization, trivial_group)
+from orbikt import (Cyclotomic, FiniteGroup, GSimplicialComplex,
+                    SimplicialComplex, barycentric_subdivide, boundary_matrix,
+                    character_table, cyclic_group, dihedral_group,
+                    fraction_free_rank, homology_integral, induced_character,
+                    multiplicity, orbits_and_stabilizers, product_group,
+                    rational_rank, smith_invariant_factors, specialization,
+                    trivial_group)
 from orbikt.linalg import Echelon, nullspace
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -273,6 +274,66 @@ def test_homology_survives_subdivision(complex):
 
     assert padded(before.betti, 0) == padded(after.betti, 0)
     assert padded(before.torsion, ()) == padded(after.torsion, ())
+
+
+# -- admissibility and orbits of permutation actions ----------------------------------
+
+
+@st.composite
+def permutation_action(draw):
+    """A permutation group on up to 5 points, its elements numbered in a
+    drawn order (so the identity need not be element 0), acting on a complex
+    closed under it.  Many of these actions are not admissible."""
+    n = draw(st.integers(2, 5))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    elements = [tuple(range(n))]
+    for p in elements:
+        for q in gens:
+            pq = tuple(p[v] for v in q)
+            if pq not in elements:
+                elements.append(pq)
+    elements = draw(st.permutations(elements))
+    index = {p: i for i, p in enumerate(elements)}
+    mult = [[index[tuple(a[v] for v in b)] for b in elements]
+            for a in elements]
+    seeds = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1),
+                          min_size=1, max_size=3))
+    simplices = {tuple(sorted(p[v] for v in s))
+                 for s in seeds for p in elements}
+    return GSimplicialComplex(SimplicialComplex(n, simplices),
+                              FiniteGroup(mult), elements)
+
+
+def brute_admissibility_witness(gx):
+    """The definition: the first element, in index order, that maps some
+    simplex onto itself while moving one of its vertices, with the first
+    such simplex in (dimension, lex) order."""
+    for g, row in enumerate(gx.vertex_action):
+        for s in gx.complex.all_simplices():
+            if (tuple(sorted(row[v] for v in s)) == s
+                    and any(row[v] != v for v in s)):
+                return False, (g, s)
+    return True, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_action())
+def test_admissibility_witness_matches_definition(gx):
+    assert gx.admissibility_witness() == brute_admissibility_witness(gx)
+    if not gx.is_admissible():
+        return
+    od = orbits_and_stabilizers(gx)
+    reps = [orbit[0] for orbit in od.orbits]
+    assert reps == sorted(reps, key=lambda r: (len(r), r))
+    assert set(od.orbit_of) == set(gx.complex.all_simplices())
+    for rep, members, stab, transporter in od.orbits:
+        images = [tuple(sorted(row[v] for v in rep))
+                  for row in gx.vertex_action]
+        assert rep == min(images) and members == tuple(sorted(set(images)))
+        assert stab.elements == tuple(g for g, t in enumerate(images)
+                                      if t == rep)
+        assert transporter == {t: images.index(t) for t in members}
+        assert all(od.orbit_of[t] == od.orbit_of[rep] for t in members)
 
 
 # -- closure operator laws on the specialization poset --------------------------------

@@ -55,17 +55,44 @@ def _prim_summary(payload):
     return (len(nodes), len(relation), len(ix)), shape
 
 
-@pytest.mark.parametrize("kind, grid", sorted(PRIM_COUNTS))
-def test_prim_is_label_free(inputs, kind, grid, tmp_path, capsys):
-    summaries = []
+def _orbits_summary(payload):
+    """The multiset of per-orbit (dim, orbit size, stabilizer order)."""
+    return sorted((row["dim"], row["size"], row["stabilizer_order"])
+                  for row in payload["orbits"])
+
+
+def _payloads(inputs, command, kind, grid, tmp_path, capsys):
+    """The json payload of the command on each relabeled torus."""
+    payloads = []
     for seed in SEEDS:
         gx = inputs.relabel_action(inputs.torus_action(kind, grid), seed)
         path = tmp_path / ("seed%d.txt" % seed)
         path.write_text(serialize_bundle(gx))
-        code = main(["prim", "--complex", str(path), "--format", "json"])
+        code = main([command, "--complex", str(path), "--format", "json"])
         out, err = capsys.readouterr()
         assert code == 0 and err == ""
-        summaries.append(_prim_summary(json.loads(out)["payload"]))
+        payloads.append(json.loads(out)["payload"])
+    return payloads
+
+
+@pytest.mark.parametrize("kind, grid", sorted(PRIM_COUNTS))
+def test_prim_is_label_free(inputs, kind, grid, tmp_path, capsys):
+    summaries = [_prim_summary(payload) for payload in
+                 _payloads(inputs, "prim", kind, grid, tmp_path, capsys)]
     assert summaries[0][0] == PRIM_COUNTS[kind, grid]
+    for seed, summary in zip(SEEDS, summaries):
+        assert summary == summaries[0], seed
+
+
+@pytest.mark.parametrize("kind, grid", sorted(PRIM_COUNTS))
+def test_orbits_are_label_free(inputs, kind, grid, tmp_path, capsys):
+    summaries = [_orbits_summary(payload) for payload in
+                 _payloads(inputs, "orbits", kind, grid, tmp_path, capsys)]
+    # every point of the torus lies in one orbit, counted once per dimension
+    order = 8 if kind == "d4" else 4
+    for dim, count in enumerate((2, 6, 4)):
+        assert sum(size for d, size, _ in summaries[0]
+                   if d == dim) == count * grid * grid
+    assert all(size * stab == order for _, size, stab in summaries[0])
     for seed, summary in zip(SEEDS, summaries):
         assert summary == summaries[0], seed
