@@ -16,21 +16,13 @@ import argparse
 import json
 import sys
 
-from .characters import character_table
-from .complexes import (fixed_subcomplex, orbits_and_stabilizers,
-                        quotient_complex)
-from .crossed import (aggregate_strata, fiber_decomposition,
-                      filtration_report, ix_nodes, specialization)
+# Each command imports the library functions it calls when it runs, so one
+# call loads only the modules its command needs.
 from .errors import BadAction, BoundExceeded, OrbiktError, ParseError
 from .fixtures import FIXTURE_NAMES, fixture as build_fixture
 from .formats import (parse_action_text, parse_builtin_spec,
                       parse_complex_text, parse_filtration_text,
                       parse_group_text, serialize_bundle, split_bundle_text)
-from .groups import conjugacy_data
-from .homology import euler_characteristic, homology_integral
-from .ktheory import (bc_cross_check, bc_decomposition, bc_vs_count_identity,
-                      equivariant_euler, euler_quotient_check,
-                      isolated_k_theory)
 
 FORMAT_VERSION = 1
 
@@ -214,6 +206,8 @@ def _check_order(group, args):
 
 
 def _homology_payload(complex):
+    from .homology import euler_characteristic, homology_integral
+
     hom = homology_integral(complex)
     return {
         "f_vector": list(complex.f_vector()),
@@ -224,12 +218,25 @@ def _homology_payload(complex):
 
 
 def _cmd_group(inputs, args):
+    from .characters import character_table
+    from .groups import conjugacy_data
+
     group = inputs.require_group()
     cd = conjugacy_data(group)
     table = character_table(group)
     classes = [{"index": i, "rep": group.name_of(rep), "size": len(members)}
                for i, (rep, members) in enumerate(zip(cd.reps, cd.classes))]
-    irreps = [{"id": rid, "degree": d, "values": [str(v) for v in values]}
+    # Table entries are shared objects (one per distinct value), so each is
+    # formatted once; the table keeps them alive, so their ids stay unique.
+    text = {}
+
+    def value_text(v):
+        key = id(v)
+        if key not in text:
+            text[key] = str(v)
+        return text[key]
+
+    irreps = [{"id": rid, "degree": d, "values": list(map(value_text, values))}
               for rid, d, values in table.irreps]
     payload = {
         "order": group.order,
@@ -243,6 +250,8 @@ def _cmd_group(inputs, args):
 
 
 def _cmd_complex(inputs, args):
+    from .homology import euler_characteristic
+
     complex = inputs.require_complex()
     payload = {
         "vertices": complex.vertex_count,
@@ -255,6 +264,8 @@ def _cmd_complex(inputs, args):
 
 
 def _cmd_orbits(inputs, args):
+    from .complexes import orbits_and_stabilizers
+
     gx = inputs.require_action()
     od = orbits_and_stabilizers(gx)
     group = gx.group
@@ -272,6 +283,8 @@ def _cmd_orbits(inputs, args):
 
 
 def _cmd_fixed(inputs, args):
+    from .complexes import fixed_subcomplex
+
     gx = inputs.require_action()
     group = gx.group
     elements = [group.element_index(tok) for tok in args.elements]
@@ -283,6 +296,8 @@ def _cmd_fixed(inputs, args):
 
 
 def _cmd_quotient(inputs, args):
+    from .complexes import quotient_complex
+
     gx = inputs.require_action()
     quotient = quotient_complex(gx, allow_subdivide=not args.no_subdivide)
     payload = {"subdivisions": quotient.subdivisions}
@@ -295,6 +310,8 @@ def _cmd_betti(inputs, args):
 
 
 def _cmd_euler(inputs, args):
+    from .ktheory import equivariant_euler, euler_quotient_check
+
     gx = inputs.require_action()
     flags = []
     if args.method == "quotient-check":
@@ -319,6 +336,8 @@ def _cmd_euler(inputs, args):
 
 
 def _cmd_fiber(inputs, args):
+    from .crossed import fiber_decomposition
+
     group = inputs.require_group()
     gens = [group.element_index(tok) for tok in args.generators]
     sub = group.subgroup(gens)
@@ -336,6 +355,8 @@ def _cmd_fiber(inputs, args):
 
 
 def _prim_poset(gx, aggregate):
+    from .crossed import aggregate_strata, specialization
+
     poset = specialization(gx)
     if aggregate:
         poset = aggregate_strata(poset, gx)
@@ -343,6 +364,8 @@ def _prim_poset(gx, aggregate):
 
 
 def _cmd_prim(inputs, args):
+    from .crossed import ix_nodes
+
     gx = inputs.require_action()
     poset = _prim_poset(gx, args.aggregate)
     site = "stratum" if args.aggregate else "orbit"
@@ -365,6 +388,8 @@ def _cmd_prim(inputs, args):
 
 
 def _cmd_filtration(inputs, args):
+    from .crossed import filtration_report
+
     gx = inputs.require_action()
     steps = parse_filtration_text(_read_file(args.file))
     poset = _prim_poset(gx, aggregate=True)
@@ -388,6 +413,8 @@ def _cmd_filtration(inputs, args):
 
 
 def _bc_payload(gx, allow_subdivide=True):
+    from .ktheory import bc_decomposition
+
     decomp = bc_decomposition(gx, allow_subdivide=allow_subdivide)
     group = gx.group
     per_class = [{"class": idx, "rep": group.name_of(rep),
@@ -406,6 +433,9 @@ def _cmd_bc(inputs, args):
 
 
 def _cmd_ktheory(inputs, args):
+    from .complexes import orbits_and_stabilizers
+    from .ktheory import bc_cross_check, isolated_k_theory
+
     gx = inputs.require_action()
     result = isolated_k_theory(gx, allow_subdivide=not args.no_subdivide)
     decomp, bc_payload = _bc_payload(gx, not args.no_subdivide)
@@ -449,6 +479,8 @@ def _cmd_ktheory(inputs, args):
 
 
 def _cmd_identity_check(inputs, args):
+    from .ktheory import bc_vs_count_identity
+
     gx = inputs.require_action()
     identity = bc_vs_count_identity(gx,
                                     allow_subdivide=not args.no_subdivide)

@@ -51,7 +51,10 @@ class SimplicialComplex:
             raise BoundExceeded(
                 "complex may have up to %d simplices, more than %d"
                 % (bound, MAX_SIMPLICES))
+        # The given tuples go in before their faces, so _given below shares
+        # them with the closure instead of holding copies.
         closure = {(v,) for v in range(vertex_count)}
+        closure.update(given)
         for s in given:
             closure.update(faces(s))
         self.vertex_count = vertex_count
@@ -61,6 +64,8 @@ class SimplicialComplex:
             for k in range(dim + 1)
         )
         self._closure = closure
+        # every simplex is a vertex or a face of one of these
+        self._given = tuple(dict.fromkeys(given))
 
     @property
     def dimension(self):
@@ -131,7 +136,10 @@ class GSimplicialComplex:
         # is a product of generators, so rho(g) rho(h) = rho(gh) for all g and
         # generators h gives a homomorphism by induction on word length, and
         # then every rho(g) is a composite of generator maps that keep
-        # simplices inside the complex.
+        # simplices inside the complex.  A generator keeps every simplex
+        # inside once it keeps the given simplices inside: every simplex is a
+        # vertex or a face of a given one, and the complex is closed under
+        # faces.
         gens = self.group._generating_set()
         for g in range(self.group.order):
             for h in gens:
@@ -141,9 +149,14 @@ class GSimplicialComplex:
                             != self.vertex_action[gh][v]):
                         raise BadAction(
                             "action is not a homomorphism at (%d,%d)" % (g, h))
+        complex = self.complex
+        if all(self.simplex_image(g, s) in complex
+               for g in gens for s in complex._given):
+            return
+        # name the first (generator, simplex) in dimension-then-lex order
         for g in gens:
-            for s in self.complex.all_simplices():
-                if self.simplex_image(g, s) not in self.complex:
+            for s in complex.all_simplices():
+                if self.simplex_image(g, s) not in complex:
                     raise BadAction(
                         "element %d maps simplex %r outside the complex"
                         % (g, s))

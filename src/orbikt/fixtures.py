@@ -12,11 +12,16 @@ sphere is the boundary of the octahedron; its antipodal map is free, so the
 quotient is the real projective plane and carries 2-torsion.
 """
 
-from fractions import Fraction
+from __future__ import annotations
 
-from .complexes import GSimplicialComplex, SimplicialComplex
+from fractions import Fraction
+from typing import TYPE_CHECKING
+
 from .errors import UnknownFixture
 from .groups import cyclic_group, dihedral_group, trivial_group
+
+if TYPE_CHECKING:
+    from .complexes import GSimplicialComplex, SimplicialComplex
 
 FIXTURE_NAMES = ("d4-torus", "z4-torus", "z2-flip-torus", "z2-circle",
                  "z2-antipodal-sphere", "trivial-on(torus)",
@@ -40,6 +45,8 @@ def _torus_vertices():
 
 
 def torus_complex() -> SimplicialComplex:
+    from .complexes import SimplicialComplex
+
     def grid(i, j):
         return (i % _GRID) * _GRID + (j % _GRID)
 
@@ -60,6 +67,8 @@ def torus_complex() -> SimplicialComplex:
 
 
 def circle_complex(n=8) -> SimplicialComplex:
+    from .complexes import SimplicialComplex
+
     return SimplicialComplex(n, [(k, (k + 1) % n) for k in range(n)])
 
 
@@ -99,46 +108,45 @@ def _d4_maps():
     return maps
 
 
-def _d4_torus() -> GSimplicialComplex:
-    group = dihedral_group(4)
+# Each builder returns (complex, group, vertex action).
+
+
+def _d4_torus():
     action = [_torus_permutation(f) for f in _d4_maps()]
-    return GSimplicialComplex(torus_complex(), group, action)
+    return torus_complex(), dihedral_group(4), action
 
 
-def _z4_torus() -> GSimplicialComplex:
-    group = cyclic_group(4)
+def _z4_torus():
     action = [_torus_permutation(_rotation(k)) for k in range(4)]
-    return GSimplicialComplex(torus_complex(), group, action)
+    return torus_complex(), cyclic_group(4), action
 
 
-def _z2_flip_torus() -> GSimplicialComplex:
-    group = cyclic_group(2)
+def _z2_flip_torus():
     action = [_torus_permutation(_rotation(0)),
               _torus_permutation(_rotation(2))]
-    return GSimplicialComplex(torus_complex(), group, action)
+    return torus_complex(), cyclic_group(2), action
 
 
-def _z2_circle() -> GSimplicialComplex:
-    group = cyclic_group(2)
+def _z2_circle():
     n = 8
     identity = tuple(range(n))
     reflect = tuple((n - k) % n for k in range(n))
-    return GSimplicialComplex(circle_complex(n), group, [identity, reflect])
+    return circle_complex(n), cyclic_group(2), [identity, reflect]
 
 
-def _z2_antipodal_sphere() -> GSimplicialComplex:
+def _z2_antipodal_sphere():
     """The octahedron: vertices 2k and 2k + 1 are the two poles on axis k,
     one triangle per choice of a pole on each axis; the generator swaps
     every pair of poles."""
+    from .complexes import SimplicialComplex
+
     octahedron = SimplicialComplex(6, [(a, b, c) for a in (0, 1)
                                        for b in (2, 3) for c in (4, 5)])
-    return GSimplicialComplex(octahedron, cyclic_group(2),
-                              [tuple(range(6)), (1, 0, 3, 2, 5, 4)])
+    return octahedron, cyclic_group(2), [tuple(range(6)), (1, 0, 3, 2, 5, 4)]
 
 
-def _trivial_on(complex: SimplicialComplex) -> GSimplicialComplex:
-    return GSimplicialComplex(complex, trivial_group(),
-                              [tuple(range(complex.vertex_count))])
+def _trivial_on(complex: SimplicialComplex):
+    return complex, trivial_group(), [tuple(range(complex.vertex_count))]
 
 
 _BUILDERS = {
@@ -159,6 +167,8 @@ def fixture(name) -> GSimplicialComplex:
         raise UnknownFixture(
             "unknown fixture %r (available: %s)"
             % (name, ", ".join(sorted(_BUILDERS))))
-    gx = _BUILDERS[name]()
+    from .complexes import GSimplicialComplex
+
+    gx = GSimplicialComplex(*_BUILDERS[name]())
     gx.require_admissible()
     return gx

@@ -34,12 +34,17 @@ line lists the (stratum-id, irrep-id) pairs ADDED at that step)::
     2: (0, 1)
 """
 
-import re
+from __future__ import annotations
 
-from .complexes import GSimplicialComplex, SimplicialComplex
+import re
+from typing import TYPE_CHECKING
+
 from .errors import BadAction, BoundExceeded, NotAGroup, ParseError
 from .groups import (FiniteGroup, cyclic_group, dihedral_group,
                      group_from_permutations, product_group, trivial_group)
+
+if TYPE_CHECKING:
+    from .complexes import GSimplicialComplex, SimplicialComplex
 
 
 def _content_lines(text):
@@ -183,6 +188,8 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
 
 
 def parse_complex_text(text) -> SimplicialComplex:
+    from .complexes import SimplicialComplex
+
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty complex file")
@@ -222,6 +229,8 @@ def parse_action_text(text, group: FiniteGroup,
     every derived permutation is cross-checked against any explicit line for
     the same element.
     """
+    from .complexes import GSimplicialComplex
+
     n = complex.vertex_count
     known = {group.identity: tuple(range(n))}
     lines = _content_lines(text)

@@ -319,12 +319,15 @@ def _count_calls(monkeypatch, modules, name, calls):
 
 
 def _traced_ktheory(capsys, monkeypatch, argv):
-    import orbikt.cli as cli
+    """The CLI imports each command's functions when it runs, so patching
+    the module that defines a function (and the one that imports it at
+    module level) catches every call."""
+    import orbikt.complexes as complexes
     import orbikt.ktheory as ktheory
 
     bc_calls, quotient_calls = [], []
-    _count_calls(monkeypatch, (ktheory, cli), "bc_decomposition", bc_calls)
-    _count_calls(monkeypatch, (ktheory, cli), "quotient_complex",
+    _count_calls(monkeypatch, (ktheory,), "bc_decomposition", bc_calls)
+    _count_calls(monkeypatch, (complexes, ktheory), "quotient_complex",
                  quotient_calls)
     code, _out, _err = run_cli(capsys, argv)
     return code, bc_calls, quotient_calls

@@ -72,10 +72,40 @@ def test_action_check_covers_non_generators(bad):
 
 
 def test_action_must_preserve_simplices():
+    # the swap of 1 and 2 is an involution, so only the edge check fails
     c = SimplicialComplex(3, [(0, 1)])
     g = cyclic_group(2)
-    with pytest.raises(BadAction):
-        GSimplicialComplex(c, g, [(0, 1, 2), (1, 2, 0)])
+    with pytest.raises(BadAction, match="outside the complex"):
+        GSimplicialComplex(c, g, [(0, 1, 2), (0, 2, 1)])
+
+
+def test_bad_simplex_message_names_first_simplex_in_order():
+    """The given triangle (1, 2, 3) leaves the complex under the swap of 0
+    and 3, and so do its edges (1, 3) and (2, 3); the message names the
+    first of them in dimension-then-lex order, an edge."""
+    c = SimplicialComplex(4, [(1, 2, 3)])
+    with pytest.raises(BadAction) as info:
+        GSimplicialComplex(c, cyclic_group(2), [(0, 1, 2, 3), (3, 1, 2, 0)])
+    assert str(info.value) == \
+        "element 1 maps simplex (1, 3) outside the complex"
+
+
+def test_action_check_maps_only_given_simplices(monkeypatch):
+    """Keeping the complex is checked on the given simplices: on d4-torus,
+    one image per generator and triangle, not per simplex."""
+    built = fixture("d4-torus")
+    images = []
+    original = GSimplicialComplex.simplex_image
+
+    def counted(self, g, simplex):
+        images.append(simplex)
+        return original(self, g, simplex)
+
+    monkeypatch.setattr(GSimplicialComplex, "simplex_image", counted)
+    GSimplicialComplex(built.complex, built.group, built.vertex_action)
+    gens = built.group._generating_set()
+    assert len(images) == len(gens) * 64
+    assert set(images) == set(built.complex.simplices[2])
 
 
 def test_reflection_of_interval_is_not_admissible():
