@@ -8,6 +8,10 @@ and its K-theoretic invariants (localization summands per conjugacy class,
 equivariant Euler characteristics by three independent methods, and integral
 K-groups when all singular orbits are isolated vertices).
 
+Results are ``typing.NamedTuple`` records (``HomologyResult``, ``KRanks``,
+``QuotientResult``, ``PrimNode``, ...): immutable, and equal to, unpacked
+and hashed as the plain tuples of their fields.
+
 Importing the package loads none of its modules: each name below is imported
 from its module when it is first used (``from orbikt import X``,
 ``orbikt.X``, ``import *``), so a caller pays only for the modules it needs.

@@ -15,6 +15,7 @@ NotIsolated, NotApplicable, NotOpen).
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 # Each command imports the library functions it calls when it runs, so one
 # call loads only the modules its command needs.
@@ -117,14 +118,13 @@ def build_parser() -> _Parser:
 # -- input resolution ---------------------------------------------------------
 
 
-class Inputs:
+class Inputs(NamedTuple):
     """Resolved inputs for one run: at most one group, complex, action."""
 
-    def __init__(self, group=None, complex=None, gx=None, fixture_name=None):
-        self.group = group
-        self.complex = complex
-        self.gx = gx
-        self.fixture_name = fixture_name
+    group: object = None         # FiniteGroup
+    complex: object = None       # SimplicialComplex
+    gx: object = None            # GSimplicialComplex
+    fixture_name: object = None  # str
 
     def require_group(self):
         if self.group is None:
@@ -152,6 +152,8 @@ def _read_file(path):
             return handle.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError:
+        raise ParseError("cannot read %s: not UTF-8 text" % path)
 
 
 def _load_group(source, max_order):
@@ -160,15 +162,19 @@ def _load_group(source, max_order):
     return parse_group_text(_read_file(source))
 
 
+def _fixture_inputs(name) -> Inputs:
+    gx = build_fixture(name)
+    return Inputs(gx.group, gx.complex, gx, name)
+
+
 def resolve_inputs(args) -> Inputs:
     if args.fixture:
         if args.group or args.complex_file:
             raise ParseError("--fixture cannot be combined with --group "
                              "or --complex")
-        gx = build_fixture(args.fixture)
-        _check_order(gx.group, args)
-        return Inputs(group=gx.group, complex=gx.complex, gx=gx,
-                      fixture_name=args.fixture)
+        inputs = _fixture_inputs(args.fixture)
+        _check_order(inputs.group, args)
+        return inputs
 
     group = _load_group(args.group, args.max_order) if args.group else None
     complex = None
@@ -193,7 +199,7 @@ def resolve_inputs(args) -> Inputs:
             raise ParseError("action lines need a group (--group or an "
                              "embedded group section)")
         gx = parse_action_text(action_text, group, complex)
-    return Inputs(group=group, complex=complex, gx=gx)
+    return Inputs(group, complex, gx)
 
 
 def _check_order(group, args):
@@ -592,25 +598,26 @@ def _k_text(entry):
     return " + ".join(parts) if parts else "0"
 
 
+def _bc_lines(payload):
+    """The per-class and totals lines of a bc payload."""
+    lines = ["class [%s]: K0 rank %d, K1 rank %d"
+             % (row["rep"], row["even"], row["odd"])
+             for row in payload["per_class"]]
+    totals = payload["totals"]
+    lines.append("totals: K0 rank %d, K1 rank %d"
+                 % (totals["even"], totals["odd"]))
+    return lines
+
+
 def render_table(command, payload, flags) -> str:
     lines = []
     if command == "bc":
-        for row in payload["per_class"]:
-            lines.append("class [%s]: K0 rank %d, K1 rank %d"
-                         % (row["rep"], row["even"], row["odd"]))
-        totals = payload["totals"]
-        lines.append("totals: K0 rank %d, K1 rank %d"
-                     % (totals["even"], totals["odd"]))
+        lines.extend(_bc_lines(payload))
     elif command == "ktheory":
         lines.append("K0 = %s, K1 = %s"
                      % (_k_text(payload["k0"]), _k_text(payload["k1"])))
         lines.append("boundary map: %s" % payload["boundary_status"])
-        for row in payload["per_class"]:
-            lines.append("class [%s]: K0 rank %d, K1 rank %d"
-                         % (row["rep"], row["even"], row["odd"]))
-        totals = payload["totals"]
-        lines.append("totals: K0 rank %d, K1 rank %d"
-                     % (totals["even"], totals["odd"]))
+        lines.extend(_bc_lines(payload))
     elif command == "prim":
         lines.append("nodes: %d" % len(payload["nodes"]))
         lines.extend(_table_lines(payload["nodes"]))
@@ -634,9 +641,7 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "fixture":
-        gx = build_fixture(args.name)
-        inputs = Inputs(group=gx.group, complex=gx.complex, gx=gx,
-                        fixture_name=args.name)
+        inputs = _fixture_inputs(args.name)
     else:
         inputs = resolve_inputs(args)
     payload, flags = _HANDLERS[args.command](inputs, args)

@@ -9,6 +9,7 @@ constant-isotropy strata.
 from __future__ import annotations
 
 from itertools import chain, combinations
+from typing import NamedTuple
 
 from .errors import (BadAction, BoundExceeded, NotAComplex, NotAdmissible,
                      NotRegular)
@@ -102,12 +103,11 @@ class SimplicialComplex:
                 and self.simplices == other.simplices)
 
 
-class FixedSubcomplex:
+class FixedSubcomplex(NamedTuple):
     """A full subcomplex on a fixed vertex set, with the re-indexing map."""
 
-    def __init__(self, complex, vertex_embedding):
-        self.complex = complex
-        self.vertex_embedding = tuple(vertex_embedding)  # new index -> old
+    complex: SimplicialComplex
+    vertex_embedding: tuple  # new index -> old
 
 
 class GSimplicialComplex:
@@ -307,8 +307,8 @@ def fixed_subcomplex(gx: GSimplicialComplex, elements) -> FixedSubcomplex:
     """
     gx.require_admissible()
     elements = list(elements)
-    fixed = [v for v in range(gx.complex.vertex_count)
-             if all(gx.vertex_action[g][v] == v for g in elements)]
+    fixed = tuple(v for v in range(gx.complex.vertex_count)
+                  if all(gx.vertex_action[g][v] == v for g in elements))
     new_id = {v: i for i, v in enumerate(fixed)}
     fixed_set = set(fixed)
     surviving = [
@@ -319,13 +319,12 @@ def fixed_subcomplex(gx: GSimplicialComplex, elements) -> FixedSubcomplex:
     return FixedSubcomplex(SimplicialComplex(len(fixed), surviving), fixed)
 
 
-class QuotientResult:
+class QuotientResult(NamedTuple):
     """Quotient complex of a Bredon-regular action, with projection data."""
 
-    def __init__(self, complex, vertex_map, subdivisions):
-        self.complex = complex
-        self.vertex_map = tuple(vertex_map)  # source vertex -> quotient vertex
-        self.subdivisions = subdivisions
+    complex: SimplicialComplex
+    vertex_map: tuple  # source vertex -> quotient vertex
+    subdivisions: int
 
     def project(self, simplex):
         return tuple(sorted(set(self.vertex_map[v] for v in simplex)))
@@ -379,18 +378,17 @@ def quotient_complex(gx: GSimplicialComplex, allow_subdivide=True,
         for s in current.complex.maximal_simplices()
     ]
     qcomplex = SimplicialComplex(len(vertex_orbits), maximal)
-    vertex_map = [new_id[vert_orbit[v]]
-                  for v in range(current.complex.vertex_count)]
+    vertex_map = tuple(new_id[vert_orbit[v]]
+                       for v in range(current.complex.vertex_count))
     return QuotientResult(qcomplex, vertex_map, subdivisions)
 
 
-class CentralizerFixedAction:
+class CentralizerFixedAction(NamedTuple):
     """The fixed complex of g with the restricted centralizer action."""
 
-    def __init__(self, gcomplex, centralizer, vertex_embedding):
-        self.gcomplex = gcomplex
-        self.centralizer = centralizer  # Subgroup of the original group
-        self.vertex_embedding = vertex_embedding
+    gcomplex: GSimplicialComplex
+    centralizer: Subgroup  # of the original group
+    vertex_embedding: tuple  # new index -> old
 
 
 def centralizer_fixed_action(gx: GSimplicialComplex,
@@ -409,13 +407,12 @@ def centralizer_fixed_action(gx: GSimplicialComplex,
     return CentralizerFixedAction(sub_gx, cent, old_of_new)
 
 
-class IsotropyStratum:
+class IsotropyStratum(NamedTuple):
     """A maximal adjacency-connected set of orbits with conjugate stabilizers."""
 
-    def __init__(self, stratum_id, stabilizer_rep, orbit_ids):
-        self.stratum_id = stratum_id
-        self.stabilizer_rep = stabilizer_rep  # Subgroup of the rep orbit
-        self.orbit_ids = tuple(orbit_ids)
+    stratum_id: int
+    stabilizer_rep: Subgroup  # of the rep orbit
+    orbit_ids: tuple
 
 
 def isotropy_strata(gx: GSimplicialComplex):
@@ -458,7 +455,7 @@ def isotropy_strata(gx: GSimplicialComplex):
             components.setdefault(find(i), []).append(i)
     strata = []
     for root in sorted(components, key=lambda r: min(components[r])):
-        orbit_ids = sorted(components[root])
+        orbit_ids = tuple(sorted(components[root]))
         strata.append(IsotropyStratum(len(strata),
                                       od.stabilizer(orbit_ids[0]),
                                       orbit_ids))

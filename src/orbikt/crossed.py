@@ -9,7 +9,7 @@ trivial-isotropy-representation nodes, and validation of ideal filtrations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import (CharacterTable, conjugate_irrep, multiplicity,
                          subgroup_table)
@@ -24,8 +24,7 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup
 
 
-@dataclass(frozen=True)
-class FiberDecomposition:
+class FiberDecomposition(NamedTuple):
     """Block decomposition of the compacts of l2(G) fixed under K.
 
     One block per irrep sigma of K, of dimension [G:K]*d_sigma, occurring with
@@ -37,27 +36,25 @@ class FiberDecomposition:
     blocks: tuple  # records (irrep_id, block_dim, multiplicity)
     table: CharacterTable
 
-    def __post_init__(self):
-        total = sum(dim * mult for _, dim, mult in self.blocks)
-        if total != self.group.order:
-            raise InternalInconsistency(
-                "fiber blocks sum to %d, expected |G| = %d"
-                % (total, self.group.order))
-        if len(self.blocks) != len(self.table.irreps):
-            raise InternalInconsistency("block count != irrep count")
-
 
 def fiber_decomposition(group: FiniteGroup, sub: Subgroup) -> FiberDecomposition:
+    """The fiber blocks over a point with stabilizer sub.  The block sizes
+    must fill the regular representation, one block per irrep of sub."""
     if sub.parent is not group:
         raise NotSubgroup("stabilizer is not a subgroup of the given group")
     table = subgroup_table(sub)
     index = group.order // sub.order
     blocks = tuple((rid, index * d, d) for rid, d, _ in table.irreps)
+    total = sum(dim * mult for _, dim, mult in blocks)
+    if total != group.order:
+        raise InternalInconsistency(
+            "fiber blocks sum to %d, expected |G| = %d" % (total, group.order))
+    if len(blocks) != len(table.irreps):
+        raise InternalInconsistency("block count != irrep count")
     return FiberDecomposition(group, sub, blocks, table)
 
 
-@dataclass(frozen=True)
-class InclusionMultiplicityMatrix:
+class InclusionMultiplicityMatrix(NamedTuple):
     """Multiplicities m[sigma][tau] of sigma in tau restricted from K to L."""
 
     ambient: Subgroup  # K
@@ -112,15 +109,12 @@ def inclusion_multiplicities(group: FiniteGroup, sub: Subgroup,
         row_table, col_table)
 
 
-@dataclass(frozen=True, slots=True)
-class PrimNode:
-    """A point of the primitive-ideal space: (simplex orbit, stabilizer irrep)."""
+class PrimNode(NamedTuple):
+    """A point of the primitive-ideal space: (simplex orbit, stabilizer irrep).
+    A node equals and hashes as its plain (orbit, irrep) tuple."""
 
     orbit_id: int
     irrep_id: int
-
-    def key(self):
-        return (self.orbit_id, self.irrep_id)
 
 
 class PrimPoset:
@@ -151,12 +145,9 @@ class PrimPoset:
         return len(self.nodes)
 
     def index_of(self, key):
-        if isinstance(key, PrimNode):
-            key = key.key()
-        else:
-            key = tuple(key)
+        key = tuple(key)
         for i, node in enumerate(self.nodes):
-            if node.key() == key:
+            if node == key:
                 return i
         return None
 
@@ -220,7 +211,7 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
     gx.require_admissible()
     od = orbits_and_stabilizers(gx)
     nodes = prim_nodes(gx)
-    index = {node.key(): i for i, node in enumerate(nodes)}
+    index = {node: i for i, node in enumerate(nodes)}
     above = [set() for _ in nodes]
 
     # for each orbit pair (s_orb, t_orb): translates of rep_t with rep_s as face
@@ -304,7 +295,7 @@ def aggregate_strata(poset: PrimPoset, gx: GSimplicialComplex) -> PrimPoset:
             nodes.append(PrimNode(st.stratum_id, rid))
             stab_orders.append(base.order)
             degrees.append(degree)
-    index = {node.key(): i for i, node in enumerate(nodes)}
+    index = {node: i for i, node in enumerate(nodes)}
     merged = [index[(stratum_of[node.orbit_id], node.irrep_id)]
               for node in poset.nodes]
     above = [set() for _ in nodes]
@@ -313,8 +304,7 @@ def aggregate_strata(poset: PrimPoset, gx: GSimplicialComplex) -> PrimPoset:
     return PrimPoset(nodes, above, stab_orders, degrees, aggregated=True)
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(NamedTuple):
     """Validation and block data for an increasing open filtration."""
 
     steps: tuple  # per step: list of (node key, degree, block_dim)
@@ -353,11 +343,11 @@ def filtration_report(poset: PrimPoset, gx: GSimplicialComplex,
             inside, outside = violation
             raise NotOpen(
                 "step %d is not open: node %r lies in the closure of %r"
-                % (k + 1, poset.nodes[inside].key(),
-                   poset.nodes[outside].key()),
+                % (k + 1, tuple(poset.nodes[inside]),
+                   tuple(poset.nodes[outside])),
                 step=k + 1,
-                witness=(poset.nodes[inside].key(),
-                         poset.nodes[outside].key()))
+                witness=(tuple(poset.nodes[inside]),
+                         tuple(poset.nodes[outside])))
         steps.append(detail)
         cumulative_counts.append(len(indices))
     return FiltrationReport(tuple(steps),

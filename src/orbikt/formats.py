@@ -20,7 +20,8 @@ Builtin group specs (CLI ``--group builtin:...``)::
 Complex file::
 
     vertices <n>
-    simplex v0 v1 ... vk     # maximal simplices; the closure is computed
+    simplex v0 v1 ... vk     # maximal simplices of distinct vertices;
+                             # the closure is computed
 
 Action file (one line per generator; the remaining group elements are
 derived through the multiplication table and cross-checked)::
@@ -207,6 +208,10 @@ def parse_complex_text(text) -> SimplicialComplex:
         simplex = [_int_token(tok, row_lineno, "vertex") for tok in parts[1:]]
         if not simplex:
             raise ParseError("line %d: empty simplex" % row_lineno)
+        if len(set(simplex)) != len(simplex):
+            raise ParseError("line %d: repeated vertex %d in simplex"
+                             % (row_lineno, min(v for v in simplex
+                                                if simplex.count(v) > 1)))
         maximal.append(tuple(simplex))
     return SimplicialComplex(n, maximal)
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
+from typing import NamedTuple
 
 from .complexes import GSimplicialComplex, SimplicialComplex
 from .errors import InternalInconsistency
@@ -269,36 +270,24 @@ def _checked_rank(matrix):
     return snf_rank, factors
 
 
-class HomologyResult:
-    """Integral homology: per-degree Betti numbers and invariant factors > 1."""
-
-    def __init__(self, betti, torsion):
-        self.betti = tuple(betti)
-        self.torsion = tuple(tuple(t) for t in torsion)
-
-    def __repr__(self):
-        return "HomologyResult(betti=%r, torsion=%r)" % (self.betti,
-                                                         self.torsion)
-
-
-class KRanks:
+class KRanks(NamedTuple):
     """Rational K-theory ranks of a compact polyhedron: (even, odd) Betti sums."""
 
-    def __init__(self, even, odd):
-        self.even = even
-        self.odd = odd
-
-    def __eq__(self, other):
-        if isinstance(other, tuple):
-            return (self.even, self.odd) == other
-        return (isinstance(other, KRanks)
-                and (self.even, self.odd) == (other.even, other.odd))
+    even: int
+    odd: int
 
     def __add__(self, other):
         return KRanks(self.even + other.even, self.odd + other.odd)
 
-    def __repr__(self):
-        return "KRanks(even=%d, odd=%d)" % (self.even, self.odd)
+
+class HomologyResult(NamedTuple):
+    """Integral homology: per-degree Betti numbers and invariant factors > 1."""
+
+    betti: tuple
+    torsion: tuple  # per degree, a tuple of invariant factors
+
+    def k_ranks(self) -> KRanks:
+        return KRanks(sum(self.betti[0::2]), sum(self.betti[1::2]))
 
 
 def homology_integral(complex: SimplicialComplex) -> HomologyResult:
@@ -309,8 +298,9 @@ def homology_integral(complex: SimplicialComplex) -> HomologyResult:
     factors = [[] for _ in range(top + 1)]
     for k in range(1, top):
         ranks[k], factors[k] = _checked_rank(cc.boundaries[k])
-    betti = [dims[k] - ranks[k] - ranks[k + 1] for k in range(top)]
-    torsion = [[d for d in factors[k + 1] if d > 1] for k in range(top)]
+    betti = tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(top))
+    torsion = tuple(tuple(d for d in factors[k + 1] if d > 1)
+                    for k in range(top))
     lhs = sum((-1) ** k * b for k, b in enumerate(betti))
     rhs = sum((-1) ** k * d for k, d in enumerate(dims))
     if lhs != rhs:
@@ -319,10 +309,7 @@ def homology_integral(complex: SimplicialComplex) -> HomologyResult:
 
 
 def k_ranks(complex: SimplicialComplex) -> KRanks:
-    hom = homology_integral(complex)
-    even = sum(b for k, b in enumerate(hom.betti) if k % 2 == 0)
-    odd = sum(b for k, b in enumerate(hom.betti) if k % 2 == 1)
-    return KRanks(even, odd)
+    return homology_integral(complex).k_ranks()
 
 
 def euler_characteristic(complex: SimplicialComplex) -> int:

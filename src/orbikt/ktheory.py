@@ -12,6 +12,7 @@ K-group of the quotient is torsion-free.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import (
     GSimplicialComplex,
@@ -30,13 +31,12 @@ from .groups import commuting_pairs, conjugacy_data
 from .homology import KRanks, euler_characteristic, homology_integral, k_ranks
 
 
-class BCDecomposition:
+class BCDecomposition(NamedTuple):
     """Per-conjugacy-class rational K-ranks of centralizer quotients of
     fixed sets, with their componentwise totals."""
 
-    def __init__(self, per_class, totals):
-        self.per_class = tuple(per_class)  # (class idx, rep, quotient, KRanks)
-        self.totals = totals
+    per_class: tuple  # records (class idx, rep, quotient, KRanks)
+    totals: KRanks
 
     def ranks_by_class(self):
         return [(rep, kr.even, kr.odd) for _, rep, _, kr in self.per_class]
@@ -55,7 +55,7 @@ def bc_decomposition(gx: GSimplicialComplex,
         kr = k_ranks(quotient.complex)
         per_class.append((idx, rep, quotient, kr))
         totals = totals + kr
-    return BCDecomposition(per_class, totals)
+    return BCDecomposition(tuple(per_class), totals)
 
 
 def _singular_orbits(gx: GSimplicialComplex):
@@ -103,11 +103,12 @@ def equivariant_euler(gx: GSimplicialComplex, method="bc",
     raise ValueError("unknown method %r" % (method,))
 
 
-class EulerQuotientCheck:
-    def __init__(self, lhs, rhs, integral):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.integral = integral
+class EulerQuotientCheck(NamedTuple):
+    """Euler characteristic of X/G against the fixed-set class average."""
+
+    lhs: int
+    rhs: int | Fraction
+    integral: bool
 
     @property
     def equal(self):
@@ -130,10 +131,11 @@ def euler_quotient_check(gx: GSimplicialComplex,
     return EulerQuotientCheck(lhs, int(rhs) if integral else rhs, integral)
 
 
-class CountIdentity:
-    def __init__(self, lhs, rhs):
-        self.lhs = lhs
-        self.rhs = rhs
+class CountIdentity(NamedTuple):
+    """Point counts of nontrivial-class quotients against singular irreps."""
+
+    lhs: int
+    rhs: int
 
     @property
     def equal(self):
@@ -167,9 +169,10 @@ def bc_vs_count_identity(gx: GSimplicialComplex,
     return CountIdentity(lhs, rhs)
 
 
-class InvariantsCheck:
-    def __init__(self, rows):
-        self.rows = tuple(rows)  # (degree, invariant dim, quotient Betti)
+class InvariantsCheck(NamedTuple):
+    """Invariant cohomology dimensions against quotient Betti numbers."""
+
+    rows: tuple  # records (degree, invariant dim, quotient Betti)
 
     @property
     def all_equal(self):
@@ -189,10 +192,10 @@ def invariants_check(gx: GSimplicialComplex) -> InvariantsCheck:
         a = dims[k] if k < len(dims) else 0
         b = betti[k] if k < len(betti) else 0
         rows.append((k, a, b))
-    return InvariantsCheck(rows)
+    return InvariantsCheck(tuple(rows))
 
 
-class IsolatedKResult:
+class IsolatedKResult(NamedTuple):
     """Integral K-theory in the isolated-singular-orbit regime.
 
     k0/k1 are (rank, torsion tuple) when the quotient has dimension at most
@@ -201,42 +204,37 @@ class IsolatedKResult:
     has torsion image bounded per orbit by the stabilizer order.
     """
 
-    def __init__(self, singular_orbits, quotient_k0, quotient_k1,
-                 k0, k1, boundary_status, torsion_bounds, dimension_capped):
-        self.singular_orbits = tuple(singular_orbits)
-        self.quotient_k0 = quotient_k0
-        self.quotient_k1 = quotient_k1
-        self.k0 = k0
-        self.k1 = k1
-        self.boundary_status = boundary_status
-        self.torsion_bounds = tuple(torsion_bounds)
-        self.dimension_capped = dimension_capped
+    singular_orbits: tuple  # records (orbit id, stabilizer, extra rank)
+    quotient_k0: tuple
+    quotient_k1: tuple
+    k0: tuple
+    k1: tuple
+    boundary_status: str
+    torsion_bounds: tuple  # records (orbit id, stabilizer order)
+    dimension_capped: bool
 
 
 def isolated_k_theory(gx: GSimplicialComplex,
                       allow_subdivide=True) -> IsolatedKResult:
     gx.require_admissible()
     od, singular = _singular_orbits(gx)
-    singular_records = [
+    singular_records = tuple(
         (i, od.stabilizer(i), _rep_star_count(od.stabilizer(i)))
-        for i in singular
-    ]
+        for i in singular)
     extra_rank = sum(r for _, _, r in singular_records)
     quotient = quotient_complex(gx, allow_subdivide=allow_subdivide)
     hom = homology_integral(quotient.complex)
-    betti = hom.betti
-    even = sum(b for k, b in enumerate(betti) if k % 2 == 0)
-    odd = sum(b for k, b in enumerate(betti) if k % 2 == 1)
+    even, odd = hom.k_ranks()
     dim = quotient.complex.dimension
-    torsion_bounds = [(i, stab.order) for i, stab, _ in singular_records]
+    torsion_bounds = tuple((i, stab.order) for i, stab, _ in singular_records)
     if dim <= 2:
         # K0 of the quotient is H0 + H2; its torsion is the torsion of H1
         # (universal coefficients); K1 = H1 modulo torsion contributions of
         # H0, which vanish, so K1 is torsion-free here.
         h1_torsion = hom.torsion[1] if len(hom.torsion) > 1 else ()
-        quotient_k0 = (even, tuple(h1_torsion))
+        quotient_k0 = (even, h1_torsion)
         quotient_k1 = (odd, ())
-        k0 = (even + extra_rank, tuple(h1_torsion))
+        k0 = (even + extra_rank, h1_torsion)
         k1 = (odd, ())
         boundary_status = "provably-zero"
         capped = False

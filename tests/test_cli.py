@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from orbikt.cli import main
 
 D4_LADDER = """\
@@ -302,6 +304,20 @@ def test_group_file_loading(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["group", "--group",
                                     str(tmp_path / "missing.txt")])
     assert code == 1 and "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "{path}"],
+    ["complex", "--complex", "{path}"],
+    ["filtration", "{path}", "--fixture", "z2-circle"],
+], ids=["group", "complex", "filtration"])
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, [a.format(path=path) for a in argv])
+    assert code == 1 and out == ""
+    assert err == ("orbikt: ParseError: cannot read %s: not UTF-8 text\n"
+                   % path)
 
 
 # -- compute-once path of ktheory ---------------------------------------------------

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbikt.crossed as crossed
-from orbikt import (InternalInconsistency, NotOpen, NotSubgroup, PrimNode,
-                    PrimPoset, aggregate_strata, cyclic_group, dihedral_group,
-                    fiber_decomposition, filtration_report,
-                    inclusion_multiplicities, ix_nodes, prim_nodes,
-                    specialization, subgroup_table)
+from orbikt import (CharacterTable, InternalInconsistency, NotOpen,
+                    NotSubgroup, PrimNode, PrimPoset, aggregate_strata,
+                    cyclic_group, dihedral_group, fiber_decomposition,
+                    filtration_report, inclusion_multiplicities, ix_nodes,
+                    prim_nodes, specialization, subgroup_table)
 
 
 # -- fiber block decompositions ---------------------------------------------------
@@ -44,6 +44,23 @@ def test_fiber_block_sizes_always_sum_to_group_order():
     for gens in ([], [1], [2], [4], [5], [2, 4], [1, 4]):
         decomp = fiber_decomposition(g, g.subgroup(gens))
         assert sum(dim * mult for _r, dim, mult in decomp.blocks) == 8
+
+
+def test_fiber_checks_block_sum_against_group_order(monkeypatch):
+    """A table with one wrong degree makes the blocks overfill l2(G)."""
+    real = crossed.subgroup_table
+
+    def one_degree_off(sub):
+        table = real(sub)
+        irreps = [(rid, d + (rid == 0), values)
+                  for rid, d, values in table.irreps]
+        return CharacterTable(table.group, table.conductor, irreps)
+
+    monkeypatch.setattr(crossed, "subgroup_table", one_degree_off)
+    g = dihedral_group(4)
+    with pytest.raises(InternalInconsistency,
+                       match=r"fiber blocks sum to 20, expected \|G\| = 8"):
+        fiber_decomposition(g, g.subgroup([4]))
 
 
 def test_fiber_rejects_foreign_subgroup():
@@ -364,6 +381,9 @@ def test_filtration_refuses_non_open_step(d4_torus):
         filtration_report(agg, d4_torus, [[(0, 4)]])
     assert info.value.step == 1
     assert info.value.witness[0] == (0, 4)
+    assert all(type(key) is tuple for key in info.value.witness)
+    assert str(info.value).startswith(
+        "step 1 is not open: node (0, 4) lies in the closure of (")
 
 
 def test_filtration_refuses_unknown_and_repeated_nodes(d4_torus):

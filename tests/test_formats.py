@@ -99,6 +99,8 @@ def test_complex_file_errors():
         parse_complex_text("vertices 3\nface 0 1\n")
     with pytest.raises(ParseError, match="empty simplex"):
         parse_complex_text("vertices 3\nsimplex\n")
+    with pytest.raises(ParseError, match="line 3: repeated vertex 0 in"):
+        parse_complex_text("vertices 2\nsimplex 0 1\nsimplex 0 0\n")
 
 
 def test_complex_comments_and_blanks_ignored():

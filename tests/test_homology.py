@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from orbikt import (ChainComplex, InternalInconsistency, SimplicialComplex,
-                    boundary_matrix, euler_characteristic, fixture,
-                    fraction_free_rank, homology_integral,
-                    induced_homology_matrix, invariant_cohomology_dims,
-                    k_ranks, rational_rank, smith_invariant_factors)
+from orbikt import (ChainComplex, HomologyResult, InternalInconsistency,
+                    KRanks, SimplicialComplex, boundary_matrix,
+                    euler_characteristic, fixture, fraction_free_rank,
+                    homology_integral, induced_homology_matrix,
+                    invariant_cohomology_dims, k_ranks, rational_rank,
+                    smith_invariant_factors)
 
 
 def sphere2():
@@ -142,6 +143,16 @@ def test_k_ranks_sum_betti_by_parity():
     assert (kr.even, kr.odd) == (2, 2)
     kr = k_ranks(projective_plane())
     assert (kr.even, kr.odd) == (1, 0)
+
+
+def test_result_records_add_compare_and_print_as_before():
+    total = KRanks(1, 2) + KRanks(3, 4)
+    assert total == (4, 6) and total == KRanks(4, 6)
+    assert repr(total) == "KRanks(even=4, odd=6)"
+    h = homology_integral(projective_plane())
+    assert repr(h) == ("HomologyResult(betti=(1, 0, 0), "
+                       "torsion=((), (2,), ()))")
+    assert h == HomologyResult((1, 0, 0), ((), (2,), ()))
 
 
 def test_induced_map_on_top_homology_detects_orientation():

@@ -58,17 +58,21 @@ def test_group_loads_only_table_modules():
 
 
 def test_prim_loads_no_homology():
-    modules = _orbikt_modules(_loaded_by_command(
-        ["prim", "--fixture", "z2-circle", "--format", "json"]))
+    loaded = _loaded_by_command(
+        ["prim", "--fixture", "z2-circle", "--format", "json"])
+    modules = _orbikt_modules(loaded)
     assert "crossed" in modules
     assert not modules & {"homology", "ktheory", "linalg"}
+    assert "dataclasses" not in loaded
 
 
 def test_ktheory_loads_no_characters():
-    modules = _orbikt_modules(_loaded_by_command(
-        ["ktheory", "--fixture", "z2-circle", "--format", "json"]))
+    loaded = _loaded_by_command(
+        ["ktheory", "--fixture", "z2-circle", "--format", "json"])
+    modules = _orbikt_modules(loaded)
     assert "ktheory" in modules
     assert not modules & {"crossed", "characters"}
+    assert "dataclasses" not in loaded
 
 
 def test_every_exported_name_resolves_to_its_defining_module():
