@@ -14,6 +14,7 @@ NotIsolated, NotApplicable, NotOpen).
 
 import argparse
 import json
+import os
 import sys
 from typing import NamedTuple
 
@@ -418,34 +419,30 @@ def _cmd_filtration(inputs, args):
     return payload, []
 
 
-def _bc_payload(gx, allow_subdivide=True):
-    from .ktheory import bc_decomposition
-
-    decomp = bc_decomposition(gx, allow_subdivide=allow_subdivide)
-    group = gx.group
-    per_class = [{"class": idx, "rep": group.name_of(rep),
-                  "even": kr.even, "odd": kr.odd}
-                 for idx, rep, _q, kr in decomp.per_class]
-    return decomp, {
+def _bc_payload(decomp, group):
+    rows = enumerate(decomp.ranks_by_class())
+    per_class = [{"class": idx, "rep": group.name_of(rep), "even": even,
+                  "odd": odd} for idx, (rep, even, odd) in rows]
+    return {
         "per_class": per_class,
         "totals": {"even": decomp.totals.even, "odd": decomp.totals.odd},
     }
 
 
 def _cmd_bc(inputs, args):
+    from .ktheory import bc_decomposition
+
     gx = inputs.require_action()
-    _decomp, payload = _bc_payload(gx, not args.no_subdivide)
-    return payload, []
+    decomp = bc_decomposition(gx, allow_subdivide=not args.no_subdivide)
+    return _bc_payload(decomp, gx.group), []
 
 
 def _cmd_ktheory(inputs, args):
     from .complexes import orbits_and_stabilizers
-    from .ktheory import bc_cross_check, isolated_k_theory
+    from .ktheory import isolated_k_theory
 
     gx = inputs.require_action()
     result = isolated_k_theory(gx, allow_subdivide=not args.no_subdivide)
-    decomp, bc_payload = _bc_payload(gx, not args.no_subdivide)
-    bc_cross_check(decomp, result)
     group = gx.group
     od = orbits_and_stabilizers(gx)
 
@@ -454,7 +451,7 @@ def _cmd_ktheory(inputs, args):
         return {"rank": rank,
                 "torsion": None if torsion is None else list(torsion)}
 
-    payload = dict(bc_payload)
+    payload = _bc_payload(result.decomposition, group)
     payload.update({
         "k0": k_group(result.k0),
         "k1": k_group(result.k1),
@@ -657,10 +654,19 @@ def run(argv) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(sys.argv[1:] if argv is None else argv)
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
     except OrbiktError as exc:
         print("orbikt: %s: %s" % (exc.kind, exc), file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader is gone: let the flush at exit write to devnull instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("orbikt: BrokenPipeError: output closed early", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,6 +15,9 @@ from .errors import (BadAction, BoundExceeded, NotAComplex, NotAdmissible,
                      NotRegular)
 from .groups import FiniteGroup, Subgroup
 
+# Most barycentric subdivisions quotient_complex applies to reach a quotient.
+MAX_SUBDIVISIONS = 2
+
 # Most simplices a complex may have, counted before any face is listed as the
 # vertices plus every face of every given simplex.  The grid-24 torus counts
 # about 17k; one simplex on 19 vertices (524k faces) takes seconds to close.
@@ -351,8 +354,8 @@ def _bredon_witness(gx: GSimplicialComplex):
     return None
 
 
-def quotient_complex(gx: GSimplicialComplex, allow_subdivide=True,
-                     max_subdivisions=2) -> QuotientResult:
+def quotient_complex(gx: GSimplicialComplex,
+                     allow_subdivide=True) -> QuotientResult:
     subdivisions = 0
     current = gx
     while True:
@@ -362,7 +365,7 @@ def quotient_complex(gx: GSimplicialComplex, allow_subdivide=True,
             witness = _bredon_witness(current)
         if witness is None:
             break
-        if not allow_subdivide or subdivisions >= max_subdivisions:
+        if not allow_subdivide or subdivisions >= MAX_SUBDIVISIONS:
             raise NotRegular(
                 "quotient is not simplicial (%s); subdivision %s"
                 % (witness, "exhausted" if allow_subdivide else "forbidden"))

@@ -49,8 +49,6 @@ def fiber_decomposition(group: FiniteGroup, sub: Subgroup) -> FiberDecomposition
     if total != group.order:
         raise InternalInconsistency(
             "fiber blocks sum to %d, expected |G| = %d" % (total, group.order))
-    if len(blocks) != len(table.irreps):
-        raise InternalInconsistency("block count != irrep count")
     return FiberDecomposition(group, sub, blocks, table)
 
 
@@ -256,15 +254,12 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
     return PrimPoset(nodes, above, stab_orders, degrees)
 
 
-def ix_nodes(poset_or_gx):
+def ix_nodes(poset: PrimPoset):
     """The trivial-irrep node set with its openness certificate.
 
     These nodes carry the distinguished ideal induced from the orbit space;
-    the set must be open in the specialization topology.  Accepts a
-    G-simplicial complex (the poset is computed) or a ready poset.
+    the set must be open in the specialization topology.
     """
-    poset = (specialization(poset_or_gx)
-             if isinstance(poset_or_gx, GSimplicialComplex) else poset_or_gx)
     members = [i for i, node in enumerate(poset.nodes) if node.irrep_id == 0]
     violation = poset.open_violation(members)
     if violation is not None:

@@ -308,10 +308,6 @@ def homology_integral(complex: SimplicialComplex) -> HomologyResult:
     return HomologyResult(betti, torsion)
 
 
-def k_ranks(complex: SimplicialComplex) -> KRanks:
-    return homology_integral(complex).k_ranks()
-
-
 def euler_characteristic(complex: SimplicialComplex) -> int:
     return sum((-1) ** k * d for k, d in enumerate(complex.f_vector()))
 

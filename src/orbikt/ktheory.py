@@ -6,7 +6,8 @@ Three Euler-characteristic routes cross-check each other, an exact counting
 identity is verified when all nontrivial fixed sets are finite, and in the
 isolated-singular-orbit regime the integral K-groups are assembled from the
 six-term sequence with the boundary map provably zero whenever the odd
-K-group of the quotient is torsion-free.
+K-group of the quotient is torsion-free.  X/G is built once, by the
+decomposition; isolated_k_theory reads it there and runs the cross-check.
 """
 
 from __future__ import annotations
@@ -28,18 +29,18 @@ from .errors import (
     NotIsolated,
 )
 from .groups import commuting_pairs, conjugacy_data
-from .homology import KRanks, euler_characteristic, homology_integral, k_ranks
+from .homology import KRanks, euler_characteristic, homology_integral
 
 
 class BCDecomposition(NamedTuple):
-    """Per-conjugacy-class rational K-ranks of centralizer quotients of
-    fixed sets, with their componentwise totals."""
+    """Per-conjugacy-class centralizer quotients of fixed sets with their
+    integral homology, and the componentwise totals of their K-ranks."""
 
-    per_class: tuple  # records (class idx, rep, quotient, KRanks)
+    per_class: tuple  # records (class idx, rep, quotient, HomologyResult)
     totals: KRanks
 
     def ranks_by_class(self):
-        return [(rep, kr.even, kr.odd) for _, rep, _, kr in self.per_class]
+        return [(rep, *hom.k_ranks()) for _, rep, _, hom in self.per_class]
 
 
 def bc_decomposition(gx: GSimplicialComplex,
@@ -52,9 +53,9 @@ def bc_decomposition(gx: GSimplicialComplex,
         cfa = centralizer_fixed_action(gx, rep)
         quotient = quotient_complex(cfa.gcomplex,
                                     allow_subdivide=allow_subdivide)
-        kr = k_ranks(quotient.complex)
-        per_class.append((idx, rep, quotient, kr))
-        totals = totals + kr
+        hom = homology_integral(quotient.complex)
+        per_class.append((idx, rep, quotient, hom))
+        totals = totals + hom.k_ranks()
     return BCDecomposition(tuple(per_class), totals)
 
 
@@ -212,48 +213,47 @@ class IsolatedKResult(NamedTuple):
     boundary_status: str
     torsion_bounds: tuple  # records (orbit id, stabilizer order)
     dimension_capped: bool
+    decomposition: BCDecomposition
 
 
 def isolated_k_theory(gx: GSimplicialComplex,
                       allow_subdivide=True) -> IsolatedKResult:
+    """K-groups from X/G, read from the identity row of bc_decomposition
+    (not row 0: relabeling can sort central elements first), plus one
+    correction per singular orbit; checked by bc_cross_check."""
     gx.require_admissible()
     od, singular = _singular_orbits(gx)
     singular_records = tuple(
         (i, od.stabilizer(i), _rep_star_count(od.stabilizer(i)))
         for i in singular)
     extra_rank = sum(r for _, _, r in singular_records)
-    quotient = quotient_complex(gx, allow_subdivide=allow_subdivide)
-    hom = homology_integral(quotient.complex)
+    decomp = bc_decomposition(gx, allow_subdivide=allow_subdivide)
+    identity_class = conjugacy_data(gx.group).class_of[gx.group.identity]
+    _, _, quotient, hom = decomp.per_class[identity_class]
     even, odd = hom.k_ranks()
-    dim = quotient.complex.dimension
     torsion_bounds = tuple((i, stab.order) for i, stab, _ in singular_records)
-    if dim <= 2:
+    capped = quotient.complex.dimension > 2
+    if capped:
+        t0 = t1 = None
+    else:
         # K0 of the quotient is H0 + H2; its torsion is the torsion of H1
         # (universal coefficients); K1 = H1 modulo torsion contributions of
         # H0, which vanish, so K1 is torsion-free here.
-        h1_torsion = hom.torsion[1] if len(hom.torsion) > 1 else ()
-        quotient_k0 = (even, h1_torsion)
-        quotient_k1 = (odd, ())
-        k0 = (even + extra_rank, h1_torsion)
-        k1 = (odd, ())
-        boundary_status = "provably-zero"
-        capped = False
-    else:
-        quotient_k0 = (even, None)
-        quotient_k1 = (odd, None)
-        k0 = (even + extra_rank, None)
-        k1 = (odd, None)
-        boundary_status = "torsion-bounded"
-        capped = True
-    return IsolatedKResult(singular_records, quotient_k0, quotient_k1,
-                           k0, k1, boundary_status, torsion_bounds, capped)
+        t0, t1 = (hom.torsion[1] if len(hom.torsion) > 1 else ()), ()
+    result = IsolatedKResult(
+        singular_records, (even, t0), (odd, t1), (even + extra_rank, t0),
+        (odd, t1), "torsion-bounded" if capped else "provably-zero",
+        torsion_bounds, capped, decomp)
+    bc_cross_check(decomp, result)
+    return result
 
 
 def bc_cross_check(decomp: BCDecomposition, result: IsolatedKResult):
     """Assert the localization totals match the isolated-regime ranks.
 
-    decomp is the caller's bc_decomposition of the same action, built with
-    the caller's subdivision policy; it is compared, not recomputed.
+    Both sides count X/G by its identity row; what they compare on their own
+    is the K-ranks of X^g/Z(g) over nontrivial classes against (#irreps - 1)
+    of the stabilizer over singular orbits.  decomp is not recomputed.
     """
     totals = decomp.totals
     if (totals.even, totals.odd) != (result.k0[0], result.k1[0]):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import orbikt
 from orbikt.cli import main
 
 D4_LADDER = """\
@@ -353,9 +357,10 @@ def test_ktheory_decomposes_once(capsys, monkeypatch):
     code, bc_calls, quotient_calls = _traced_ktheory(
         capsys, monkeypatch, ["ktheory", "--fixture", "z4-torus"])
     assert code == 0
-    # one decomposition over the 4 classes of Z4, plus the isolated quotient
+    # one decomposition over the 4 classes of Z4; its identity class is the
+    # isolated quotient
     assert len(bc_calls) == 1
-    assert len(quotient_calls) == 5
+    assert len(quotient_calls) == 4
 
 
 def test_prim_derives_each_transport_and_matrix_once(capsys, monkeypatch):
@@ -411,5 +416,35 @@ def test_ktheory_respects_no_subdivide(capsys, monkeypatch):
         ["ktheory", "--fixture", "z2-flip-torus", "--no-subdivide"])
     assert code == 0
     assert bc_calls == [False]
-    # two classes of Z2, plus the isolated quotient
-    assert quotient_calls == [False] * 3
+    # two classes of Z2; the identity class is the isolated quotient
+    assert quotient_calls == [False] * 2
+
+
+# -- closed output --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--fixture", "z2-circle"],
+    ["orbits", "--fixture", "z2-circle", "--format", "json"],
+], ids=["table", "json"])
+@pytest.mark.parametrize("python", [[], ["-u"]],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_with_one_stderr_line(argv, python):
+    """A reader that closes the pipe (``orbikt ... | head -c 10``) gets exit
+    1 and one diagnostic line, not a BrokenPipeError traceback.  Buffered,
+    the output fails only when flushed; unbuffered, when printed."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(orbikt.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *python, "-m", "orbikt.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert err.startswith("orbikt: ") and err.count("\n") == 1, err
+    assert "Exception ignored" not in err

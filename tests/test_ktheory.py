@@ -1,8 +1,9 @@
 import pytest
 
-from orbikt import (NotApplicable, NotIsolated, bc_cross_check,
-                    bc_decomposition, bc_vs_count_identity, equivariant_euler,
-                    euler_quotient_check, invariants_check, isolated_k_theory)
+from orbikt import (InternalInconsistency, NotApplicable, NotIsolated,
+                    bc_cross_check, bc_decomposition, bc_vs_count_identity,
+                    equivariant_euler, euler_quotient_check, invariants_check,
+                    isolated_k_theory)
 
 
 # -- localization decomposition ----------------------------------------------------
@@ -40,10 +41,11 @@ def test_bc_totals_all_fixtures(all_fixtures):
 
 def test_bc_identity_class_sees_plain_quotient(z2_flip_torus):
     decomp = bc_decomposition(z2_flip_torus)
-    idx, rep, quotient, kr = decomp.per_class[0]
+    idx, rep, quotient, hom = decomp.per_class[0]
     assert rep == z2_flip_torus.group.identity
     # quotient of the torus by the flip is a sphere
-    assert (kr.even, kr.odd) == (2, 0)
+    assert hom == ((1, 0, 1), ((), (), ()))
+    assert hom.k_ranks() == (2, 0)
     assert quotient.complex.dimension == 2
 
 
@@ -172,6 +174,56 @@ def test_bc_cross_check_keeps_callers_subdivision_policy(z2_flip_torus,
     totals = bc_cross_check(decomp, res)
     assert totals == decomp.totals
     assert all(q.subdivisions == 0 for _, _, q, _ in decomp.per_class)
+
+
+def test_isolated_k_theory_builds_quotients_only_in_bc(z4_torus,
+                                                       monkeypatch):
+    """X/G comes from the decomposition's identity row: every quotient and
+    homology call happens inside the one bc_decomposition, and the result
+    is cross-checked once."""
+    import orbikt.ktheory as ktheory
+
+    depth, calls = [0], []
+
+    def watched(name):
+        original = getattr(ktheory, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, depth[0]))
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(ktheory, name, wrapper)
+
+    for name in ("bc_decomposition", "quotient_complex", "homology_integral",
+                 "bc_cross_check"):
+        watched(name)
+    res = isolated_k_theory(z4_torus)
+    assert res.k0 == (9, ())
+    assert sorted(calls) == sorted(
+        [("bc_decomposition", 0), ("bc_cross_check", 0)]
+        + [("quotient_complex", 1), ("homology_integral", 1)] * 4)
+    totals = res.decomposition.totals
+    assert (totals.even, totals.odd) == (res.k0[0], res.k1[0])
+
+
+def test_bc_cross_check_runs_inside_isolated_k_theory(z2_circle, monkeypatch):
+    """A decomposition whose totals disagree is refused by the library
+    itself, not only by the CLI."""
+    import orbikt.ktheory as ktheory
+
+    original = ktheory.bc_decomposition
+
+    def off_by_one(*args, **kwargs):
+        decomp = original(*args, **kwargs)
+        even = decomp.totals.even + 1
+        return decomp._replace(totals=decomp.totals._replace(even=even))
+
+    monkeypatch.setattr(ktheory, "bc_decomposition", off_by_one)
+    with pytest.raises(InternalInconsistency, match="localization totals"):
+        isolated_k_theory(z2_circle)
 
 
 # -- invariant cohomology against quotient Betti numbers ---------------------------

@@ -7,7 +7,7 @@ draw the same seeded inputs.  Seed 0 renames nothing.
 
 ``prim --aggregate`` is left out: it still refuses seeds >= 1 with
 ``NonConstantStabilizer``, because it compares the literal stabilizers of
-orbit representatives that are only conjugate (ROADMAP item 4).
+orbit representatives that are only conjugate (ROADMAP item 1).
 """
 
 import importlib.util
@@ -17,7 +17,11 @@ from collections import Counter
 
 import pytest
 
+from orbikt import (NotIsolated, NotRegular, bc_decomposition,
+                    conjugacy_data, fixture, isolated_k_theory,
+                    quotient_complex)
 from orbikt.cli import main
+from orbikt.fixtures import FIXTURE_NAMES
 from orbikt.formats import serialize_bundle
 
 INPUTS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
@@ -61,15 +65,33 @@ def _orbits_summary(payload):
                   for row in payload["orbits"])
 
 
-def _payloads(inputs, command, kind, grid, tmp_path, capsys):
-    """The json payload of the command on each relabeled torus."""
-    payloads = []
+def _ktheory_summary(payload):
+    """The K-groups, the totals and the sorted per-class ranks; class and
+    orbit labels are dropped."""
+    groups = {key: payload[key] for key in
+              ("k0", "k1", "quotient_k0", "quotient_k1", "totals")}
+    return groups, sorted((row["even"], row["odd"])
+                          for row in payload["per_class"])
+
+
+def _runs(inputs, command, kind, grid, tmp_path, capsys):
+    """(exit status, stdout, stderr) of the json command on each relabeled
+    torus."""
+    runs = []
     for seed in SEEDS:
         gx = inputs.relabel_action(inputs.torus_action(kind, grid), seed)
         path = tmp_path / ("seed%d.txt" % seed)
         path.write_text(serialize_bundle(gx))
         code = main([command, "--complex", str(path), "--format", "json"])
-        out, err = capsys.readouterr()
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+def _payloads(inputs, command, kind, grid, tmp_path, capsys):
+    """The json payload of the command on each relabeled torus."""
+    payloads = []
+    for code, out, err in _runs(inputs, command, kind, grid, tmp_path,
+                                capsys):
         assert code == 0 and err == ""
         payloads.append(json.loads(out)["payload"])
     return payloads
@@ -96,3 +118,80 @@ def test_orbits_are_label_free(inputs, kind, grid, tmp_path, capsys):
     assert all(size * stab == order for _, size, stab in summaries[0])
     for seed, summary in zip(SEEDS, summaries):
         assert summary == summaries[0], seed
+
+
+@pytest.mark.parametrize("grid", (4, 6))
+def test_ktheory_is_label_free(inputs, grid, tmp_path, capsys):
+    summaries = [_ktheory_summary(payload) for payload in
+                 _payloads(inputs, "ktheory", "z4", grid, tmp_path, capsys)]
+    if grid == 4:  # seed 0 is the z4-torus fixture
+        assert summaries[0][0]["k0"] == {"rank": 9, "torsion": []}
+    for seed, summary in zip(SEEDS, summaries):
+        assert summary == summaries[0], seed
+
+
+@pytest.mark.parametrize("grid", (4, 6))
+def test_ktheory_refuses_every_relabeled_dihedral_torus(inputs, grid,
+                                                        tmp_path, capsys):
+    for seed, (code, out, err) in enumerate(
+            _runs(inputs, "ktheory", "d4", grid, tmp_path, capsys)):
+        assert (code, out) == (2, ""), seed
+        assert err.startswith("orbikt: NotIsolated: "), seed
+        assert err.count("\n") == 1, seed
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_isolated_k_theory_is_label_free(inputs, name):
+    """In process the relabeled groups keep their labels, so the identity
+    is not class 0 for some seeds (it is class 1 of Z2 at seeds 1-3)."""
+    outcomes = []
+    for seed in SEEDS:
+        gx = inputs.relabel_action(fixture(name), seed)
+        try:
+            res = isolated_k_theory(gx)
+        except NotIsolated:
+            outcomes.append("NotIsolated")
+            continue
+        outcomes.append((res.k0, res.k1, res.quotient_k0, res.quotient_k1,
+                         res.decomposition.totals))
+    for seed, outcome in zip(SEEDS, outcomes):
+        assert outcome == outcomes[0], seed
+
+
+def _quotient_or_refusal(build):
+    try:
+        quotient = build()
+    except NotRegular:
+        return "NotRegular"
+    return quotient.complex, quotient.vertex_map, quotient.subdivisions
+
+
+def _identity_row_cases():
+    cases = [pytest.param(None, name, id=name) for name in FIXTURE_NAMES]
+    cases += [pytest.param((kind, grid, seed), None,
+                           id="%s-%d-seed%d" % (kind, grid, seed))
+              for kind in ("z4", "d4") for grid in (4, 6) for seed in SEEDS]
+    return cases
+
+
+@pytest.mark.parametrize("torus, name", _identity_row_cases())
+@pytest.mark.parametrize("allow_subdivide", (True, False))
+def test_identity_row_is_the_plain_quotient(inputs, torus, name,
+                                            allow_subdivide):
+    """isolated_k_theory reads X/G from the identity row of the
+    decomposition; that row must be quotient_complex(gx) itself, found by
+    the identity's class index wherever relabeling sorts it."""
+    if torus is None:
+        gx = fixture(name)
+    else:
+        kind, grid, seed = torus
+        gx = inputs.relabel_action(inputs.torus_action(kind, grid), seed)
+    identity_class = conjugacy_data(gx.group).class_of[gx.group.identity]
+
+    def identity_row():
+        decomp = bc_decomposition(gx, allow_subdivide=allow_subdivide)
+        return decomp.per_class[identity_class][2]
+
+    plain = _quotient_or_refusal(
+        lambda: quotient_complex(gx, allow_subdivide=allow_subdivide))
+    assert _quotient_or_refusal(identity_row) == plain
