@@ -9,6 +9,7 @@ constant-isotropy strata.
 from __future__ import annotations
 
 from itertools import chain, combinations
+from math import factorial
 from typing import NamedTuple
 
 from .errors import (BadAction, BoundExceeded, NotAComplex, NotAdmissible,
@@ -22,6 +23,13 @@ MAX_SUBDIVISIONS = 2
 # vertices plus every face of every given simplex.  The grid-24 torus counts
 # about 17k; one simplex on 19 vertices (524k faces) takes seconds to close.
 MAX_SIMPLICES = 2 ** 20
+
+
+def _check_simplex_bound(bound):
+    if bound > MAX_SIMPLICES:
+        raise BoundExceeded(
+            "complex may have up to %d simplices, more than %d"
+            % (bound, MAX_SIMPLICES))
 
 
 def faces(simplex):
@@ -50,11 +58,8 @@ class SimplicialComplex:
             if s[0] < 0 or s[-1] >= vertex_count:
                 raise NotAComplex("vertex index out of range in %r" % (s,))
             given.append(s)
-        bound = vertex_count + sum((1 << len(s)) - 1 for s in given)
-        if bound > MAX_SIMPLICES:
-            raise BoundExceeded(
-                "complex may have up to %d simplices, more than %d"
-                % (bound, MAX_SIMPLICES))
+        _check_simplex_bound(
+            vertex_count + sum((1 << len(s)) - 1 for s in given))
         # The given tuples go in before their faces, so _given below shares
         # them with the closure instead of holding copies.
         closure = {(v,) for v in range(vertex_count)}
@@ -193,12 +198,15 @@ def barycentric_subdivide(gx: GSimplicialComplex) -> GSimplicialComplex:
 
     Vertices of the result are the simplices of the input (in the canonical
     dimension-then-lex order); k-simplices are strict flags s0 < ... < sk.
+    The size bound of the result is checked before any flag is listed.
     """
     old = gx.complex
+    tops = old.maximal_simplices()
+    _check_subdivision_bound(old, tops)
     verts = list(old.all_simplices())
     vert_id = {s: i for i, s in enumerate(verts)}
     maximal = []
-    for top in old.maximal_simplices():
+    for top in tops:
         flags = [[top]]
         while flags and len(flags[0]) < len(top):
             extended = []
@@ -216,6 +224,15 @@ def barycentric_subdivide(gx: GSimplicialComplex) -> GSimplicialComplex:
         for g in range(gx.group.order)
     )
     return GSimplicialComplex(new_complex, gx.group, action, check=False)
+
+
+def _check_subdivision_bound(complex: SimplicialComplex, maximal):
+    """The bound SimplicialComplex checks on the barycentric subdivision:
+    one vertex per simplex, and |s|! full flags of |s| vertices each for
+    every maximal simplex s."""
+    _check_simplex_bound(
+        sum(len(level) for level in complex.simplices)
+        + sum(factorial(len(s)) * ((1 << len(s)) - 1) for s in maximal))
 
 
 class OrbitData:
@@ -354,23 +371,72 @@ def _bredon_witness(gx: GSimplicialComplex):
     return None
 
 
+def _subdivided_quotient(gx: GSimplicialComplex, subdivisions):
+    """sd(gx)/G read from the orbits of admissible gx, or None when sd(gx)
+    fails the Bredon check; see quotient_complex."""
+    complex = gx.complex
+    maximal = complex.maximal_simplices()
+    _check_subdivision_bound(complex, maximal)
+    od = _orbit_pass(gx)
+    # chains[t]: the images of the chains topped by rep(t), bottom first
+    chains = []
+    for t in range(len(od)):
+        rep = od.rep(t)
+        images = [(t,)]
+        for k in range(1, len(rep)):
+            for face in combinations(rep, k):
+                images.extend(image + (t,)
+                              for image in chains[od.orbit_of[face]])
+        if len(set(images)) != len(images):
+            return None
+        chains.append(images)
+    tops = sorted({od.orbit_of[s] for s in maximal})
+    flags = [image for t in tops for image in chains[t]
+             if len(image) == len(od.rep(t))]
+    vertex_map = tuple(od.orbit_of[s] for s in complex.all_simplices())
+    return QuotientResult(SimplicialComplex(len(od), flags), vertex_map,
+                          subdivisions)
+
+
 def quotient_complex(gx: GSimplicialComplex,
                      allow_subdivide=True) -> QuotientResult:
+    """X/G as a simplicial complex, after at most MAX_SUBDIVISIONS
+    barycentric subdivisions of X, with the projection of vertices.
+
+    sd(X) is always admissible.  When X is admissible too, sd(X)/G is read
+    from the orbits of X without building sd(X).  sd(X) has one vertex per
+    simplex of X, in all_simplices() order, so its vertex orbits are the
+    simplex orbits of X in OrbitData order.  A simplex of sd(X) is a chain
+    s0 < ... < sk and maps to the tuple of the orbit ids of its members,
+    which is sorted because orbit ids grow with dimension.  Every G-orbit of
+    chains holds a chain topped by an orbit representative, and only one:
+    if g maps such a chain to another, g fixes the top, so under
+    admissibility it fixes every face and the chain.  So the Bredon
+    conditions on sd(X) are checked on these chains alone.  (a) holds since
+    the members of a chain have distinct dimensions; (b) holds iff their
+    images are pairwise distinct, which needs checking only among chains
+    with the same top orbit.  sd(X)/G is then spanned by the images of the
+    full flags of the representatives of maximal simplices.  When the check
+    fails, or X is not admissible, sd(X) is built and the loop goes on from
+    it.
+    """
     subdivisions = 0
     current = gx
     while True:
         ok, _ = current.admissibility_witness()
-        witness = None if ok else "not admissible"
-        if ok:
-            witness = _bredon_witness(current)
+        witness = _bredon_witness(current) if ok else "not admissible"
         if witness is None:
             break
         if not allow_subdivide or subdivisions >= MAX_SUBDIVISIONS:
             raise NotRegular(
                 "quotient is not simplicial (%s); subdivision %s"
                 % (witness, "exhausted" if allow_subdivide else "forbidden"))
-        current = barycentric_subdivide(current)
         subdivisions += 1
+        if ok:
+            quotient = _subdivided_quotient(current, subdivisions)
+            if quotient is not None:
+                return quotient
+        current = barycentric_subdivide(current)
     od = orbits_and_stabilizers(current)
     vert_orbit = {s[0]: i for s, i in od.orbit_of.items() if len(s) == 1}
     # quotient vertices numbered by the (dim, rep)-sorted vertex-orbit order

@@ -212,15 +212,18 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
     index = {node: i for i, node in enumerate(nodes)}
     above = [set() for _ in nodes]
 
-    # for each orbit pair (s_orb, t_orb): translates of rep_t with rep_s as face
+    # for each orbit pair (s_orb, t_orb): every h with rep_s a face of h.rep_t.
+    # Those with h.f = rep_s for a face f = k.rep_s of rep_t are a.k^-1 over
+    # a in Stab(rep_s).  h and h.b for b in Stab(rep_t) give the same
+    # translate and the same transported irreps, so repeats change nothing.
+    mult, inv = gx.group.mult, gx.group.inv
     face_translates = {}
     for t_orb in range(len(od)):
-        for member in od.members(t_orb):
-            h = od.transporter(t_orb)[member]
-            for face in faces(member):
-                s_orb = od.orbit_of[face]
-                if od.rep(s_orb) == face:
-                    face_translates.setdefault((s_orb, t_orb), []).append(h)
+        for face in faces(od.rep(t_orb)):
+            s_orb = od.orbit_of[face]
+            k_inv = inv[od.transporter(s_orb)[face]]
+            face_translates.setdefault((s_orb, t_orb), []).extend(
+                mult[a][k_inv] for a in od.stabilizer(s_orb).elements)
 
     transported = {}  # (Stab(t) elements, h, tau) -> (Stab(m), h.tau id)
     matrices = {}     # (Stab(s), Stab(m)) elements -> restriction matrix

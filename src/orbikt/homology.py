@@ -17,8 +17,11 @@ from math import gcd
 from typing import NamedTuple
 
 from .complexes import GSimplicialComplex, SimplicialComplex
-from .errors import InternalInconsistency
-from .linalg import Echelon, nullspace
+from .errors import BoundExceeded, InternalInconsistency
+
+# Most entries a dense boundary matrix may have, checked before any is built.
+# The grid-24 torus under Z4 needs 5184 x 3456 (17.9M) for its quotient.
+MAX_MATRIX_ENTRIES = 2 ** 25
 
 
 def boundary_matrix(complex: SimplicialComplex, k):
@@ -61,6 +64,11 @@ class ChainComplex:
     @classmethod
     def from_complex(cls, complex: SimplicialComplex):
         dims = complex.f_vector()
+        for k in range(1, len(dims)):
+            if dims[k - 1] * dims[k] > MAX_MATRIX_ENTRIES:
+                raise BoundExceeded(
+                    "boundary matrix d%d would have %d x %d entries, more"
+                    " than %d" % (k, dims[k - 1], dims[k], MAX_MATRIX_ENTRIES))
         boundaries = [boundary_matrix(complex, k) for k in range(len(dims))]
         return cls(dims, boundaries)
 
@@ -335,6 +343,8 @@ def chain_map_matrix(gx: GSimplicialComplex, g, k):
 
 def _homology_basis(cc: ChainComplex, k):
     """(echelon over [boundaries | reps], boundary count, homology reps)."""
+    from .linalg import Echelon, nullspace
+
     n_k = cc.dims[k] if k < len(cc.dims) else 0
     d_k = cc.boundaries[k] if 0 < k < len(cc.dims) else []
     cycles = nullspace(d_k, n_k)

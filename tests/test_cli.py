@@ -297,6 +297,24 @@ def test_oversized_inputs_are_refused_before_allocation(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+def test_oversized_boundary_matrix_is_refused_before_allocation(capsys,
+                                                               tmp_path):
+    """A transposition of a 6-simplex has a quotient with f-vector
+    (95, 1267, 6153, 14280, 17220, 10440, 2520), whose dense d3 and d4
+    would hold 88M and 246M entries."""
+    path = tmp_path / "flipped-simplex.txt"
+    path.write_text("vertices 7\nsimplex 0 1 2 3 4 5 6\n"
+                    "act 1 : 1 0 2 3 4 5 6\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["quotient", "--complex", str(path),
+                                      "--group", "builtin:cyclic:2"])
+    assert time.perf_counter() - start < 30
+    assert code == 1 and out == ""
+    assert err == ("orbikt: BoundExceeded: boundary matrix d3 would have"
+                   " 6153 x 14280 entries, more than %d\n"
+                   % orbikt.homology.MAX_MATRIX_ENTRIES)
+
+
 def test_group_file_loading(capsys, tmp_path):
     path = tmp_path / "group.txt"
     path.write_text("group 2\ntable\n0 1\n1 0\n")

@@ -6,7 +6,10 @@ from orbikt import (CharacterTable, InternalInconsistency, NotOpen,
                     NotSubgroup, PrimNode, PrimPoset, aggregate_strata,
                     cyclic_group, dihedral_group, fiber_decomposition,
                     filtration_report, inclusion_multiplicities, ix_nodes,
-                    prim_nodes, specialization, subgroup_table)
+                    fixture, orbits_and_stabilizers, prim_nodes,
+                    specialization, subgroup_table)
+from orbikt.complexes import faces
+from orbikt.fixtures import FIXTURE_NAMES
 
 
 # -- fiber block decompositions ---------------------------------------------------
@@ -254,6 +257,34 @@ def test_specialization_refuses_cell_stabilizer_outside_face(d4_torus,
                        match="face stabilizer does not contain cell "
                              "stabilizer"):
         specialization(d4_torus)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_specialization_checks_the_matrix_of_every_face_translate(
+        name, monkeypatch):
+    """specialization reads translates from the faces of representatives;
+    it must still build, and check, one restriction matrix per pair
+    (Stab(rep_s), Stab(m)) over every simplex m with rep_s as a face."""
+    gx = fixture(name)
+    od = orbits_and_stabilizers(gx)
+    expected = set()
+    for s in gx.complex.all_simplices():
+        stab_m = tuple(g for g in range(gx.group.order)
+                       if gx.simplex_image(g, s) == s)
+        for face in faces(s):
+            s_orb = od.orbit_of[face]
+            if od.rep(s_orb) == face:
+                expected.add((od.stabilizer(s_orb).elements, stab_m))
+    built = []
+    original = crossed.inclusion_multiplicities
+
+    def spy(group, sub, ambient):
+        built.append((ambient.elements, sub.elements))
+        return original(group, sub, ambient)
+
+    monkeypatch.setattr(crossed, "inclusion_multiplicities", spy)
+    specialization(gx)
+    assert sorted(built) == sorted(expected)
 
 
 def _poset_of(leq):

@@ -75,6 +75,16 @@ def test_ktheory_loads_no_characters():
     assert "dataclasses" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["ktheory", "--fixture", "z4-torus", "--format", "json"],
+    ["betti", "--fixture", "z2-circle", "--format", "json"],
+], ids=["ktheory", "betti"])
+def test_homology_commands_load_no_linalg(argv):
+    modules = _orbikt_modules(_loaded_by_command(argv))
+    assert "homology" in modules
+    assert "linalg" not in modules
+
+
 def test_every_exported_name_resolves_to_its_defining_module():
     """Resolves every name lazily first, then checks it against the module
     that defines it (a class or function names it in ``__module__``; a

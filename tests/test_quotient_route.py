@@ -1,0 +1,206 @@
+"""quotient_complex reads sd(X)/G from the orbits of X instead of building
+sd(X).  The oracle below is the loop that builds every subdivision and runs
+the Bredon check on it; both must give the same quotient, vertex map and
+subdivision count, or the same refusal."""
+
+import importlib.util
+import os
+
+import pytest
+
+from orbikt import (GSimplicialComplex, SimplicialComplex, complexes,
+                    cyclic_group, fixture, quotient_complex)
+from orbikt.complexes import (MAX_SUBDIVISIONS, _bredon_witness,
+                              barycentric_subdivide, orbits_and_stabilizers)
+from orbikt.errors import BoundExceeded, NotRegular, OrbiktError
+from orbikt.fixtures import FIXTURE_NAMES
+
+INPUTS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                      "bench", "inputs.py")
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def materialized_quotient(gx, allow_subdivide=True):
+    """X/G with every subdivision built and checked by _bredon_witness,
+    projected through the vertex orbits of the last one."""
+    subdivisions = 0
+    while True:
+        ok, _ = gx.admissibility_witness()
+        witness = _bredon_witness(gx) if ok else "not admissible"
+        if witness is None:
+            break
+        if not allow_subdivide or subdivisions >= MAX_SUBDIVISIONS:
+            raise NotRegular(
+                "quotient is not simplicial (%s); subdivision %s"
+                % (witness, "exhausted" if allow_subdivide else "forbidden"))
+        gx = barycentric_subdivide(gx)
+        subdivisions += 1
+    od = orbits_and_stabilizers(gx)
+    vertex_orbits = sorted(od.orbit_of[(v,)]
+                           for v in range(gx.complex.vertex_count))
+    new_id = {o: i for i, o in enumerate(dict.fromkeys(vertex_orbits))}
+    vertex_map = tuple(new_id[od.orbit_of[(v,)]]
+                       for v in range(gx.complex.vertex_count))
+    complex = SimplicialComplex(
+        len(new_id), [[vertex_map[v] for v in s]
+                      for s in gx.complex.maximal_simplices()])
+    return complex, vertex_map, subdivisions
+
+
+def _outcome(build):
+    try:
+        result = build()
+    except OrbiktError as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(result)
+
+
+def rotated_cycle(n):
+    """Z_n turning the n-cycle; X/G needs two subdivisions."""
+    complex = SimplicialComplex(n, [(i, (i + 1) % n) for i in range(n)])
+    action = [tuple((i + k) % n for i in range(n)) for k in range(n)]
+    return GSimplicialComplex(complex, cyclic_group(n), action)
+
+
+def reflected_cycle(n):
+    """Z_2 reflecting the n-cycle through vertex 0."""
+    complex = SimplicialComplex(n, [(i, (i + 1) % n) for i in range(n)])
+    action = [tuple(range(n)), tuple(-i % n for i in range(n))]
+    return GSimplicialComplex(complex, cyclic_group(2), action)
+
+
+def rotated_triangle():
+    """Z_3 turning a filled triangle: not admissible."""
+    return GSimplicialComplex(SimplicialComplex(3, [(0, 1, 2)]),
+                              cyclic_group(3),
+                              [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+
+
+def flipped_interval():
+    return GSimplicialComplex(SimplicialComplex(2, [(0, 1)]), cyclic_group(2),
+                              [(0, 1), (1, 0)])
+
+
+def flipped_simplex(n):
+    """Z_2 swapping two vertices of one (n - 1)-simplex."""
+    swap = (1, 0) + tuple(range(2, n))
+    return GSimplicialComplex(SimplicialComplex(n, [tuple(range(n))]),
+                              cyclic_group(2), [tuple(range(n)), swap])
+
+
+def swapped_simplices_and_cycle():
+    """Z_2 swapping two 6-simplices and turning a 4-cycle by a half turn:
+    admissible, not Bredon-regular, and sd(X) exceeds MAX_SIMPLICES."""
+    complex = SimplicialComplex(
+        18, [tuple(range(7)), tuple(range(7, 14)),
+             (14, 15), (15, 16), (16, 17), (14, 17)])
+    turn = tuple(range(7, 14)) + tuple(range(7)) + (16, 17, 14, 15)
+    return GSimplicialComplex(complex, cyclic_group(2),
+                              [tuple(range(18)), turn])
+
+
+SMALL = {
+    **{"rotated-%d-cycle" % n: (lambda n=n: rotated_cycle(n))
+       for n in range(3, 7)},
+    **{"reflected-%d-cycle" % n: (lambda n=n: reflected_cycle(n))
+       for n in range(3, 7)},
+    "rotated-triangle": rotated_triangle,
+    "flipped-interval": flipped_interval,
+    "flipped-8-simplex": lambda: flipped_simplex(8),
+    "swapped-simplices-and-cycle": swapped_simplices_and_cycle,
+}
+
+
+def _cases():
+    cases = [pytest.param(("fixture", name), id=name)
+             for name in FIXTURE_NAMES]
+    cases += [pytest.param(("torus", kind, grid, seed),
+                           id="%s-%d-seed%d" % (kind, grid, seed))
+              for kind in ("z4", "d4") for grid in (4, 6)
+              for seed in range(4)]
+    cases += [pytest.param(("small", name), id=name) for name in SMALL]
+    return cases
+
+
+def _build(inputs, case):
+    if case[0] == "fixture":
+        return fixture(case[1])
+    if case[0] == "torus":
+        _, kind, grid, seed = case
+        return inputs.relabel_action(inputs.torus_action(kind, grid), seed)
+    return SMALL[case[1]]()
+
+
+@pytest.mark.parametrize("case", _cases())
+@pytest.mark.parametrize("allow_subdivide", (True, False))
+def test_quotient_equals_the_materialized_subdivision(inputs, case,
+                                                      allow_subdivide):
+    expected = _outcome(lambda: materialized_quotient(
+        _build(inputs, case), allow_subdivide))
+    assert _outcome(lambda: quotient_complex(
+        _build(inputs, case), allow_subdivide)) == expected
+
+
+def test_the_cases_cover_every_route(inputs):
+    """0, 1 and 2 subdivisions and both refusals occur among the cases."""
+    seen = set()
+    for case in _cases():
+        for allow_subdivide in (True, False):
+            outcome = _outcome(lambda: quotient_complex(
+                _build(inputs, case.values[0]), allow_subdivide))
+            seen.add(outcome[0] if isinstance(outcome[0], str)
+                     else outcome[2])
+    assert seen == {0, 1, 2, "NotRegular", "BoundExceeded"}
+
+
+def _count_subdivisions(monkeypatch):
+    calls = []
+    original = complexes.barycentric_subdivide
+
+    def spy(gx):
+        calls.append(gx)
+        return original(gx)
+
+    monkeypatch.setattr(complexes, "barycentric_subdivide", spy)
+    return calls
+
+
+@pytest.mark.parametrize("build, built, subdivisions", [
+    (lambda: fixture("z4-torus"), 0, 1),
+    (lambda: rotated_cycle(4), 1, 2),
+    (rotated_triangle, 1, 2),
+], ids=["z4-torus", "rotated-4-cycle", "rotated-triangle"])
+def test_only_the_last_subdivision_is_virtual(monkeypatch, build, built,
+                                              subdivisions):
+    """A subdivision is built only for a complex that is not admissible or
+    whose subdivision fails the chain check."""
+    gx = build()
+    calls = _count_subdivisions(monkeypatch)
+    assert quotient_complex(gx).subdivisions == subdivisions
+    assert len(calls) == built
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda: flipped_simplex(8), 10281855),
+    (swapped_simplices_and_cycle, 1280446),
+], ids=["flipped-8-simplex", "swapped-simplices-and-cycle"])
+def test_subdivision_bound_is_checked_before_any_flag(monkeypatch, build,
+                                                      bound):
+    """The bound is the one SimplicialComplex would check on sd(X), and it
+    is raised before sd(X) or any chain of it is built."""
+    gx = build()
+    built = []
+    monkeypatch.setattr(complexes, "SimplicialComplex",
+                        lambda *args: built.append(args))
+    with pytest.raises(BoundExceeded) as info:
+        quotient_complex(gx)
+    assert str(info.value) == ("complex may have up to %d simplices, more"
+                               " than %d" % (bound, complexes.MAX_SIMPLICES))
+    assert built == []
