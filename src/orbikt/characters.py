@@ -474,12 +474,21 @@ def character_table(group: FiniteGroup, conductor=None,
         return cached
 
     rows, degrees = _dixon_rows(group, conductor)
-    one = Cyclotomic.one(conductor)
+    # Rows are sorted on the integer coefficients of their values, taken
+    # once per value object (rows share them; each is held by rows for the
+    # whole call, so its id is not reused), in the order their Fraction
+    # coefficients have.
+    coefficients = {}
+    for row in rows:
+        for v in row:
+            if id(v) not in coefficients:
+                coefficients[id(v)] = tuple(_integer_coefficients(v))
+    one = tuple(_integer_coefficients(Cyclotomic.one(conductor)))
     records = []
     for row, d in zip(rows, degrees):
-        trivial = all(v == one for v in row)
-        key = (d, 0 if trivial else 1, tuple(v.sort_key() for v in row))
-        records.append((key, d, tuple(row)))
+        key_row = tuple(coefficients[id(v)] for v in row)
+        trivial = all(c == one for c in key_row)
+        records.append(((d, 0 if trivial else 1, key_row), d, tuple(row)))
     records.sort(key=lambda rec: rec[0])
     irreps = [(i, d, row) for i, (_, d, row) in enumerate(records)]
 
@@ -512,8 +521,7 @@ def _verify_table(table):
     checked for all r^2 pairs of rows when |G| <= 64, and above that for the
     r diagonal pairs and the r - 1 pairs of the trivial row with another.
 
-    Each sum is accumulated over Z in the exponents of zeta mod m and reduced
-    modulo Phi_m once, through the integral power vectors of zeta^k.
+    Each sum is taken by _exponent_sum, over Z.
     """
     group = table.group
     cd = table.conjugacy
@@ -532,8 +540,6 @@ def _verify_table(table):
         if vals[cd.class_of[group.identity]] != d:
             raise InternalInconsistency("degree disagrees with identity value")
     m = table.conductor
-    powers = _power_vectors(m)
-    phi = len(powers[0])
     sizes = [len(c) for c in cd.classes]
     # terms[a][i]: chi_a(C_i) as (exponent, coefficient) pairs; conj_terms
     # the same for |C_i| conj(chi_a(C_i)), using conj(zeta^k) = zeta^(m-k).
@@ -561,24 +567,39 @@ def _verify_table(table):
              if n <= 64 else
              [(a, a) for a in range(r)] + [(0, b) for b in range(1, r)])
     for a, b in pairs:
-        # exponents k + kb < phi + m; fold them mod m, then reduce the
-        # exponents >= phi by the power vectors
-        acc = [0] * (m + phi)
-        for ta, tb in zip(terms[a], conj_terms[b]):
-            for k, c in ta:
-                for kb, cb in tb:
-                    acc[k + kb] += c * cb
-        reduced = [x + y for x, y in zip(acc, acc[m:])]
-        for k in range(phi, m):
-            c = acc[k]
-            if c:
-                vec = powers[k]
-                for t in range(phi):
-                    reduced[t] += c * vec[t]
+        reduced = _exponent_sum(zip(terms[a], conj_terms[b]), m)
         want = n if a == b else 0
         if reduced[0] != want or any(reduced[1:]):
             raise InternalInconsistency("row orthogonality fails (%d,%d)"
                                         % (a, b))
+
+
+def _exponent_sum(products, m):
+    """sum x y over the (x, y) pairs of products, as power-basis coefficients
+    of Q(zeta_m).
+
+    x and y are sparse (exponent, coefficient) lists over the powers of
+    zeta_m, with exponents below m.  The products are accumulated over the
+    exponents of zeta_m, folded mod m, and reduced modulo Phi_m once,
+    through the integral power vectors of zeta^k; with integer coefficients
+    every step stays in Z.
+    """
+    powers = _power_vectors(m)
+    phi = len(powers[0])
+    acc = [0] * (2 * m)
+    for x, y in products:
+        for k, c in x:
+            for j, d in y:
+                acc[k + j] += c * d
+    folded = [a + b for a, b in zip(acc, acc[m:])]
+    reduced = folded[:phi]
+    for k in range(phi, m):
+        c = folded[k]
+        if c:
+            vec = powers[k]
+            for t in range(phi):
+                reduced[t] += c * vec[t]
+    return reduced
 
 
 def subgroup_table(sub: Subgroup, bound=CHARACTER_TABLE_BOUND) -> CharacterTable:
@@ -604,22 +625,48 @@ def multiplicity(chi: Character, psi: Character, sub: Subgroup) -> int:
 
     chi is a (possibly reducible) character of the parent group; psi is a
     character of the reified subgroup.  The result must be a non-negative
-    rational integer.
+    rational integer.  The sum is taken by _exponent_sum, once per distinct
+    pair of value objects (weighted by how often it occurs), at the least
+    common conductor m: a value at conductor c is a sum of powers of
+    zeta_c = zeta_m^(m/c), and conj(zeta_m^k) = zeta_m^(m-k).
     """
     if chi.group is not sub.parent:
         raise NotSubgroup("chi is not a character of the ambient group")
     if psi.group is not sub.group and psi.group.mult != sub.group.mult:
         raise NotSubgroup("psi does not live on this subgroup")
     m = _common_conductor(chi.values[0], psi.values[0])
-    acc = Cyclotomic.zero(m)
+    # the values are held by chi and psi for the whole call, so ids are unique
+    counts = {}
     for i, l in enumerate(sub.elements):
-        acc = acc + (chi.value_on_element(l).lift(m)
-                     * psi.value_on_element(i).lift(m).conjugate())
-    acc = acc * Fraction(1, sub.order)
-    if not acc.is_integer() or acc.integer_value() < 0:
+        x, y = chi.value_on_element(l), psi.value_on_element(i)
+        key = (id(x), id(y))
+        if key in counts:
+            counts[key][2] += 1
+        else:
+            counts[key] = [x, y, 1]
+    products = [(_exponent_terms(x, m, 1, 1), _exponent_terms(y, m, -1, count))
+                for x, y, count in counts.values()]
+    reduced = _exponent_sum(products, m)
+    total = reduced[0]
+    if any(reduced[1:]) or total % sub.order or total < 0:
+        acc = Cyclotomic(m, reduced) * Fraction(1, sub.order)
         raise NonIntegralMultiplicity(
             "inner product %s is not a non-negative integer" % (acc,))
-    return acc.integer_value()
+    return int(total // sub.order)
+
+
+def _exponent_terms(value, m, sign, scale):
+    """scale * value, or scale * conj(value) for sign -1, as sparse
+    (exponent, coefficient) pairs over the powers of zeta_m; integral
+    coefficients become ints."""
+    c = value.conductor
+    if m % c:
+        raise InternalInconsistency(
+            "new conductor %d is not a multiple of %d" % (m, c))
+    step = sign * (m // c)
+    return [(k * step % m,
+             scale * (a.numerator if a.denominator == 1 else a))
+            for k, a in enumerate(value.coeffs) if a]
 
 
 def restrict_character(chi: Character, sub: Subgroup) -> Character:

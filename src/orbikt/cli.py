@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 # Each command imports the library functions it calls when it runs, so one
@@ -42,7 +43,11 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=None) -> _Parser:
+    """The argument parser.  When argv[0] names a command, only that
+    command's subparser is added, which parses argv exactly as the full
+    parser does; otherwise (``orbikt --help``, an unknown or missing
+    command) every subparser is."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", metavar="FILE|builtin:SPEC",
                         help="group file, or builtin:cyclic:N, "
@@ -67,52 +72,12 @@ def build_parser() -> _Parser:
                                  "on simplicial complexes.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
-
-    sub.add_parser("group", parents=[common],
-                   help="conjugacy classes and character table")
-    sub.add_parser("complex", parents=[common],
-                   help="face counts and Euler characteristic")
-    sub.add_parser("orbits", parents=[common],
-                   help="simplex orbits with stabilizers")
-    p = sub.add_parser("fixed", parents=[common],
-                       help="fixed-point subcomplex of the listed elements")
-    p.add_argument("elements", nargs="+", metavar="ELT",
-                   help="group elements by name or index")
-    sub.add_parser("quotient", parents=[common],
-                   help="orbit space as a simplicial complex")
-    sub.add_parser("betti", parents=[common],
-                   help="integral homology of the complex")
-    p = sub.add_parser("euler", parents=[common],
-                       help="equivariant Euler characteristic")
-    p.add_argument("--method", default="bc",
-                   choices=("bc", "pairs", "isolated", "quotient-check"))
-    p = sub.add_parser("fiber", parents=[common],
-                       help="fiber blocks of the crossed product over a "
-                            "point with the given stabilizer")
-    p.add_argument("generators", nargs="*", metavar="ELT",
-                   help="stabilizer generators by name or index "
-                        "(none = trivial subgroup)")
-    p = sub.add_parser("prim", parents=[common],
-                       help="primitive-ideal specialization poset")
-    p.add_argument("--aggregate", action="store_true",
-                   help="merge nodes along isotropy strata")
-    p = sub.add_parser("filtration", parents=[common],
-                       help="validate an increasing open filtration")
-    p.add_argument("file", metavar="FILE",
-                   help="one line per step: 'k: (stratum-id, irrep-id) ...'")
-    sub.add_parser("bc", parents=[common],
-                   help="localization summands by conjugacy class")
-    sub.add_parser("ktheory", parents=[common],
-                   help="integral K-groups in the isolated-orbit regime")
-    sub.add_parser("identity-check", parents=[common],
-                   help="localization totals against the orbit-count "
-                        "identity for zero-dimensional fixed sets")
-    p = sub.add_parser("fixture", parents=[common],
-                       help="describe or export a built-in example")
-    p.add_argument("name", choices=FIXTURE_NAMES, metavar="NAME")
-    p.add_argument("--emit", action="store_true",
-                   help="print the example as a group/complex/action "
-                        "document")
+    wanted = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        if wanted in (None, name):
+            p = sub.add_parser(name, parents=[common], help=help_text)
+            for names, options in arguments:
+                p.add_argument(*names, **options)
     return parser
 
 
@@ -507,21 +472,47 @@ def _cmd_fixture(inputs, args):
     return payload, []
 
 
-_HANDLERS = {
-    "group": _cmd_group,
-    "complex": _cmd_complex,
-    "orbits": _cmd_orbits,
-    "fixed": _cmd_fixed,
-    "quotient": _cmd_quotient,
-    "betti": _cmd_betti,
-    "euler": _cmd_euler,
-    "fiber": _cmd_fiber,
-    "prim": _cmd_prim,
-    "filtration": _cmd_filtration,
-    "bc": _cmd_bc,
-    "ktheory": _cmd_ktheory,
-    "identity-check": _cmd_identity_check,
-    "fixture": _cmd_fixture,
+# command -> (handler, help, its own arguments as (names, options) pairs),
+# in help order
+_COMMANDS = {
+    "group": (_cmd_group, "conjugacy classes and character table", ()),
+    "complex": (_cmd_complex, "face counts and Euler characteristic", ()),
+    "orbits": (_cmd_orbits, "simplex orbits with stabilizers", ()),
+    "fixed": (_cmd_fixed, "fixed-point subcomplex of the listed elements",
+              [(["elements"], dict(nargs="+", metavar="ELT",
+                                   help="group elements by name or index"))]),
+    "quotient": (_cmd_quotient, "orbit space as a simplicial complex", ()),
+    "betti": (_cmd_betti, "integral homology of the complex", ()),
+    "euler": (_cmd_euler, "equivariant Euler characteristic",
+              [(["--method"], dict(default="bc", choices=(
+                  "bc", "pairs", "isolated", "quotient-check")))]),
+    "fiber": (_cmd_fiber, "fiber blocks of the crossed product over a "
+                          "point with the given stabilizer",
+              [(["generators"], dict(
+                  nargs="*", metavar="ELT",
+                  help="stabilizer generators by name or index "
+                       "(none = trivial subgroup)"))]),
+    "prim": (_cmd_prim, "primitive-ideal specialization poset",
+             [(["--aggregate"], dict(
+                 action="store_true",
+                 help="merge nodes along isotropy strata"))]),
+    "filtration": (_cmd_filtration, "validate an increasing open filtration",
+                   [(["file"], dict(
+                       metavar="FILE",
+                       help="one line per step: "
+                            "'k: (stratum-id, irrep-id) ...'"))]),
+    "bc": (_cmd_bc, "localization summands by conjugacy class", ()),
+    "ktheory": (_cmd_ktheory,
+                "integral K-groups in the isolated-orbit regime", ()),
+    "identity-check": (_cmd_identity_check,
+                       "localization totals against the orbit-count "
+                       "identity for zero-dimensional fixed sets", ()),
+    "fixture": (_cmd_fixture, "describe or export a built-in example",
+                [(["name"], dict(choices=FIXTURE_NAMES, metavar="NAME")),
+                 (["--emit"], dict(
+                     action="store_true",
+                     help="print the example as a group/complex/action "
+                          "document"))]),
 }
 
 
@@ -543,8 +534,58 @@ def _meta(inputs, args):
 
 
 def report_json(meta, payload, flags) -> str:
+    """The document as json.dumps(doc, sort_keys=True, indent=2) writes it.
+
+    With an indent, json.dumps runs its pure-Python encoder; _json_text
+    writes the same text in far fewer steps, and hands a document holding
+    any other value back to json.dumps.
+    """
     doc = {"meta": meta, "payload": payload, "flags": flags}
-    return json.dumps(doc, sort_keys=True, indent=2)
+    try:
+        return _json_text(doc, "\n")
+    except _NotWritten:
+        return json.dumps(doc, sort_keys=True, indent=2)
+
+
+class _NotWritten(Exception):
+    """A value _json_text leaves to json.dumps."""
+
+
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value, newline):
+    """The indented json of a str, int, bool, None, or a list, tuple or
+    str-keyed dict of such values; newline is the line break plus the
+    indent of the line the value starts on."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _JSON_CONSTANTS[value]
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        opening, closing = "[", "]"
+        texts = (map(int.__repr__, value)
+                 if all(type(x) is int for x in value)
+                 else [_json_text(x, inner) for x in value])
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        opening, closing = "{", "}"
+        keys = sorted(value)
+        items = [value[key] for key in keys]
+        texts = [key + ": " + text for key, text in zip(
+            map(_quote, keys),
+            map(int.__repr__, items) if all(type(x) is int for x in items)
+            else [_json_text(x, inner) for x in items])]
+    else:
+        raise _NotWritten
+    return opening + inner + ("," + inner).join(texts) + newline + closing
 
 
 def _table_lines(value, indent=""):
@@ -635,13 +676,13 @@ def render_table(command, payload, flags) -> str:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if args.command == "fixture":
         inputs = _fixture_inputs(args.name)
     else:
         inputs = resolve_inputs(args)
-    payload, flags = _HANDLERS[args.command](inputs, args)
+    payload, flags = _COMMANDS[args.command][0](inputs, args)
     if "_raw" in payload:
         sys.stdout.write(payload["_raw"])
         return 0

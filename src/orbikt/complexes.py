@@ -60,21 +60,17 @@ class SimplicialComplex:
             given.append(s)
         _check_simplex_bound(
             vertex_count + sum((1 << len(s)) - 1 for s in given))
-        # The given tuples go in before their faces, so _given below shares
-        # them with the closure instead of holding copies.
-        closure = {(v,) for v in range(vertex_count)}
-        closure.update(given)
+        # one set of simplices per dimension
+        levels = [{(v,) for v in range(vertex_count)}] if vertex_count else []
         for s in given:
-            closure.update(faces(s))
+            while len(levels) < len(s):
+                levels.append(set())
+            levels[len(s) - 1].add(s)
+            for k in range(1, len(s)):
+                levels[k - 1].update(combinations(s, k))
         self.vertex_count = vertex_count
-        dim = max((len(s) - 1 for s in closure), default=-1)
-        self.simplices = tuple(
-            tuple(sorted(s for s in closure if len(s) == k + 1))
-            for k in range(dim + 1)
-        )
-        self._closure = closure
-        # every simplex is a vertex or a face of one of these
-        self._given = tuple(dict.fromkeys(given))
+        self.simplices = tuple(tuple(sorted(level)) for level in levels)
+        self._levels = levels
 
     @property
     def dimension(self):
@@ -84,7 +80,9 @@ class SimplicialComplex:
         return tuple(len(level) for level in self.simplices)
 
     def __contains__(self, simplex):
-        return tuple(simplex) in self._closure
+        simplex = tuple(simplex)
+        return 0 < len(simplex) <= len(self._levels) and \
+            simplex in self._levels[len(simplex) - 1]
 
     def all_simplices(self):
         for level in self.simplices:
@@ -132,35 +130,30 @@ class GSimplicialComplex:
 
     def _validate(self):
         n = self.complex.vertex_count
-        if len(self.vertex_action) != self.group.order:
+        action = self.vertex_action
+        if len(action) != self.group.order:
             raise BadAction("need one vertex permutation per group element")
-        for g, row in enumerate(self.vertex_action):
+        for g, row in enumerate(action):
             if sorted(row) != list(range(n)):
                 raise BadAction("element %d does not act by a permutation" % g)
-        ident = self.vertex_action[self.group.identity]
-        if tuple(ident) != tuple(range(n)):
+        if action[self.group.identity] != tuple(range(n)):
             raise BadAction("identity does not act trivially")
         # Checking h over a generating set is a complete proof: every element
         # is a product of generators, so rho(g) rho(h) = rho(gh) for all g and
-        # generators h gives a homomorphism by induction on word length, and
-        # then every rho(g) is a composite of generator maps that keep
-        # simplices inside the complex.  A generator keeps every simplex
-        # inside once it keeps the given simplices inside: every simplex is a
-        # vertex or a face of a given one, and the complex is closed under
-        # faces.
+        # generators h gives a homomorphism by induction on word length.
         gens = self.group._generating_set()
-        for g in range(self.group.order):
+        for g, row in enumerate(action):
             for h in gens:
-                gh = self.group.mult[g][h]
-                for v in range(n):
-                    if (self.vertex_action[g][self.vertex_action[h][v]]
-                            != self.vertex_action[gh][v]):
-                        raise BadAction(
-                            "action is not a homomorphism at (%d,%d)" % (g, h))
-        complex = self.complex
-        if all(self.simplex_image(g, s) in complex
-               for g in gens for s in complex._given):
+                if (tuple(map(row.__getitem__, action[h]))
+                        != action[self.group.mult[g][h]]):
+                    raise BadAction(
+                        "action is not a homomorphism at (%d,%d)" % (g, h))
+        # Every simplex is k.rep for an orbit representative rep, so
+        # g.(k.rep) = (gk).rep: the action keeps the complex once every image
+        # of every representative is a simplex, which the orbit pass checks.
+        if _orbit_pass(self, check=True) is not None:
             return
+        complex = self.complex
         # name the first (generator, simplex) in dimension-then-lex order
         for g in gens:
             for s in complex.all_simplices():
@@ -170,8 +163,7 @@ class GSimplicialComplex:
                         % (g, s))
 
     def simplex_image(self, g, simplex):
-        row = self.vertex_action[g]
-        return tuple(sorted(row[v] for v in simplex))
+        return tuple(sorted(map(self.vertex_action[g].__getitem__, simplex)))
 
     def is_admissible(self):
         """True iff every setwise-invariant simplex is pointwise fixed."""
@@ -262,9 +254,10 @@ class OrbitData:
         return self.orbits[i][3]
 
 
-def _orbit_pass(gx: GSimplicialComplex) -> OrbitData:
+def _orbit_pass(gx: GSimplicialComplex, check=False):
     """The orbits of gx and its admissibility witness, built once and cached
-    in gx._orbit_data.
+    in gx._orbit_data.  With check, it returns None as soon as an image of a
+    representative is not a simplex of gx, and caches nothing.
 
     Simplices are walked in (dimension, lex) order, so the first one met of
     each orbit is its representative; it is mapped under every element
@@ -277,16 +270,20 @@ def _orbit_pass(gx: GSimplicialComplex) -> OrbitData:
     if gx._orbit_data is not None:
         return gx._orbit_data
     group = gx.group
+    complex = gx.complex
     orbit_of = {}
     orbits = []
     violations = []  # (transporter, elements of Stab(rep) moving a vertex)
-    for rep in gx.complex.all_simplices():
+    for rep in complex.all_simplices():
         if rep in orbit_of:
             continue
+        level = complex._levels[len(rep) - 1]
         transporter = {}
         stab = []
         for g in range(group.order):
             t = gx.simplex_image(g, rep)
+            if check and t not in level:
+                return None
             if t not in transporter:
                 transporter[t] = g
             if t == rep:

@@ -199,46 +199,41 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
     restriction matrix from Stab(rep_s) to Stab(m) = h Stab(rep_t) h^-1 is
     positive.
 
-    Transport and restriction depend on a subgroup only through its element
-    tuple (equal element tuples share one reified group and one table), so
-    keying them by element tuples is exact.  Within one call each transport
-    is computed once per (Stab(rep_t), h, tau), and each restriction matrix,
-    with its degree and Frobenius identities, once per (Stab(rep_s),
-    Stab(m)) pair.
+    The h with h.f = rep_s for a face f = k.rep_s of rep_t are a.k^-1 over a
+    in Stab(rep_s), so the (sigma, tau) pairs a face gives depend only on
+    the triple (Stab(rep_s), Stab(rep_t), k^-1); each triple is worked out
+    once.  Transport and restriction depend on a subgroup only through its
+    element tuple (equal element tuples share one reified group and one
+    table), so keying them by element tuples is exact.  Within one call each
+    transport is computed once per (Stab(rep_t), h, tau), and each
+    restriction matrix, with its degree and Frobenius identities, once per
+    (Stab(rep_s), Stab(m)) pair.
     """
     gx.require_admissible()
     od = orbits_and_stabilizers(gx)
     nodes = prim_nodes(gx)
-    index = {node: i for i, node in enumerate(nodes)}
     above = [set() for _ in nodes]
+    # prim_nodes lists each orbit's irreps in id order: node first[o] + id
+    first = {}
+    for i, node in enumerate(nodes):
+        first.setdefault(node.orbit_id, i)
 
-    # for each orbit pair (s_orb, t_orb): every h with rep_s a face of h.rep_t.
-    # Those with h.f = rep_s for a face f = k.rep_s of rep_t are a.k^-1 over
-    # a in Stab(rep_s).  h and h.b for b in Stab(rep_t) give the same
-    # translate and the same transported irreps, so repeats change nothing.
     mult, inv = gx.group.mult, gx.group.inv
-    face_translates = {}
-    for t_orb in range(len(od)):
-        for face in faces(od.rep(t_orb)):
-            s_orb = od.orbit_of[face]
-            k_inv = inv[od.transporter(s_orb)[face]]
-            face_translates.setdefault((s_orb, t_orb), []).extend(
-                mult[a][k_inv] for a in od.stabilizer(s_orb).elements)
-
     transported = {}  # (Stab(t) elements, h, tau) -> (Stab(m), h.tau id)
     matrices = {}     # (Stab(s), Stab(m)) elements -> restriction matrix
-    for (s_orb, t_orb), hs in face_translates.items():
-        stab_s = od.stabilizer(s_orb)
-        stab_t = od.stabilizer(t_orb)
+    triples = {}      # (Stab(s), Stab(t) elements, k^-1) -> (sigma, tau) pairs
+
+    def related(stab_s, stab_t, k_inv):
+        pairs = set()
         for tau_id, _, _ in subgroup_table(stab_t).irreps:
             targets = {}  # (Stab(m) elements, h.tau id) -> Stab(m)
-            for h in hs:
+            for a in stab_s.elements:
+                h = mult[a][k_inv]
                 key = (stab_t.elements, h, tau_id)
                 if key not in transported:
                     transported[key] = conjugate_irrep(h, tau_id, stab_t)
                 sub_m, tau_m = transported[key]
                 targets[sub_m.elements, tau_m] = sub_m
-            up = index[(t_orb, tau_id)]
             for (elements, tau_m), sub_m in targets.items():
                 pair = (stab_s.elements, elements)
                 if pair not in matrices:
@@ -249,7 +244,23 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
                         gx.group, sub_m, stab_s)
                 for sigma_id, m in enumerate(matrices[pair].row(tau_m)):
                     if m > 0:
-                        above[index[(s_orb, sigma_id)]].add(up)
+                        pairs.add((sigma_id, tau_id))
+        return pairs
+
+    for t_orb in range(len(od)):
+        stab_t = od.stabilizer(t_orb)
+        up = first[t_orb]
+        for face in faces(od.rep(t_orb)):
+            s_orb = od.orbit_of[face]
+            stab_s = od.stabilizer(s_orb)
+            k_inv = inv[od.transporter(s_orb)[face]]
+            key = (stab_s.elements, stab_t.elements, k_inv)
+            pairs = triples.get(key)
+            if pairs is None:
+                pairs = triples[key] = related(stab_s, stab_t, k_inv)
+            down = first[s_orb]
+            for sigma_id, tau_id in pairs:
+                above[down + sigma_id].add(up + tau_id)
 
     stab_orders = [od.stabilizer(node.orbit_id).order for node in nodes]
     degrees = [subgroup_table(od.stabilizer(node.orbit_id)).degree(node.irrep_id)

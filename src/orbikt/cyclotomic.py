@@ -248,9 +248,6 @@ class Cyclotomic:
     def __hash__(self):
         return hash((self.conductor, self.coeffs))
 
-    def sort_key(self):
-        return self.coeffs
-
     def __str__(self):
         sym = "z%d" % self.conductor
         terms = []

@@ -205,7 +205,12 @@ def parse_complex_text(text) -> SimplicialComplex:
         if parts[0] != "simplex":
             raise ParseError("line %d: expected 'simplex v0 v1 ...'"
                              % row_lineno)
-        simplex = [_int_token(tok, row_lineno, "vertex") for tok in parts[1:]]
+        try:
+            simplex = list(map(int, parts[1:]))
+        except ValueError:
+            # name the first bad token
+            simplex = [_int_token(tok, row_lineno, "vertex")
+                       for tok in parts[1:]]
         if not simplex:
             raise ParseError("line %d: empty simplex" % row_lineno)
         if len(set(simplex)) != len(simplex):
@@ -271,7 +276,7 @@ def parse_action_text(text, group: FiniteGroup,
             for b in list(known):
                 pb = known[b]
                 c = group.mult[a][b]
-                pc = tuple(pa[pb[v]] for v in range(n))
+                pc = tuple(map(pa.__getitem__, pb))
                 if c in known:
                     if known[c] != pc:
                         raise BadAction(
@@ -314,25 +319,33 @@ def split_bundle_text(text):
     Complex lines start with ``vertices``/``simplex``, action lines with
     ``act``; everything else (``group``, ``table``, ``perm``, bare numeric
     rows) belongs to the group section.  Returns a dict with keys 'group',
-    'complex', 'action' mapping to text or None.
+    'complex', 'action' mapping to text or None.  Each section keeps its
+    lines at their line numbers in the document, with every other line
+    blank, so a parse error names the line of the document.
     """
-    group_lines, complex_lines, action_lines = [], [], []
+    sections = {"group": [], "complex": [], "action": []}
     for lineno, line in _content_lines(text):
         head = line.split()[0]
         if head in ("vertices", "simplex"):
-            complex_lines.append(line)
+            sections["complex"].append((lineno, line))
         elif head == "act":
-            action_lines.append(line)
+            sections["action"].append((lineno, line))
         elif head in ("group", "table", "perm") or _is_numeric_row(line):
-            group_lines.append(line)
+            sections["group"].append((lineno, line))
         else:
             raise ParseError("line %d: unrecognized directive %r"
                              % (lineno, head))
-    return {
-        "group": "\n".join(group_lines) + "\n" if group_lines else None,
-        "complex": "\n".join(complex_lines) + "\n" if complex_lines else None,
-        "action": "\n".join(action_lines) + "\n" if action_lines else None,
-    }
+    return {name: _placed_text(lines) for name, lines in sections.items()}
+
+
+def _placed_text(lines):
+    """Text with each (lineno, line) pair on its line, other lines blank."""
+    if not lines:
+        return None
+    out = [""] * lines[-1][0]
+    for lineno, line in lines:
+        out[lineno - 1] = line
+    return "\n".join(out) + "\n"
 
 
 def _is_numeric_row(line):

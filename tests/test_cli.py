@@ -16,6 +16,11 @@ D4_LADDER = """\
 """
 
 
+COMMANDS = ["group", "complex", "orbits", "fixed", "quotient", "betti",
+            "euler", "fiber", "prim", "filtration", "bc", "ktheory",
+            "identity-check", "fixture"]
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
@@ -342,6 +347,69 @@ def test_non_utf8_file_is_an_input_error(capsys, tmp_path, argv):
                    % path)
 
 
+# One directive per line; each bundle has one bad line, in a different section.
+BUNDLE = ["group 2", "table", "0 1", "1 0", "vertices 3", "simplex 0 1",
+          "simplex 1 2", "act 1 : 1 0 2"]
+
+
+@pytest.mark.parametrize("lineno, bad, message", [
+    (4, "1 0 1", "line 4: expected 2 entries in table row"),
+    (7, "simplex 1 x", "line 7: vertex must be an integer, got 'x'"),
+    (8, "act 1 : 1 0 x", "line 8: vertex image must be an integer, got 'x'"),
+], ids=["group", "complex", "action"])
+def test_bundle_errors_name_the_line_of_the_file(capsys, tmp_path, lineno,
+                                                 bad, message):
+    """Sections are parsed apart, but each error names its line in the
+    file, also when the sections interleave."""
+    lines = list(BUNDLE)
+    lines[lineno - 1] = bad
+    for order in (lines, lines[4:7] + lines[:4] + lines[7:]):
+        path = tmp_path / "bundle.txt"
+        path.write_text("# comment\n\n" + "\n".join(order) + "\n")
+        code, out, err = run_cli(capsys, ["orbits", "--complex", str(path)])
+        where = order.index(bad) + 3
+        assert code == 1 and out == ""
+        assert err == "orbikt: ParseError: %s\n" % message.replace(
+            "line %d" % lineno, "line %d" % where)
+
+
+# -- argument parser ------------------------------------------------------------------
+
+
+def test_commands_are_the_parsers_commands():
+    from orbikt.cli import _COMMANDS
+
+    assert list(_COMMANDS) == COMMANDS
+
+
+def _parse_outcome(capsys, parser, argv):
+    """(exit status or error message, stdout, stderr) of parsing argv."""
+    try:
+        parser.parse_args(argv)
+        outcome = "parsed"
+    except SystemExit as exc:
+        outcome = exc.code
+    except orbikt.ParseError as exc:
+        outcome = str(exc)
+    out, err = capsys.readouterr()
+    return outcome, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, option] for command in COMMANDS
+      for option in ("--help", "--bogus")),
+    ["--help"], ["bogus"], [],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_command_parser_parses_as_the_full_parser(capsys, argv):
+    """The parser built for argv[0] alone gives the same help, errors and
+    exit codes as the parser with every command."""
+    from orbikt.cli import build_parser
+
+    full = _parse_outcome(capsys, build_parser(), argv)
+    assert full[0] != "parsed"
+    assert _parse_outcome(capsys, build_parser(argv), argv) == full
+
+
 # -- compute-once path of ktheory ---------------------------------------------------
 
 
@@ -408,12 +476,12 @@ def test_prim_derives_each_transport_and_matrix_once(capsys, monkeypatch):
 
 
 def test_orbit_pass_maps_each_orbit_once(monkeypatch):
-    """Admissibility and orbits come from one pass that maps the first
-    simplex of each orbit under every element: |G| * #orbits images."""
+    """The action check, admissibility and orbits come from one pass that
+    maps the first simplex of each orbit under every element, when the
+    G-complex is built: |G| * #orbits images, and none after it."""
     from orbikt import GSimplicialComplex, fixture, orbits_and_stabilizers
 
     built = fixture("d4-torus")
-    gx = GSimplicialComplex(built.complex, built.group, built.vertex_action)
     calls = []
     original = GSimplicialComplex.simplex_image
 
@@ -422,10 +490,12 @@ def test_orbit_pass_maps_each_orbit_once(monkeypatch):
         return original(self, g, simplex)
 
     monkeypatch.setattr(GSimplicialComplex, "simplex_image", counted)
+    gx = GSimplicialComplex(built.complex, built.group, built.vertex_action)
+    assert len(calls) == gx.group.order * 33 == 264
     assert gx.admissibility_witness() == (True, None)
     od = orbits_and_stabilizers(gx)
     assert len(od) == 33
-    assert len(calls) == gx.group.order * len(od) == 264
+    assert len(calls) == 264
 
 
 def test_ktheory_respects_no_subdivide(capsys, monkeypatch):

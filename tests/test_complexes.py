@@ -90,9 +90,9 @@ def test_bad_simplex_message_names_first_simplex_in_order():
         "element 1 maps simplex (1, 3) outside the complex"
 
 
-def test_action_check_maps_only_given_simplices(monkeypatch):
-    """Keeping the complex is checked on the given simplices: on d4-torus,
-    one image per generator and triangle, not per simplex."""
+def test_action_check_maps_each_orbit_representative(monkeypatch):
+    """Keeping the complex is checked inside the orbit pass: on d4-torus,
+    one image per element and orbit representative, not per simplex."""
     built = fixture("d4-torus")
     images = []
     original = GSimplicialComplex.simplex_image
@@ -102,10 +102,10 @@ def test_action_check_maps_only_given_simplices(monkeypatch):
         return original(self, g, simplex)
 
     monkeypatch.setattr(GSimplicialComplex, "simplex_image", counted)
-    GSimplicialComplex(built.complex, built.group, built.vertex_action)
-    gens = built.group._generating_set()
-    assert len(images) == len(gens) * 64
-    assert set(images) == set(built.complex.simplices[2])
+    gx = GSimplicialComplex(built.complex, built.group, built.vertex_action)
+    od = gx._orbit_data
+    assert len(images) == built.group.order * len(od) == 264
+    assert set(images) == {od.rep(i) for i in range(len(od))}
 
 
 def test_reflection_of_interval_is_not_admissible():

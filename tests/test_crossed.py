@@ -1,15 +1,20 @@
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbikt.crossed as crossed
 from orbikt import (CharacterTable, InternalInconsistency, NotOpen,
                     NotSubgroup, PrimNode, PrimPoset, aggregate_strata,
-                    cyclic_group, dihedral_group, fiber_decomposition,
-                    filtration_report, inclusion_multiplicities, ix_nodes,
-                    fixture, orbits_and_stabilizers, prim_nodes,
+                    conjugate_irrep, cyclic_group, dihedral_group,
+                    fiber_decomposition, filtration_report,
+                    inclusion_multiplicities, ix_nodes, fixture,
+                    orbits_and_stabilizers, parse_bundle_text, prim_nodes,
                     specialization, subgroup_table)
 from orbikt.complexes import faces
 from orbikt.fixtures import FIXTURE_NAMES
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 # -- fiber block decompositions ---------------------------------------------------
@@ -285,6 +290,47 @@ def test_specialization_checks_the_matrix_of_every_face_translate(
     monkeypatch.setattr(crossed, "inclusion_multiplicities", spy)
     specialization(gx)
     assert sorted(built) == sorted(expected)
+
+
+def _specialization_by_definition(gx):
+    """above[(s, sigma)] over every element g and every face of g.rep_t
+    that is rep_s: (t, tau) is above when sigma restricted to Stab(g.rep_t)
+    contains the transport g.tau."""
+    od = orbits_and_stabilizers(gx)
+    above = {}
+    for t in range(len(od)):
+        stab_t = od.stabilizer(t)
+        for g in range(gx.group.order):
+            for face in faces(gx.simplex_image(g, od.rep(t))):
+                s = od.orbit_of[face]
+                if od.rep(s) != face:
+                    continue
+                stab_s = od.stabilizer(s)
+                for tau, _, _ in subgroup_table(stab_t).irreps:
+                    sub_m, tau_m = conjugate_irrep(g, tau, stab_t)
+                    row = inclusion_multiplicities(gx.group, sub_m,
+                                                   stab_s).row(tau_m)
+                    for sigma, m in enumerate(row):
+                        if m > 0:
+                            above.setdefault((s, sigma), set()).add((t, tau))
+    return above
+
+
+@pytest.mark.parametrize("name", ["d4-torus", "z4-torus", "relabeled"])
+def test_specialization_matches_its_definition(name):
+    """specialization works each (Stab(rep_s), Stab(rep_t), k^-1) triple out
+    once; on the relabeled grid-6 D4 torus, faces with the same stabilizer
+    pair need different k^-1."""
+    if name == "relabeled":
+        with open(os.path.join(GOLDEN_DIR, "d4-torus-6-seed3.txt")) as f:
+            gx = parse_bundle_text(f.read())
+    else:
+        gx = fixture(name)
+    poset = specialization(gx)
+    want = _specialization_by_definition(gx)
+    got = {tuple(poset.nodes[a]): {tuple(poset.nodes[b]) for b in up}
+           for a, up in enumerate(poset.above)}
+    assert got == want
 
 
 def _poset_of(leq):

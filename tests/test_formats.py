@@ -190,10 +190,21 @@ def test_bundle_round_trip_large(d4_torus):
 
 
 def test_bundle_section_routing(z2_circle):
-    sections = split_bundle_text(serialize_bundle(z2_circle))
-    assert sections["group"].startswith("group 2")
-    assert sections["complex"].startswith("vertices 8")
-    assert sections["action"].startswith("act 1")
+    """Each section keeps its lines at their line numbers in the document,
+    with every other line blank."""
+    text = serialize_bundle(z2_circle)
+    sections = split_bundle_text(text)
+    assert sections["group"].lstrip("\n").startswith("group 2")
+    assert sections["complex"].lstrip("\n").startswith("vertices 8")
+    assert sections["action"].lstrip("\n").startswith("act 1")
+    lines = text.splitlines()
+    for section in sections.values():
+        placed = section.splitlines()
+        assert placed[-1] and all(line in ("", lines[i])
+                                  for i, line in enumerate(placed))
+    assert sum(bool(line) for section in sections.values()
+               for line in section.splitlines()) == sum(
+        1 for line in lines if line and not line.startswith("#"))
 
 
 def test_bundle_unknown_directive():

@@ -2,10 +2,12 @@
 chain-complex identities, dual-oracle rank agreement, closure-operator laws,
 and subdivision invariance."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbikt import (Cyclotomic, FiniteGroup, GSimplicialComplex,
@@ -15,6 +17,8 @@ from orbikt import (Cyclotomic, FiniteGroup, GSimplicialComplex,
                     multiplicity, orbits_and_stabilizers, product_group,
                     rational_rank, smith_invariant_factors, specialization,
                     trivial_group)
+from orbikt.cli import report_json
+from orbikt.errors import BadAction
 from orbikt.linalg import Echelon, nullspace
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -350,3 +354,59 @@ def test_closure_operator_laws(z2_circle, indices):
     # the complement of a closed set is open
     complement = set(range(len(poset))) - closure
     assert poset.is_open(complement)
+
+
+# -- the action check ---------------------------------------------------------------
+
+
+@st.composite
+def acted_complex(draw):
+    """A complex, and a permutation group on its vertices (elements in a
+    drawn order) that need not map the complex into itself."""
+    gx = draw(permutation_action())
+    n = gx.complex.vertex_count
+    maximal = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1),
+                            min_size=1, max_size=3))
+    return SimplicialComplex(n, maximal), gx.group, gx.vertex_action
+
+
+@settings(max_examples=200, deadline=None)
+@given(acted_complex())
+def test_action_check_names_the_first_simplex_sent_outside(data):
+    """The check inside the orbit pass accepts exactly the actions that keep
+    every simplex inside, and a refusal names the first generator, in
+    generating-set order, and its first simplex in (dimension, lex) order
+    that it sends outside."""
+    complex, group, action = data
+    outside = [(g, s) for g in group._generating_set()
+               for s in complex.all_simplices()
+               if tuple(sorted(action[g][v] for v in s)) not in complex]
+    if not outside:
+        GSimplicialComplex(complex, group, action)
+        return
+    with pytest.raises(BadAction) as info:
+        GSimplicialComplex(complex, group, action)
+    assert str(info.value) == ("element %d maps simplex %r outside the "
+                               "complex" % outside[0])
+
+
+# -- the json writer ----------------------------------------------------------------
+
+json_scalars = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+                | st.text(st.characters(max_codepoint=0x10FFFF)))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values, json_values, json_values)
+def test_report_json_writes_what_json_dumps_writes(meta, payload, flags):
+    """Nested dicts and lists of str, int, bool and None, empty containers,
+    non-ASCII text and control characters included."""
+    doc = {"meta": meta, "payload": payload, "flags": flags}
+    assert report_json(meta, payload, flags) == json.dumps(
+        doc, sort_keys=True, indent=2)
