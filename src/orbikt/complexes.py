@@ -474,27 +474,16 @@ def centralizer_fixed_action(gx: GSimplicialComplex,
 
 
 class IsotropyStratum(NamedTuple):
-    """A maximal adjacency-connected set of orbits with conjugate stabilizers."""
+    """A maximal set of orbits joined along faces of equal isotropy."""
 
     stratum_id: int
     stabilizer_rep: Subgroup  # of the rep orbit
     orbit_ids: tuple
 
 
-def isotropy_strata(gx: GSimplicialComplex):
-    """Orbits grouped by stabilizer conjugacy class, split into components.
-
-    Two orbits are adjacent when a representative of one is a face of a
-    translate of the representative of the other (and the stabilizer classes
-    agree, since only same-class orbits are ever compared).
-    """
-    od = orbits_and_stabilizers(gx)
-    n = len(od)
-    by_class = {}
-    for i in range(n):
-        by_class.setdefault(od.stabilizer(i).canonical_conjugacy_key(),
-                            []).append(i)
-
+def _components(n, pairs):
+    """The classes of the equivalence relation on range(n) generated by the
+    pairs, each sorted, in order of their least element."""
     parent = list(range(n))
 
     def find(x):
@@ -503,26 +492,27 @@ def isotropy_strata(gx: GSimplicialComplex):
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    classes = {}  # a class is first met at its least element
+    for x in range(n):
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
 
-    for members in by_class.values():
-        for a in members:
-            faces_a = {f for m in od.members(a) for f in faces(m)}
-            for b in members:
-                if b != a and od.rep(b) in faces_a:
-                    union(a, b)
 
-    components = {}
-    for members in by_class.values():
-        for i in members:
-            components.setdefault(find(i), []).append(i)
-    strata = []
-    for root in sorted(components, key=lambda r: min(components[r])):
-        orbit_ids = tuple(sorted(components[root]))
-        strata.append(IsotropyStratum(len(strata),
-                                      od.stabilizer(orbit_ids[0]),
-                                      orbit_ids))
-    return strata
+def isotropy_strata(gx: GSimplicialComplex):
+    """Orbits joined along faces of equal isotropy, numbered by their
+    lowest orbit.
+
+    If rep_s is a face of g.rep_t, an element fixing g.rep_t fixes it
+    pointwise (admissibility), so Stab(g.rep_t) lies in Stab(rep_s), and
+    equal orders mean equal stabilizers: a stratum's stabilizers are
+    conjugate.  The faces of the representatives give every adjacent pair.
+    """
+    od = orbits_and_stabilizers(gx)
+    order = [od.stabilizer(i).order for i in range(len(od))]
+    pairs = ((t, s) for t in range(len(od))
+             for s in map(od.orbit_of.__getitem__, faces(od.rep(t)))
+             if order[s] == order[t])
+    return [IsotropyStratum(i, od.stabilizer(ids[0]), tuple(ids))
+            for i, ids in enumerate(_components(len(od), pairs))]

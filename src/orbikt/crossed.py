@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 from .characters import (CharacterTable, conjugate_irrep, multiplicity,
                          subgroup_table)
-from .complexes import (GSimplicialComplex, faces, isotropy_strata,
-                        orbits_and_stabilizers)
+from .complexes import (GSimplicialComplex, _components, faces,
+                        isotropy_strata, orbits_and_stabilizers)
 from .errors import (
     InternalInconsistency,
     NonConstantStabilizer,
@@ -283,30 +283,36 @@ def ix_nodes(poset: PrimPoset):
 
 
 def aggregate_strata(poset: PrimPoset, gx: GSimplicialComplex) -> PrimPoset:
-    """Merge nodes along isotropy strata.
-
-    Requires literal (not just conjugate) equality of stabilizers across each
-    stratum's orbit representatives, so that irreps match by table id.
-    """
-    od = orbits_and_stabilizers(gx)
-    stratum_of = {}
+    """Merge nodes along isotropy strata.  Inside a stratum a face and its
+    coface have equal stabilizers, so the poset's relations between adjacent
+    orbits pair their irreps one to one.  Nodes related inside a stratum are
+    joined; each class must hold one node of every orbit of its stratum, and
+    becomes the node (stratum, irrep of its node at the lowest orbit).  Two
+    nodes of one orbit in a class raise NonConstantStabilizer."""
+    strata = isotropy_strata(gx)
+    stratum_of = {oid: st.stratum_id for st in strata for oid in st.orbit_ids}
+    old = poset.nodes
+    pairs = ((a, b) for a, up in enumerate(poset.above) for b in up
+             if stratum_of[old[a].orbit_id] == stratum_of[old[b].orbit_id])
     nodes, stab_orders, degrees = [], [], []
-    for st in isotropy_strata(gx):
-        base = od.stabilizer(st.orbit_ids[0])
-        for oid in st.orbit_ids:
-            stab = od.stabilizer(oid)
-            if stab.elements != base.elements:
+    merged = [0] * len(old)
+    for cls in _components(len(old), pairs):
+        st = strata[stratum_of[old[cls[0]].orbit_id]]
+        first_of = {}  # orbit id -> the class's first node on that orbit
+        for i in cls:
+            j = first_of.setdefault(old[i].orbit_id, i)
+            if j != i:
+                witness = (tuple(old[j]), tuple(old[i]))
                 raise NonConstantStabilizer(
-                    "stratum %d mixes stabilizers %r and %r"
-                    % (st.stratum_id, base.elements, stab.elements))
-            stratum_of[oid] = st.stratum_id
-        for rid, degree, _ in subgroup_table(base).irreps:
-            nodes.append(PrimNode(st.stratum_id, rid))
-            stab_orders.append(base.order)
-            degrees.append(degree)
-    index = {node: i for i, node in enumerate(nodes)}
-    merged = [index[(stratum_of[node.orbit_id], node.irrep_id)]
-              for node in poset.nodes]
+                    "stratum %d joins nodes %r and %r of one orbit"
+                    % ((st.stratum_id,) + witness), witness=witness)
+            merged[i] = len(nodes)
+        if len(first_of) != len(st.orbit_ids):
+            raise InternalInconsistency(
+                "stratum %d: a class of nodes misses an orbit" % st.stratum_id)
+        nodes.append(PrimNode(st.stratum_id, old[cls[0]].irrep_id))
+        stab_orders.append(poset.stabilizer_orders[cls[0]])
+        degrees.append(poset.irrep_degrees[cls[0]])
     above = [set() for _ in nodes]
     for a, up in enumerate(poset.above):
         above[merged[a]].update(merged[b] for b in up)

@@ -28,6 +28,10 @@ class RefusalError(OrbiktError):
 
     exit_code = 2
 
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
 
 class ParseError(InputError):
     pass
@@ -63,17 +67,14 @@ class NotAdmissible(RefusalError):
     Carries the witness pair (g, simplex).
     """
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NotRegular(RefusalError):
     """Quotient would not be simplicial even after the allowed subdivisions."""
 
 
 class NonConstantStabilizer(RefusalError):
-    """A stratum mixes literally different stabilizer subgroups."""
+    """A stratum's irreps do not match up around it; carries as witness two
+    (orbit, irrep) nodes of one orbit that the prim poset joins inside it."""
 
 
 class NotIsolated(RefusalError):
@@ -91,9 +92,8 @@ class NotOpen(RefusalError):
     """
 
     def __init__(self, message, step=None, witness=None):
-        super().__init__(message)
+        super().__init__(message, witness)
         self.step = step
-        self.witness = witness
 
 
 class InternalInconsistency(OrbiktError):

@@ -164,7 +164,12 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
             if pos + 1 >= len(tokens):
                 raise ParseError("builtin spec %r: %s needs a parameter"
                                  % (spec, head))
-            n = _int_token(tokens[pos + 1], 0, "%s parameter" % head)
+            try:
+                n = int(tokens[pos + 1])
+            except ValueError:
+                raise ParseError("builtin spec %r: %s parameter must be an "
+                                 "integer, got %r"
+                                 % (spec, head, tokens[pos + 1]))
             if head == "cyclic":
                 check(n)
                 return cyclic_group(n), pos + 2

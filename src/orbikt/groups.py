@@ -295,11 +295,6 @@ class Subgroup:
                 raise NotSubgroup("element %d not inside the subgroup" % g)
         return Subgroup(self.group, [pos[g] for g in elements])
 
-    def canonical_conjugacy_key(self):
-        """Smallest element tuple among all conjugates; conjugacy invariant."""
-        return min(self.conjugate(g).elements
-                   for g in range(self.parent.order))
-
     def __repr__(self):
         names = [self.parent.name_of(g) for g in self.elements]
         return "Subgroup{%s}" % ",".join(names)

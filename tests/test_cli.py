@@ -255,6 +255,21 @@ def test_refusals_exit_2(capsys):
     assert code == 2 and "NotIsolated" in err
 
 
+def test_irreps_that_swap_around_a_stratum_are_refused(capsys, tmp_path,
+                                                       s3_circle):
+    from orbikt.formats import serialize_bundle
+
+    bundle = tmp_path / "s3-circle.txt"
+    bundle.write_text(serialize_bundle(s3_circle))
+    steps = tmp_path / "steps.txt"
+    steps.write_text("1: (0, 0)\n")
+    for argv in (["prim", "--aggregate"], ["filtration", str(steps)]):
+        code, out, err = run_cli(capsys, argv + ["--complex", str(bundle)])
+        assert (code, out) == (2, ""), argv
+        assert err == ("orbikt: NonConstantStabilizer: stratum 0 joins nodes "
+                       "(0, 1) and (0, 2) of one orbit\n"), argv
+
+
 def test_orbits_refuses_inadmissible_action(capsys, tmp_path):
     """The reflection of an interval keeps its edge but swaps its
     endpoints; the refusal names that element and edge."""
@@ -286,6 +301,16 @@ def test_input_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, [])
     assert code == 1
+
+
+@pytest.mark.parametrize("spec, head", [
+    ("cyclic:x", "cyclic"), ("dihedral:x", "dihedral"),
+    ("product:cyclic:2:cyclic:x", "cyclic")])
+def test_builtin_spec_errors_name_the_spec(capsys, spec, head):
+    code, out, err = run_cli(capsys, ["group", "--group", "builtin:" + spec])
+    assert (code, out) == (1, "")
+    assert err == ("orbikt: ParseError: builtin spec %r: %s parameter must "
+                   "be an integer, got 'x'\n" % (spec, head))
 
 
 def test_oversized_inputs_are_refused_before_allocation(capsys, tmp_path):

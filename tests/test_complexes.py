@@ -5,6 +5,8 @@ from orbikt import (BadAction, BoundExceeded, GSimplicialComplex, NotAComplex,
                     barycentric_subdivide, cyclic_group, dihedral_group,
                     fixed_subcomplex, fixture, isotropy_strata,
                     orbits_and_stabilizers, quotient_complex, trivial_group)
+from orbikt.complexes import faces
+from orbikt.fixtures import FIXTURE_NAMES
 
 
 def interval():
@@ -262,6 +264,62 @@ def test_strata_have_constant_stabilizer_order(all_fixtures):
         for st in isotropy_strata(gx):
             orders = {od.stabilizer(oid).order for oid in st.orbit_ids}
             assert len(orders) == 1
+
+
+def _strata_by_conjugacy(gx):
+    """The strata by the older rule, kept as an oracle: orbits are keyed by
+    the smallest element tuple among the conjugates of their stabilizer,
+    and two orbits with one key are adjacent when the representative of one
+    is a face of a member of the other."""
+    od = orbits_and_stabilizers(gx)
+    n = len(od)
+    key = [min(od.stabilizer(i).conjugate(g).elements
+               for g in range(gx.group.order)) for i in range(n)]
+    adjacent = [set() for _ in range(n)]
+    for a in range(n):
+        faces_a = {f for m in od.members(a) for f in faces(m)}
+        for b in range(n):
+            if key[a] == key[b] and od.rep(b) in faces_a:
+                adjacent[a].add(b)
+                adjacent[b].add(a)
+    strata, seen = [], set()
+    for i in range(n):
+        if i in seen:
+            continue
+        component, stack = set(), [i]
+        while stack:
+            x = stack.pop()
+            if x not in component:
+                component.add(x)
+                stack.extend(adjacent[x])
+        seen |= component
+        ids = tuple(sorted(component))
+        strata.append((len(strata), od.stabilizer(ids[0]).elements, ids))
+    return strata
+
+
+def _strata_cases():
+    cases = [pytest.param(("fixture", name), id=name)
+             for name in FIXTURE_NAMES]
+    cases += [pytest.param(("torus", kind, grid, seed),
+                           id="%s-%d-seed%d" % (kind, grid, seed))
+              for kind in ("d4", "z4") for grid in (4, 6)
+              for seed in range(4)]
+    return cases + [pytest.param(("s3-circle",), id="s3-circle")]
+
+
+@pytest.mark.parametrize("case", _strata_cases())
+def test_strata_match_the_conjugacy_rule(case, inputs, s3_circle):
+    if case[0] == "fixture":
+        gx = fixture(case[1])
+    elif case[0] == "torus":
+        _, kind, grid, seed = case
+        gx = inputs.relabel_action(inputs.torus_action(kind, grid), seed)
+    else:
+        gx = s3_circle
+    strata = [(st.stratum_id, st.stabilizer_rep.elements, st.orbit_ids)
+              for st in isotropy_strata(gx)]
+    assert strata == _strata_by_conjugacy(gx)
 
 
 def test_diagonal_stratum_of_torus_has_seven_orbits(d4_torus):

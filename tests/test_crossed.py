@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbikt.crossed as crossed
-from orbikt import (CharacterTable, InternalInconsistency, NotOpen,
-                    NotSubgroup, PrimNode, PrimPoset, aggregate_strata,
+from orbikt import (CharacterTable, InternalInconsistency,
+                    NonConstantStabilizer, NotOpen, NotSubgroup, PrimNode, PrimPoset, aggregate_strata,
                     conjugate_irrep, cyclic_group, dihedral_group,
                     fiber_decomposition, filtration_report,
                     inclusion_multiplicities, ix_nodes, fixture,
@@ -418,6 +418,19 @@ def test_closure_of_diagonal_trivial_node_at_corner(d4_torus):
     corner = sorted(agg.nodes[i].irrep_id for i in closure
                     if agg.nodes[i].orbit_id == 0)
     assert corner == [0, 1, 4]
+
+
+def test_aggregation_refuses_irreps_that_swap_around_a_stratum(s3_circle):
+    """On the S3 circle the poset puts (3, 1) below (5, 2): going around the
+    stratum swaps the two non-trivial irreps of Z3, so one class would hold
+    two nodes of orbit 0."""
+    poset = specialization(s3_circle)
+    assert poset.index_of((5, 2)) in poset.above[poset.index_of((3, 1))]
+    with pytest.raises(NonConstantStabilizer) as info:
+        aggregate_strata(poset, s3_circle)
+    assert info.value.witness == ((0, 1), (0, 2))
+    assert str(info.value) == ("stratum 0 joins nodes (0, 1) and (0, 2) of "
+                               "one orbit")
 
 
 # -- filtrations -------------------------------------------------------------------

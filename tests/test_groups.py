@@ -115,16 +115,6 @@ def test_conjugate_subgroup():
     assert conj.elements == (0, 6)
 
 
-def test_canonical_conjugacy_key_identifies_conjugates():
-    g = dihedral_group(4)
-    assert (g.subgroup([4]).canonical_conjugacy_key()
-            == g.subgroup([6]).canonical_conjugacy_key())
-    assert (g.subgroup([5]).canonical_conjugacy_key()
-            == g.subgroup([7]).canonical_conjugacy_key())
-    assert (g.subgroup([4]).canonical_conjugacy_key()
-            != g.subgroup([5]).canonical_conjugacy_key())
-
-
 def test_conjugacy_classes_of_dihedral4():
     g = dihedral_group(4)
     cd = conjugacy_data(g)

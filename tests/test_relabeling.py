@@ -2,17 +2,10 @@
 invariant of a command's answer.
 
 The relabeled inputs come from ``relabel_action`` and ``torus_action`` in
-bench/inputs.py, loaded from the file so that the tests and the benchmark
-draw the same seeded inputs.  Seed 0 renames nothing.
-
-``prim --aggregate`` is left out: it still refuses seeds >= 1 with
-``NonConstantStabilizer``, because it compares the literal stabilizers of
-orbit representatives that are only conjugate (ROADMAP item 1).
+bench/inputs.py (the ``inputs`` fixture).  Seed 0 renames nothing.
 """
 
-import importlib.util
 import json
-import os
 from collections import Counter
 
 import pytest
@@ -24,9 +17,6 @@ from orbikt.cli import main
 from orbikt.fixtures import FIXTURE_NAMES
 from orbikt.formats import serialize_bundle
 
-INPUTS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                      "bench", "inputs.py")
-
 SEEDS = (0, 1, 2, 3)
 
 # (nodes, relation pairs, ix nodes) of the unrenamed tori.
@@ -37,13 +27,8 @@ PRIM_COUNTS = {
     ("z4", 6): (117, 356, 110),
 }
 
-
-@pytest.fixture(scope="module")
-def inputs():
-    spec = importlib.util.spec_from_file_location("bench_inputs", INPUTS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+# (nodes, relation pairs, ix nodes) of the aggregated poset, at every grid.
+AGGREGATE_COUNTS = {"d4": (21, 52, 7), "z4": (11, 10, 4)}
 
 
 def _prim_summary(payload):
@@ -65,24 +50,31 @@ def _orbits_summary(payload):
                   for row in payload["orbits"])
 
 
+def _bc_summary(payload):
+    """The totals and the sorted per-class ranks; class labels are
+    dropped."""
+    return payload["totals"], sorted((row["even"], row["odd"])
+                                     for row in payload["per_class"])
+
+
 def _ktheory_summary(payload):
     """The K-groups, the totals and the sorted per-class ranks; class and
     orbit labels are dropped."""
     groups = {key: payload[key] for key in
-              ("k0", "k1", "quotient_k0", "quotient_k1", "totals")}
-    return groups, sorted((row["even"], row["odd"])
-                          for row in payload["per_class"])
+              ("k0", "k1", "quotient_k0", "quotient_k1")}
+    return groups, _bc_summary(payload)
 
 
 def _runs(inputs, command, kind, grid, tmp_path, capsys):
-    """(exit status, stdout, stderr) of the json command on each relabeled
-    torus."""
+    """(exit status, stdout, stderr) of the json command (a name with its
+    options, such as "prim --aggregate") on each relabeled torus."""
     runs = []
     for seed in SEEDS:
         gx = inputs.relabel_action(inputs.torus_action(kind, grid), seed)
         path = tmp_path / ("seed%d.txt" % seed)
         path.write_text(serialize_bundle(gx))
-        code = main([command, "--complex", str(path), "--format", "json"])
+        code = main([*command.split(), "--complex", str(path), "--format",
+                     "json"])
         runs.append((code, *capsys.readouterr()))
     return runs
 
@@ -102,6 +94,36 @@ def test_prim_is_label_free(inputs, kind, grid, tmp_path, capsys):
     summaries = [_prim_summary(payload) for payload in
                  _payloads(inputs, "prim", kind, grid, tmp_path, capsys)]
     assert summaries[0][0] == PRIM_COUNTS[kind, grid]
+    for seed, summary in zip(SEEDS, summaries):
+        assert summary == summaries[0], seed
+
+
+@pytest.mark.parametrize("kind, grid", sorted(PRIM_COUNTS))
+def test_aggregated_prim_is_label_free(inputs, kind, grid, tmp_path,
+                                       capsys):
+    """Stabilizers along a stratum are conjugate but, after relabeling, not
+    equal; the aggregation matches their irreps along the poset."""
+    summaries = [_prim_summary(payload) for payload in
+                 _payloads(inputs, "prim --aggregate", kind, grid,
+                           tmp_path, capsys)]
+    assert summaries[0][0] == AGGREGATE_COUNTS[kind]
+    for seed, summary in zip(SEEDS, summaries):
+        assert summary == summaries[0], seed
+
+
+@pytest.mark.parametrize("command", ("quotient", "betti"))
+@pytest.mark.parametrize("kind, grid", sorted(PRIM_COUNTS))
+def test_homology_payloads_are_label_free(inputs, command, kind, grid,
+                                          tmp_path, capsys):
+    payloads = _payloads(inputs, command, kind, grid, tmp_path, capsys)
+    for seed, payload in zip(SEEDS, payloads):
+        assert payload == payloads[0], seed
+
+
+@pytest.mark.parametrize("kind, grid", sorted(PRIM_COUNTS))
+def test_bc_is_label_free(inputs, kind, grid, tmp_path, capsys):
+    summaries = [_bc_summary(payload) for payload in
+                 _payloads(inputs, "bc", kind, grid, tmp_path, capsys)]
     for seed, summary in zip(SEEDS, summaries):
         assert summary == summaries[0], seed
 
