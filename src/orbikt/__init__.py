@@ -43,7 +43,7 @@ _EXPORTS = {
                  "boundary_matrix", "euler_characteristic",
                  "fraction_free_rank", "homology_integral",
                  "induced_homology_matrix", "invariant_cohomology_dims",
-                 "smith_invariant_factors"),
+                 "quotient_homology", "smith_invariant_factors"),
     "linalg": ("rational_rank",),
     "crossed": ("FiberDecomposition", "FiltrationReport",
                 "InclusionMultiplicityMatrix", "PrimNode", "PrimPoset",

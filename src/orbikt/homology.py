@@ -1,27 +1,42 @@
-"""Exact integral/rational homology of simplicial complexes.
+"""Exact integral/rational homology of simplicial complexes and of their
+orbit spaces.
 
 Integer Smith normal form gives Betti numbers and torsion; every rank is
 independently recomputed by fraction-free (integer, division-free) Gaussian
 elimination and the two must agree.  Both oracles eliminate on sparse rows
-built from the dense boundary matrices.  Also: induced chain maps of group
-elements, invariant cohomology dimensions, Euler characteristics, and
-rational K-ranks (even/odd Betti sums) of compact polyhedra.
+built from the dense boundary matrices.  A chain complex comes either from
+the simplices of a complex or, for the orbit space X/G of an admissible
+action, from its simplex orbits: X/G is then a CW complex with one cell per
+orbit, so its homology needs no subdivision and no simplicial quotient.
+Also: induced chain maps of group elements, invariant cohomology
+dimensions, Euler characteristics, and rational K-ranks (even/odd Betti
+sums) of compact polyhedra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import combinations, compress
 from math import gcd
 from typing import NamedTuple
 
-from .complexes import GSimplicialComplex, SimplicialComplex
+from .complexes import (GSimplicialComplex, SimplicialComplex,
+                        orbits_and_stabilizers)
 from .errors import BoundExceeded, InternalInconsistency
 
 # Most entries a dense boundary matrix may have, checked before any is built.
 # The grid-24 torus under Z4 needs 5184 x 3456 (17.9M) for its quotient.
 MAX_MATRIX_ENTRIES = 2 ** 25
+
+
+def _check_matrix_bound(dims):
+    """Refuse before allocation any d_k with more than MAX_MATRIX_ENTRIES."""
+    for k in range(1, len(dims)):
+        if dims[k - 1] * dims[k] > MAX_MATRIX_ENTRIES:
+            raise BoundExceeded(
+                "boundary matrix d%d would have %d x %d entries, more"
+                " than %d" % (k, dims[k - 1], dims[k], MAX_MATRIX_ENTRIES))
 
 
 def boundary_matrix(complex: SimplicialComplex, k):
@@ -64,13 +79,76 @@ class ChainComplex:
     @classmethod
     def from_complex(cls, complex: SimplicialComplex):
         dims = complex.f_vector()
-        for k in range(1, len(dims)):
-            if dims[k - 1] * dims[k] > MAX_MATRIX_ENTRIES:
-                raise BoundExceeded(
-                    "boundary matrix d%d would have %d x %d entries, more"
-                    " than %d" % (k, dims[k - 1], dims[k], MAX_MATRIX_ENTRIES))
+        _check_matrix_bound(dims)
         boundaries = [boundary_matrix(complex, k) for k in range(len(dims))]
         return cls(dims, boundaries)
+
+    @classmethod
+    def from_orbits(cls, gx: GSimplicialComplex):
+        """The cellular chain complex of X/G, which is C_*(X)_G.
+
+        An admissible action makes X a G-CW complex, so X/G is a CW complex
+        with one k-cell per orbit of k-simplices (tom Dieck, *Transformation
+        Groups*, II.1).  Its generators are the orbits, in OrbitData order
+        within each dimension, each standing for its representative.  Face
+        i of rep_t is k.rep_s for a transporter k, and
+        d[rep_t] = sum_i (-1)^i e_i [rep_s], where e_i is the sign of the
+        permutation that sorts (k(w_0), ..., k(w_{n-1})) for
+        rep_s = (w_0, ..., w_{n-1}): k carries the orientation of rep_s to
+        e_i times that of the face.  e_i does not depend on the choice of
+        k: if k' also carries rep_s onto the face, k^-1 k' leaves rep_s
+        invariant and so, by admissibility, fixes it pointwise; k and k'
+        then agree on every vertex of rep_s.  For the same reason no element
+        reverses the orientation of a simplex it keeps, so each orbit spans
+        a free summand of the coinvariants.  Faces in one orbit add up.
+        """
+        od = orbits_and_stabilizers(gx)
+        dims = [0] * (gx.complex.dimension + 1)
+        for rep, *_ in od.orbits:
+            dims[len(rep) - 1] += 1
+        _check_matrix_bound(dims)
+        first = [sum(dims[:k]) for k in range(len(dims))]
+        boundaries = [[[0] * dims[k] for _ in range(dims[k - 1])] if k else []
+                      for k in range(len(dims))]
+        action = gx.vertex_action
+        for t, (rep, *_) in enumerate(od.orbits):
+            k = len(rep) - 1
+            if not k:
+                continue
+            column, matrix = t - first[k], boundaries[k]
+            for i in range(k + 1):
+                face = rep[:i] + rep[i + 1:]
+                s = od.orbit_of[face]
+                sign = -1 if i % 2 else 1
+                base = od.rep(s)
+                if face != base:
+                    row = action[od.transporter(s)[face]]
+                    sign *= _sorting_sign([row[v] for v in base])
+                matrix[s - first[k - 1]][column] += sign
+        return cls(dims, boundaries)
+
+    def homology(self) -> HomologyResult:
+        """Betti numbers and torsion from the checked ranks of each d_k,
+        with the Euler-Poincare identity checked."""
+        dims = self.dims
+        top = len(dims)
+        ranks = [0] * (top + 1)
+        factors = [[] for _ in range(top + 1)]
+        for k in range(1, top):
+            ranks[k], factors[k] = _checked_rank(self.boundaries[k])
+        betti = tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(top))
+        torsion = tuple(tuple(d for d in factors[k + 1] if d > 1)
+                        for k in range(top))
+        lhs = sum((-1) ** k * b for k, b in enumerate(betti))
+        rhs = sum((-1) ** k * d for k, d in enumerate(dims))
+        if lhs != rhs:
+            raise InternalInconsistency("Euler-Poincare identity fails")
+        return HomologyResult(betti, torsion)
+
+
+def _sorting_sign(values):
+    """The sign of the permutation that sorts distinct values."""
+    return -1 if sum(a > b for a, b in combinations(values, 2)) % 2 else 1
 
 
 def _column_supports(matrix):
@@ -299,21 +377,12 @@ class HomologyResult(NamedTuple):
 
 
 def homology_integral(complex: SimplicialComplex) -> HomologyResult:
-    cc = ChainComplex.from_complex(complex)
-    dims = cc.dims
-    top = len(dims)
-    ranks = [0] * (top + 1)
-    factors = [[] for _ in range(top + 1)]
-    for k in range(1, top):
-        ranks[k], factors[k] = _checked_rank(cc.boundaries[k])
-    betti = tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(top))
-    torsion = tuple(tuple(d for d in factors[k + 1] if d > 1)
-                    for k in range(top))
-    lhs = sum((-1) ** k * b for k, b in enumerate(betti))
-    rhs = sum((-1) ** k * d for k, d in enumerate(dims))
-    if lhs != rhs:
-        raise InternalInconsistency("Euler-Poincare identity fails")
-    return HomologyResult(betti, torsion)
+    return ChainComplex.from_complex(complex).homology()
+
+
+def quotient_homology(gx: GSimplicialComplex) -> HomologyResult:
+    """H_*(X/G) from the cellular chains of the orbit cells."""
+    return ChainComplex.from_orbits(gx).homology()
 
 
 def euler_characteristic(complex: SimplicialComplex) -> int:
@@ -329,15 +398,7 @@ def chain_map_matrix(gx: GSimplicialComplex, g, k):
     row = gx.vertex_action[g]
     for j, s in enumerate(simplices):
         images = [row[v] for v in s]
-        perm = sorted(range(len(images)), key=lambda i: images[i])
-        sign = 1
-        perm = list(perm)
-        for a in range(len(perm)):
-            while perm[a] != a:
-                b = perm[a]
-                perm[a], perm[b] = perm[b], perm[a]
-                sign = -sign
-        matrix[index[tuple(sorted(images))]][j] = sign
+        matrix[index[tuple(sorted(images))]][j] = _sorting_sign(images)
     return matrix
 
 

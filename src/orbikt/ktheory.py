@@ -6,8 +6,11 @@ Three Euler-characteristic routes cross-check each other, an exact counting
 identity is verified when all nontrivial fixed sets are finite, and in the
 isolated-singular-orbit regime the integral K-groups are assembled from the
 six-term sequence with the boundary map provably zero whenever the odd
-K-group of the quotient is torsion-free.  X/G is built once, by the
-decomposition; isolated_k_theory reads it there and runs the cross-check.
+K-group of the quotient is torsion-free.  The decomposition reads each
+H_*(X^g/Z(g)) from the cellular chains of the orbit cells of X^g, and the
+row of the identity from X itself; isolated_k_theory reads H_*(X/G) from
+that row and runs the cross-check.  The simplicial quotients of
+quotient_complex serve the Euler and counting routes.
 """
 
 from __future__ import annotations
@@ -29,32 +32,40 @@ from .errors import (
     NotIsolated,
 )
 from .groups import commuting_pairs, conjugacy_data
-from .homology import KRanks, euler_characteristic, homology_integral
+from .homology import (KRanks, euler_characteristic, homology_integral,
+                       quotient_homology)
 
 
 class BCDecomposition(NamedTuple):
-    """Per-conjugacy-class centralizer quotients of fixed sets with their
-    integral homology, and the componentwise totals of their K-ranks."""
+    """Per-conjugacy-class integral homology of the centralizer quotients of
+    fixed sets, and the componentwise totals of their K-ranks."""
 
-    per_class: tuple  # records (class idx, rep, quotient, HomologyResult)
+    per_class: tuple  # records (class idx, rep, HomologyResult)
     totals: KRanks
 
     def ranks_by_class(self):
-        return [(rep, *hom.k_ranks()) for _, rep, _, hom in self.per_class]
+        return [(rep, *hom.k_ranks()) for _, rep, hom in self.per_class]
 
 
 def bc_decomposition(gx: GSimplicialComplex,
                      allow_subdivide=True) -> BCDecomposition:
+    """H_*(X^g/Z(g)) per class, from the orbit cells of X^g under Z(g).
+
+    X^e = X and Z(e) = G, so the identity's row is read from gx itself.
+    The orbit cells need no subdivision; without allow_subdivide each class
+    is still refused with NotRegular wherever X^g/Z(g) is not simplicial.
+    """
     gx.require_admissible()
     cd = conjugacy_data(gx.group)
     per_class = []
     totals = KRanks(0, 0)
     for idx, rep in enumerate(cd.reps):
-        cfa = centralizer_fixed_action(gx, rep)
-        quotient = quotient_complex(cfa.gcomplex,
-                                    allow_subdivide=allow_subdivide)
-        hom = homology_integral(quotient.complex)
-        per_class.append((idx, rep, quotient, hom))
+        sub = (gx if rep == gx.group.identity
+               else centralizer_fixed_action(gx, rep).gcomplex)
+        if not allow_subdivide:
+            quotient_complex(sub, allow_subdivide=False)
+        hom = quotient_homology(sub)
+        per_class.append((idx, rep, hom))
         totals = totals + hom.k_ranks()
     return BCDecomposition(tuple(per_class), totals)
 
@@ -218,9 +229,10 @@ class IsolatedKResult(NamedTuple):
 
 def isolated_k_theory(gx: GSimplicialComplex,
                       allow_subdivide=True) -> IsolatedKResult:
-    """K-groups from X/G, read from the identity row of bc_decomposition
-    (not row 0: relabeling can sort central elements first), plus one
-    correction per singular orbit; checked by bc_cross_check."""
+    """K-groups from H_*(X/G), read from the identity row of
+    bc_decomposition (not row 0: relabeling can sort central elements
+    first), plus one correction per singular orbit; checked by
+    bc_cross_check."""
     gx.require_admissible()
     od, singular = _singular_orbits(gx)
     singular_records = tuple(
@@ -229,10 +241,10 @@ def isolated_k_theory(gx: GSimplicialComplex,
     extra_rank = sum(r for _, _, r in singular_records)
     decomp = bc_decomposition(gx, allow_subdivide=allow_subdivide)
     identity_class = conjugacy_data(gx.group).class_of[gx.group.identity]
-    _, _, quotient, hom = decomp.per_class[identity_class]
+    _, _, hom = decomp.per_class[identity_class]
     even, odd = hom.k_ranks()
     torsion_bounds = tuple((i, stab.order) for i, stab, _ in singular_records)
-    capped = quotient.complex.dimension > 2
+    capped = gx.complex.dimension > 2  # dim X/G = dim X
     if capped:
         t0 = t1 = None
     else:

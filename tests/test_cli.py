@@ -468,10 +468,10 @@ def test_ktheory_decomposes_once(capsys, monkeypatch):
     code, bc_calls, quotient_calls = _traced_ktheory(
         capsys, monkeypatch, ["ktheory", "--fixture", "z4-torus"])
     assert code == 0
-    # one decomposition over the 4 classes of Z4; its identity class is the
-    # isolated quotient
+    # one decomposition over the 4 classes of Z4, each row read from orbit
+    # cells: the default path builds no simplicial quotient
     assert len(bc_calls) == 1
-    assert len(quotient_calls) == 4
+    assert quotient_calls == []
 
 
 def test_prim_derives_each_transport_and_matrix_once(capsys, monkeypatch):

@@ -2,8 +2,8 @@ import pytest
 
 from orbikt import (InternalInconsistency, NotApplicable, NotIsolated,
                     bc_cross_check, bc_decomposition, bc_vs_count_identity,
-                    equivariant_euler, euler_quotient_check, invariants_check,
-                    isolated_k_theory)
+                    equivariant_euler, euler_quotient_check, homology_integral,
+                    invariants_check, isolated_k_theory, quotient_complex)
 
 
 # -- localization decomposition ----------------------------------------------------
@@ -41,12 +41,38 @@ def test_bc_totals_all_fixtures(all_fixtures):
 
 def test_bc_identity_class_sees_plain_quotient(z2_flip_torus):
     decomp = bc_decomposition(z2_flip_torus)
-    idx, rep, quotient, hom = decomp.per_class[0]
+    idx, rep, hom = decomp.per_class[0]
     assert rep == z2_flip_torus.group.identity
     # quotient of the torus by the flip is a sphere
     assert hom == ((1, 0, 1), ((), (), ()))
     assert hom.k_ranks() == (2, 0)
-    assert quotient.complex.dimension == 2
+    assert hom == homology_integral(quotient_complex(z2_flip_torus).complex)
+
+
+def test_bc_reads_the_identity_row_from_x_itself(monkeypatch):
+    """X^e = X and Z(e) = G, so the identity's row reuses the orbit pass made
+    when gx was built: bc maps simplices only in the orbit passes of the
+    nontrivial classes, |Z(g)| images per orbit of X^g, and none for X."""
+    from orbikt import (GSimplicialComplex, centralizer_fixed_action,
+                        conjugacy_data, fixture, orbits_and_stabilizers)
+
+    gx = fixture("d4-torus")
+    expected = sum(
+        sub.group.order * len(orbits_and_stabilizers(sub))
+        for sub in (centralizer_fixed_action(gx, rep).gcomplex
+                    for rep in conjugacy_data(gx.group).reps
+                    if rep != gx.group.identity))
+    calls = []
+    original = GSimplicialComplex.simplex_image
+
+    def counted(self, g, simplex):
+        calls.append((g, simplex))
+        return original(self, g, simplex)
+
+    monkeypatch.setattr(GSimplicialComplex, "simplex_image", counted)
+    bc_decomposition(gx)
+    # a second orbit pass over a copy of X would add 8 * 33 = 264
+    assert len(calls) == expected == 108
 
 
 # -- Euler characteristic routes ---------------------------------------------------
@@ -163,24 +189,34 @@ def test_bc_cross_check_keeps_callers_subdivision_policy(z2_flip_torus,
                                                          monkeypatch):
     import orbikt.ktheory as ktheory
 
+    policies = []
+    original = ktheory.quotient_complex
+
+    def spy(gx, allow_subdivide=True):
+        policies.append(allow_subdivide)
+        return original(gx, allow_subdivide=allow_subdivide)
+
+    monkeypatch.setattr(ktheory, "quotient_complex", spy)
     res = isolated_k_theory(z2_flip_torus, allow_subdivide=False)
-    decomp = bc_decomposition(z2_flip_torus, allow_subdivide=False)
+    decomp = res.decomposition
+    # one refusal check per class of Z2, each without subdivision
+    assert policies == [False, False]
 
     def no_recompute(*args, **kwargs):
         raise AssertionError("bc_cross_check recomputed the decomposition")
 
     monkeypatch.setattr(ktheory, "bc_decomposition", no_recompute)
     monkeypatch.setattr(ktheory, "quotient_complex", no_recompute)
+    monkeypatch.setattr(ktheory, "quotient_homology", no_recompute)
     totals = bc_cross_check(decomp, res)
     assert totals == decomp.totals
-    assert all(q.subdivisions == 0 for _, _, q, _ in decomp.per_class)
 
 
 def test_isolated_k_theory_builds_quotients_only_in_bc(z4_torus,
                                                        monkeypatch):
-    """X/G comes from the decomposition's identity row: every quotient and
-    homology call happens inside the one bc_decomposition, and the result
-    is cross-checked once."""
+    """H_*(X/G) comes from the decomposition's identity row: every homology
+    call happens inside the one bc_decomposition, on orbit cells, with no
+    simplicial quotient, and the result is cross-checked once."""
     import orbikt.ktheory as ktheory
 
     depth, calls = [0], []
@@ -198,13 +234,13 @@ def test_isolated_k_theory_builds_quotients_only_in_bc(z4_torus,
         monkeypatch.setattr(ktheory, name, wrapper)
 
     for name in ("bc_decomposition", "quotient_complex", "homology_integral",
-                 "bc_cross_check"):
+                 "quotient_homology", "bc_cross_check"):
         watched(name)
     res = isolated_k_theory(z4_torus)
     assert res.k0 == (9, ())
     assert sorted(calls) == sorted(
         [("bc_decomposition", 0), ("bc_cross_check", 0)]
-        + [("quotient_complex", 1), ("homology_integral", 1)] * 4)
+        + [("quotient_homology", 1)] * 4)
     totals = res.decomposition.totals
     assert (totals.even, totals.odd) == (res.k0[0], res.k1[0])
 

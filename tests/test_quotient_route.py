@@ -1,19 +1,32 @@
-"""quotient_complex reads sd(X)/G from the orbits of X instead of building
+"""Two routes to X/G.
+
+quotient_complex reads sd(X)/G from the orbits of X instead of building
 sd(X).  The oracle below is the loop that builds every subdivision and runs
 the Bredon check on it; both must give the same quotient, vertex map and
-subdivision count, or the same refusal."""
+subdivision count, or the same refusal.
+
+bc_decomposition reads H_*(X^g/Z(g)) from the cellular chains of the orbit
+cells (homology.quotient_homology); the homology of the simplicial quotient
+is its oracle on every class row."""
 
 import importlib.util
+import json
 import os
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from orbikt import (GSimplicialComplex, SimplicialComplex, complexes,
-                    cyclic_group, fixture, quotient_complex)
+from orbikt import (GSimplicialComplex, SimplicialComplex,
+                    centralizer_fixed_action, complexes, conjugacy_data,
+                    cyclic_group, fixture, homology, homology_integral,
+                    quotient_complex, quotient_homology)
+from orbikt.cli import main
 from orbikt.complexes import (MAX_SUBDIVISIONS, _bredon_witness,
                               barycentric_subdivide, orbits_and_stabilizers)
 from orbikt.errors import BoundExceeded, NotRegular, OrbiktError
-from orbikt.fixtures import FIXTURE_NAMES
+from orbikt.fixtures import FIXTURE_NAMES, _torus_permutation, torus_complex
+from orbikt.formats import serialize_bundle
 
 INPUTS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                       "bench", "inputs.py")
@@ -204,3 +217,97 @@ def test_subdivision_bound_is_checked_before_any_flag(monkeypatch, build,
     assert str(info.value) == ("complex may have up to %d simplices, more"
                                " than %d" % (bound, complexes.MAX_SIMPLICES))
     assert built == []
+
+
+# -- orbit cells against the simplicial quotient ------------------------------------
+
+
+def glide_reflected_torus():
+    """Z_2 acting freely on the grid-4 torus by (s, t) -> (s + 1/2, -t);
+    X/G is the Klein bottle, with H_1 = Z + Z/2."""
+    glide = _torus_permutation(lambda s, t: (s + Fraction(1, 2), -t))
+    return GSimplicialComplex(torus_complex(), cyclic_group(2),
+                              [tuple(range(32)), glide])
+
+
+def _route_cases():
+    """Fixtures and the glide are relabeled too: at seed 0 every transporter
+    happens to keep the vertex order of the face it reaches, so every
+    orientation sign is +1 there."""
+    cases = [pytest.param(("relabeled", name, seed),
+                          id="%s-seed%d" % (name, seed))
+             for name in (*FIXTURE_NAMES, "glide-reflected-torus")
+             for seed in range(4)]
+    cases += [pytest.param(("torus", kind, grid, seed),
+                           id="%s-%d-seed%d" % (kind, grid, seed))
+              for kind in ("z4", "d4") for grid in (4, 6)
+              for seed in range(4)]
+    cases += [pytest.param(("small", name), id=name) for name in
+              ["rotated-%d-cycle" % n for n in range(3, 7)]
+              + ["reflected-%d-cycle" % n for n in (4, 6)]]
+    return cases
+
+
+def _build_route_case(inputs, case):
+    if case[0] == "relabeled":
+        _, name, seed = case
+        gx = (glide_reflected_torus() if name == "glide-reflected-torus"
+              else fixture(name))
+        return inputs.relabel_action(gx, seed)
+    return _build(inputs, case)
+
+
+@pytest.mark.parametrize("case", _route_cases())
+def test_orbit_cells_give_the_homology_of_every_class_quotient(inputs, case):
+    gx = _build_route_case(inputs, case)
+    for rep in conjugacy_data(gx.group).reps:
+        sub = centralizer_fixed_action(gx, rep).gcomplex
+        assert quotient_homology(sub) == homology_integral(
+            quotient_complex(sub).complex), rep
+
+
+def test_the_oracle_sees_the_orientation_signs(inputs, monkeypatch):
+    """With every sign e_i forced to +1, relabeled RP^2 no longer answers
+    H_1 = Z/2: there the wrong signs break d o d, and the route refuses."""
+    def outcome():
+        gx = inputs.relabel_action(fixture("z2-antipodal-sphere"), 1)
+        return _outcome(lambda: quotient_homology(gx))
+
+    expected = homology_integral(quotient_complex(
+        inputs.relabel_action(fixture("z2-antipodal-sphere"), 1)).complex)
+    assert expected.torsion == ((), (2,), ())
+    assert outcome() == expected
+    monkeypatch.setattr(homology, "_sorting_sign", lambda values: 1)
+    assert outcome() != expected
+
+
+def test_grid_32_ktheory_answers(inputs, tmp_path, capsys):
+    """sd(X)/G of the grid-32 Z4 torus needs a d2 of 9216 x 6144 entries,
+    above MAX_MATRIX_ENTRIES; the orbit cells of X/G need 1536 x 1024."""
+    path = tmp_path / "z4-torus-32.txt"
+    path.write_text(serialize_bundle(inputs.torus_action("z4", 32)))
+    code = main(["ktheory", "--complex", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    payload = json.loads(out)["payload"]
+    assert payload["k0"] == {"rank": 9, "torsion": []}
+    assert payload["k1"] == {"rank": 0, "torsion": []}
+    assert payload["quotient_k0"] == {"rank": 2, "torsion": []}
+
+
+def test_orbit_complex_is_refused_before_allocation(inputs, monkeypatch):
+    """With the bound at the size of d1, d2 is refused before any matrix,
+    d1 included, is built: d1 alone would take more than 6 MB."""
+    gx = inputs.torus_action("z4", 32)
+    orbits_and_stabilizers(gx)
+    monkeypatch.setattr(homology, "MAX_MATRIX_ENTRIES", 514 * 1536)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded) as info:
+            quotient_homology(gx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == ("boundary matrix d2 would have 1536 x 1024"
+                               " entries, more than %d" % (514 * 1536))
+    assert peak < 2 ** 20

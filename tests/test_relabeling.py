@@ -11,8 +11,8 @@ from collections import Counter
 import pytest
 
 from orbikt import (NotIsolated, NotRegular, bc_decomposition,
-                    conjugacy_data, fixture, isolated_k_theory,
-                    quotient_complex)
+                    conjugacy_data, fixture, homology_integral,
+                    isolated_k_theory, quotient_complex)
 from orbikt.cli import main
 from orbikt.fixtures import FIXTURE_NAMES
 from orbikt.formats import serialize_bundle
@@ -180,12 +180,11 @@ def test_isolated_k_theory_is_label_free(inputs, name):
         assert outcome == outcomes[0], seed
 
 
-def _quotient_or_refusal(build):
+def _homology_or_refusal(build):
     try:
-        quotient = build()
+        return build()
     except NotRegular:
         return "NotRegular"
-    return quotient.complex, quotient.vertex_map, quotient.subdivisions
 
 
 def _identity_row_cases():
@@ -200,9 +199,10 @@ def _identity_row_cases():
 @pytest.mark.parametrize("allow_subdivide", (True, False))
 def test_identity_row_is_the_plain_quotient(inputs, torus, name,
                                             allow_subdivide):
-    """isolated_k_theory reads X/G from the identity row of the
-    decomposition; that row must be quotient_complex(gx) itself, found by
-    the identity's class index wherever relabeling sorts it."""
+    """isolated_k_theory reads H_*(X/G) from the identity row of the
+    decomposition; that row must be the homology of quotient_complex(gx),
+    or the same refusal, found by the identity's class index wherever
+    relabeling sorts it."""
     if torus is None:
         gx = fixture(name)
     else:
@@ -214,6 +214,6 @@ def test_identity_row_is_the_plain_quotient(inputs, torus, name,
         decomp = bc_decomposition(gx, allow_subdivide=allow_subdivide)
         return decomp.per_class[identity_class][2]
 
-    plain = _quotient_or_refusal(
-        lambda: quotient_complex(gx, allow_subdivide=allow_subdivide))
-    assert _quotient_or_refusal(identity_row) == plain
+    plain = _homology_or_refusal(lambda: homology_integral(quotient_complex(
+        gx, allow_subdivide=allow_subdivide).complex))
+    assert _homology_or_refusal(identity_row) == plain
