@@ -230,11 +230,13 @@ def _check_subdivision_bound(complex: SimplicialComplex, maximal):
 class OrbitData:
     """G-orbits of simplices: representatives, members, stabilizers,
     transporters, ordered by (dimension, representative), and the
-    admissibility witness (None when the action is admissible)."""
+    admissibility witness (None when the action is admissible).  Facets:
+    facets[t][i] = (s, k), where face i of rep_t (no vertex i) is k·rep_s."""
 
-    def __init__(self, orbits, orbit_of, witness):
+    def __init__(self, orbits, orbit_of, facets, witness):
         self.orbits = tuple(orbits)  # records (rep, members, stab, transporter)
         self.orbit_of = orbit_of     # simplex tuple -> orbit id
+        self.facets = tuple(facets)
         self.witness = witness
 
     def __len__(self):
@@ -249,10 +251,6 @@ class OrbitData:
     def stabilizer(self, i) -> Subgroup:
         return self.orbits[i][2]
 
-    def transporter(self, i):
-        """Map member simplex -> smallest g with g·rep = member."""
-        return self.orbits[i][3]
-
 
 def _orbit_pass(gx: GSimplicialComplex, check=False):
     """The orbits of gx and its admissibility witness, built once and cached
@@ -262,10 +260,11 @@ def _orbit_pass(gx: GSimplicialComplex, check=False):
     Simplices are walked in (dimension, lex) order, so the first one met of
     each orbit is its representative; it is mapped under every element
     exactly once, and its members, transporters and stabilizer are read from
-    those images.  Stabilizers are conjugate along an orbit, so the orbit is
-    admissible iff Stab(rep) fixes rep pointwise.  Only when some orbit is
-    not are the violators conjugated along the transporters to every member,
-    to find the smallest violating element and its first simplex.
+    those images, and its facets from the orbits met before it.  Stabilizers
+    are conjugate along an orbit, so the orbit is admissible iff Stab(rep)
+    fixes rep pointwise.  Only when some orbit is not are the violators
+    conjugated along the transporters to every member, to find the smallest
+    violating element and its first simplex.
     """
     if gx._orbit_data is not None:
         return gx._orbit_data
@@ -273,6 +272,7 @@ def _orbit_pass(gx: GSimplicialComplex, check=False):
     complex = gx.complex
     orbit_of = {}
     orbits = []
+    facets = []
     violations = []  # (transporter, elements of Stab(rep) moving a vertex)
     for rep in complex.all_simplices():
         if rep in orbit_of:
@@ -296,6 +296,9 @@ def _orbit_pass(gx: GSimplicialComplex, check=False):
                   if any(gx.vertex_action[g][v] != v for v in rep)]
         if moving:
             violations.append((transporter, moving))
+        faces_of_rep = (rep[:i] + rep[i + 1:] for i in range(len(rep)))
+        facets.append(tuple((orbit_of[f], orbits[orbit_of[f]][3][f])
+                            for f in faces_of_rep if f))  # none for a vertex
         for t in members:
             orbit_of[t] = len(orbits)
         orbits.append((rep, members, Subgroup(group, stab), transporter))
@@ -307,7 +310,7 @@ def _orbit_pass(gx: GSimplicialComplex, check=False):
                       for transporter, moving in violations
                       for m, t in transporter.items() for g in moving)
         witness = (g, s)
-    gx._orbit_data = OrbitData(orbits, orbit_of, witness)
+    gx._orbit_data = OrbitData(orbits, orbit_of, facets, witness)
     return gx._orbit_data
 
 
@@ -507,12 +510,11 @@ def isotropy_strata(gx: GSimplicialComplex):
     If rep_s is a face of g.rep_t, an element fixing g.rep_t fixes it
     pointwise (admissibility), so Stab(g.rep_t) lies in Stab(rep_s), and
     equal orders mean equal stabilizers: a stratum's stabilizers are
-    conjugate.  The faces of the representatives give every adjacent pair.
+    conjugate.  Facets give every adjacent pair: stabilizers nest along chains.
     """
     od = orbits_and_stabilizers(gx)
     order = [od.stabilizer(i).order for i in range(len(od))]
-    pairs = ((t, s) for t in range(len(od))
-             for s in map(od.orbit_of.__getitem__, faces(od.rep(t)))
-             if order[s] == order[t])
+    pairs = ((t, s) for t, record in enumerate(od.facets)
+             for s, _ in record if order[s] == order[t])
     return [IsotropyStratum(i, od.stabilizer(ids[0]), tuple(ids))
             for i, ids in enumerate(_components(len(od), pairs))]

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 from .characters import (CharacterTable, conjugate_irrep, multiplicity,
                          subgroup_table)
-from .complexes import (GSimplicialComplex, _components, faces,
-                        isotropy_strata, orbits_and_stabilizers)
+from .complexes import (GSimplicialComplex, _components, isotropy_strata,
+                        orbits_and_stabilizers)
 from .errors import (
     InternalInconsistency,
     NonConstantStabilizer,
@@ -199,8 +199,14 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
     restriction matrix from Stab(rep_s) to Stab(m) = h Stab(rep_t) h^-1 is
     positive.
 
-    The h with h.f = rep_s for a face f = k.rep_s of rep_t are a.k^-1 over a
-    in Stab(rep_s), so the (sigma, tau) pairs a face gives depend only on
+    The order is the reflexive transitive closure of the facet relations:
+    Res^{G_s}_{G_r} = Res^{G_t}_{G_r} o Res^{G_s}_{G_t} along any chain
+    s < t < r, so relations through faces factor through facets, and
+    composites are relations.  Facet relations point to larger orbit ids:
+    one reverse pass, above[a] |= above[b] for direct b, closes them.
+
+    The h with h.f = rep_s for a facet f = k.rep_s of rep_t are a.k^-1 over
+    a in Stab(rep_s), so the (sigma, tau) pairs a facet gives depend only on
     the triple (Stab(rep_s), Stab(rep_t), k^-1); each triple is worked out
     once.  Transport and restriction depend on a subgroup only through its
     element tuple (equal element tuples share one reified group and one
@@ -247,20 +253,20 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
                         pairs.add((sigma_id, tau_id))
         return pairs
 
-    for t_orb in range(len(od)):
+    for t_orb, record in enumerate(od.facets):
         stab_t = od.stabilizer(t_orb)
         up = first[t_orb]
-        for face in faces(od.rep(t_orb)):
-            s_orb = od.orbit_of[face]
+        for s_orb, k in record:
             stab_s = od.stabilizer(s_orb)
-            k_inv = inv[od.transporter(s_orb)[face]]
-            key = (stab_s.elements, stab_t.elements, k_inv)
+            key = (stab_s.elements, stab_t.elements, inv[k])
             pairs = triples.get(key)
             if pairs is None:
-                pairs = triples[key] = related(stab_s, stab_t, k_inv)
+                pairs = triples[key] = related(stab_s, stab_t, inv[k])
             down = first[s_orb]
             for sigma_id, tau_id in pairs:
                 above[down + sigma_id].add(up + tau_id)
+    for a in reversed(range(len(nodes))):
+        above[a] = {a}.union(*(above[b] for b in above[a]))
 
     stab_orders = [od.stabilizer(node.orbit_id).order for node in nodes]
     degrees = [subgroup_table(od.stabilizer(node.orbit_id)).degree(node.irrep_id)
@@ -271,14 +277,15 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
 def ix_nodes(poset: PrimPoset):
     """The trivial-irrep node set with its openness certificate.
 
-    These nodes carry the distinguished ideal induced from the orbit space;
-    the set must be open in the specialization topology.
+    These nodes carry the distinguished ideal induced from the orbit space.
+    They are open, as (s, triv) <= (t, tau) forces h.tau into Res(triv).
     """
     members = [i for i, node in enumerate(poset.nodes) if node.irrep_id == 0]
     violation = poset.open_violation(members)
     if violation is not None:
-        raise NotOpen("trivial-irrep node set is not open (internal bug)",
-                      witness=violation)
+        raise InternalInconsistency(
+            "trivial-irrep node set is not open: %r lies below %r"
+            % tuple(tuple(poset.nodes[i]) for i in violation))
     return members
 
 

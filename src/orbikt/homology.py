@@ -91,7 +91,7 @@ class ChainComplex:
         with one k-cell per orbit of k-simplices (tom Dieck, *Transformation
         Groups*, II.1).  Its generators are the orbits, in OrbitData order
         within each dimension, each standing for its representative.  Face
-        i of rep_t is k.rep_s for a transporter k, and
+        i of rep_t is k.rep_s for the transporter k of its facet, and
         d[rep_t] = sum_i (-1)^i e_i [rep_s], where e_i is the sign of the
         permutation that sorts (k(w_0), ..., k(w_{n-1})) for
         rep_s = (w_0, ..., w_{n-1}): k carries the orientation of rep_s to
@@ -111,20 +111,14 @@ class ChainComplex:
         boundaries = [[[0] * dims[k] for _ in range(dims[k - 1])] if k else []
                       for k in range(len(dims))]
         action = gx.vertex_action
-        for t, (rep, *_) in enumerate(od.orbits):
-            k = len(rep) - 1
-            if not k:
+        for t, record in enumerate(od.facets):
+            if not record:
                 continue
+            k = len(record) - 1
             column, matrix = t - first[k], boundaries[k]
-            for i in range(k + 1):
-                face = rep[:i] + rep[i + 1:]
-                s = od.orbit_of[face]
-                sign = -1 if i % 2 else 1
-                base = od.rep(s)
-                if face != base:
-                    row = action[od.transporter(s)[face]]
-                    sign *= _sorting_sign([row[v] for v in base])
-                matrix[s - first[k - 1]][column] += sign
+            for i, (s, g) in enumerate(record):
+                sign = _sorting_sign([action[g][v] for v in od.rep(s)])
+                matrix[s - first[k - 1]][column] += -sign if i % 2 else sign
         return cls(dims, boundaries)
 
     def homology(self) -> HomologyResult:

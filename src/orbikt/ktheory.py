@@ -54,6 +54,9 @@ def bc_decomposition(gx: GSimplicialComplex,
     X^e = X and Z(e) = G, so the identity's row is read from gx itself.
     The orbit cells need no subdivision; without allow_subdivide each class
     is still refused with NotRegular wherever X^g/Z(g) is not simplicial.
+    The totals are checked against the prim nodes: the open-cell pieces of
+    C(X) x| G are Morita equivalent to C0(cell) (x) C*(Stab), so even - odd
+    must equal the sum over orbits of (-1)^dim #classes(Stab).
     """
     gx.require_admissible()
     cd = conjugacy_data(gx.group)
@@ -67,6 +70,15 @@ def bc_decomposition(gx: GSimplicialComplex,
         hom = quotient_homology(sub)
         per_class.append((idx, rep, hom))
         totals = totals + hom.k_ranks()
+    signed = {}  # stabilizer -> sum of (-1)^dim over its orbits
+    for rep, _, stab, _ in orbits_and_stabilizers(gx).orbits:
+        signed[stab] = signed.get(stab, 0) + (-1) ** (len(rep) - 1)
+    euler = sum(n * len(conjugacy_data(stab.group).classes)
+                for stab, n in signed.items())
+    if euler != totals.even - totals.odd:
+        raise InternalInconsistency(
+            "prim nodes count Euler characteristic %d, bc totals %d"
+            % (euler, totals.even - totals.odd))
     return BCDecomposition(tuple(per_class), totals)
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +13,13 @@ from orbikt import (CharacterTable, InternalInconsistency,
                     inclusion_multiplicities, ix_nodes, fixture,
                     orbits_and_stabilizers, parse_bundle_text, prim_nodes,
                     specialization, subgroup_table)
-from orbikt.complexes import faces
+from orbikt.complexes import (GSimplicialComplex, SimplicialComplex,
+                               barycentric_subdivide, faces)
 from orbikt.fixtures import FIXTURE_NAMES
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+INPUTS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                      "bench", "inputs.py")
 
 
 # -- fiber block decompositions ---------------------------------------------------
@@ -267,16 +272,17 @@ def test_specialization_refuses_cell_stabilizer_outside_face(d4_torus,
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_specialization_checks_the_matrix_of_every_face_translate(
         name, monkeypatch):
-    """specialization reads translates from the faces of representatives;
+    """specialization reads translates from the facets of representatives;
     it must still build, and check, one restriction matrix per pair
-    (Stab(rep_s), Stab(m)) over every simplex m with rep_s as a face."""
+    (Stab(rep_s), Stab(m)) over every simplex m with rep_s as a
+    codimension-1 face."""
     gx = fixture(name)
     od = orbits_and_stabilizers(gx)
     expected = set()
     for s in gx.complex.all_simplices():
         stab_m = tuple(g for g in range(gx.group.order)
                        if gx.simplex_image(g, s) == s)
-        for face in faces(s):
+        for face in combinations(s, len(s) - 1) if len(s) > 1 else ():
             s_orb = od.orbit_of[face]
             if od.rep(s_orb) == face:
                 expected.add((od.stabilizer(s_orb).elements, stab_m))
@@ -316,16 +322,45 @@ def _specialization_by_definition(gx):
     return above
 
 
-@pytest.mark.parametrize("name", ["d4-torus", "z4-torus", "relabeled"])
-def test_specialization_matches_its_definition(name):
-    """specialization works each (Stab(rep_s), Stab(rep_t), k^-1) triple out
-    once; on the relabeled grid-6 D4 torus, faces with the same stabilizer
-    pair need different k^-1."""
+def _subdivided_simplex_action(rows):
+    """sd of the 3-simplex under the vertex permutations in rows, a cyclic
+    group in order of powers."""
+    simplex = GSimplicialComplex(SimplicialComplex(4, [(0, 1, 2, 3)]),
+                                 cyclic_group(len(rows)), rows)
+    return barycentric_subdivide(simplex)
+
+
+def _definition_case(name):
     if name == "relabeled":
         with open(os.path.join(GOLDEN_DIR, "d4-torus-6-seed3.txt")) as f:
-            gx = parse_bundle_text(f.read())
-    else:
-        gx = fixture(name)
+            return parse_bundle_text(f.read())
+    if name == "z2-swapped-3-simplex-sd":
+        return _subdivided_simplex_action([(0, 1, 2, 3), (1, 0, 2, 3)])
+    if name == "z4-cycled-3-simplex-sd":
+        return _subdivided_simplex_action(
+            [tuple((v + k) % 4 for v in range(4)) for k in range(4)])
+    if name in FIXTURE_NAMES:
+        return fixture(name)
+    kind, grid, seed = name.split("-")
+    spec = importlib.util.spec_from_file_location("bench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.relabel_action(inputs.torus_action(kind, int(grid)),
+                                 int(seed[len("seed"):]))
+
+
+@pytest.mark.parametrize(
+    "name", list(FIXTURE_NAMES) + ["relabeled"]
+    + ["%s-%d-seed%d" % (kind, grid, seed) for kind in ("d4", "z4")
+       for grid in (4, 6) for seed in range(3)]
+    + ["z2-swapped-3-simplex-sd", "z4-cycled-3-simplex-sd"])
+def test_specialization_matches_its_definition(name):
+    """specialization works each (Stab(rep_s), Stab(rep_t), k^-1) triple out
+    once and closes the facet relations transitively; on the relabeled
+    grid-6 D4 torus, faces with the same stabilizer pair need different
+    k^-1, and on the subdivided 3-simplices some relations go through faces
+    of codimension 2 and 3 only."""
+    gx = _definition_case(name)
     poset = specialization(gx)
     want = _specialization_by_definition(gx)
     got = {tuple(poset.nodes[a]): {tuple(poset.nodes[b]) for b in up}
@@ -463,6 +498,16 @@ def test_filtration_block_dimensions(d4_torus):
     # last step: the degree-2 corner node gives a 2-dimensional block
     dims3 = {tuple(key): block for key, _deg, block in report.steps[2]}
     assert dims3[(0, 4)] == 2
+
+
+def test_ix_nodes_reports_a_closed_trivial_set_as_a_bug():
+    """(0, 0) below (1, 1) is impossible in a specialization order, so
+    ix_nodes takes it for an internal inconsistency, not a refusal."""
+    poset = PrimPoset([PrimNode(0, 0), PrimNode(1, 1)], [[0, 1], [1]],
+                      [2, 1], [1, 1])
+    with pytest.raises(InternalInconsistency,
+                       match=r"not open: \(0, 0\) lies below \(1, 1\)"):
+        ix_nodes(poset)
 
 
 def test_filtration_refuses_non_open_step(d4_torus):

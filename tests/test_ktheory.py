@@ -262,6 +262,32 @@ def test_bc_cross_check_runs_inside_isolated_k_theory(z2_circle, monkeypatch):
         isolated_k_theory(z2_circle)
 
 
+def test_bc_totals_are_checked_against_the_prim_node_count(d4_torus,
+                                                           monkeypatch):
+    """d4-torus is outside the isolated regime, so bc_cross_check never
+    sees it; the prim-node Euler count inside bc_decomposition still
+    refuses one wrong class row."""
+    import orbikt.ktheory as ktheory
+
+    original = ktheory.quotient_homology
+    rows = []
+
+    def one_wrong_row(sub):
+        hom = original(sub)
+        rows.append(hom)
+        if len(rows) == 2:
+            return hom._replace(betti=(hom.betti[0] + 1,) + hom.betti[1:])
+        return hom
+
+    assert bc_decomposition(d4_torus).totals == (9, 0)
+    monkeypatch.setattr(ktheory, "quotient_homology", one_wrong_row)
+    with pytest.raises(InternalInconsistency,
+                       match="prim nodes count Euler characteristic 9, "
+                             "bc totals 10"):
+        bc_decomposition(d4_torus)
+    assert len(rows) == 5
+
+
 # -- invariant cohomology against quotient Betti numbers ---------------------------
 
 
