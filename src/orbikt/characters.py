@@ -453,17 +453,16 @@ class CharacterTable:
         return None
 
 
-def character_table(group: FiniteGroup, conductor=None,
-                    bound=CHARACTER_TABLE_BOUND) -> CharacterTable:
+def character_table(group: FiniteGroup, conductor=None) -> CharacterTable:
     """The exact character table of the group.
 
     Values live at the given conductor (a multiple of exp(G); defaults to
     exp(G)).  Irreps are sorted by (degree, coefficient vectors), with the
     trivial character forced to id 0.
     """
-    if group.order > bound:
+    if group.order > CHARACTER_TABLE_BOUND:
         raise BoundExceeded("group order %d exceeds bound %d"
-                            % (group.order, bound))
+                            % (group.order, CHARACTER_TABLE_BOUND))
     e = group.exponent()
     if conductor is None:
         conductor = e
@@ -602,13 +601,12 @@ def _exponent_sum(products, m):
     return reduced
 
 
-def subgroup_table(sub: Subgroup, bound=CHARACTER_TABLE_BOUND) -> CharacterTable:
+def subgroup_table(sub: Subgroup) -> CharacterTable:
     """Character table of a subgroup, at the parent group's conductor."""
     key = sub.elements
     cached = sub.parent._sub_tables.get(key)
     if cached is None:
-        cached = character_table(sub.group, conductor=sub.parent.exponent(),
-                                 bound=bound)
+        cached = character_table(sub.group, conductor=sub.parent.exponent())
         sub.parent._sub_tables[key] = cached
     return cached
 

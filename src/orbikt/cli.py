@@ -63,9 +63,6 @@ def build_parser(argv=None) -> _Parser:
                         default="table")
     common.add_argument("--max-order", type=int, default=512, metavar="N",
                         help="refuse groups larger than N (default 512)")
-    common.add_argument("--no-subdivide", action="store_true",
-                        help="forbid automatic barycentric subdivision when "
-                             "forming quotients")
 
     parser = _Parser(prog="orbikt",
                      description="Exact invariants of finite group actions "
@@ -398,7 +395,7 @@ def _cmd_bc(inputs, args):
     from .ktheory import bc_decomposition
 
     gx = inputs.require_action()
-    decomp = bc_decomposition(gx, allow_subdivide=not args.no_subdivide)
+    decomp = bc_decomposition(gx)
     return _bc_payload(decomp, gx.group), []
 
 
@@ -407,7 +404,7 @@ def _cmd_ktheory(inputs, args):
     from .ktheory import isolated_k_theory
 
     gx = inputs.require_action()
-    result = isolated_k_theory(gx, allow_subdivide=not args.no_subdivide)
+    result = isolated_k_theory(gx)
     group = gx.group
     od = orbits_and_stabilizers(gx)
 
@@ -450,8 +447,7 @@ def _cmd_identity_check(inputs, args):
     from .ktheory import bc_vs_count_identity
 
     gx = inputs.require_action()
-    identity = bc_vs_count_identity(gx,
-                                    allow_subdivide=not args.no_subdivide)
+    identity = bc_vs_count_identity(gx)
     payload = {"vertex_count_sum": identity.lhs,
                "euler_difference": identity.rhs,
                "equal": identity.lhs == identity.rhs}
@@ -472,6 +468,11 @@ def _cmd_fixture(inputs, args):
     return payload, []
 
 
+# The commands whose routes build the simplicial quotient sd(X)/G.
+_NO_SUBDIVIDE = (["--no-subdivide"], dict(
+    action="store_true",
+    help="forbid automatic barycentric subdivision when forming quotients"))
+
 # command -> (handler, help, its own arguments as (names, options) pairs),
 # in help order
 _COMMANDS = {
@@ -481,11 +482,13 @@ _COMMANDS = {
     "fixed": (_cmd_fixed, "fixed-point subcomplex of the listed elements",
               [(["elements"], dict(nargs="+", metavar="ELT",
                                    help="group elements by name or index"))]),
-    "quotient": (_cmd_quotient, "orbit space as a simplicial complex", ()),
+    "quotient": (_cmd_quotient, "orbit space as a simplicial complex",
+                 [_NO_SUBDIVIDE]),
     "betti": (_cmd_betti, "integral homology of the complex", ()),
     "euler": (_cmd_euler, "equivariant Euler characteristic",
               [(["--method"], dict(default="bc", choices=(
-                  "bc", "pairs", "isolated", "quotient-check")))]),
+                  "bc", "pairs", "isolated", "quotient-check"))),
+               _NO_SUBDIVIDE]),
     "fiber": (_cmd_fiber, "fiber blocks of the crossed product over a "
                           "point with the given stabilizer",
               [(["generators"], dict(
@@ -528,7 +531,7 @@ def _meta(inputs, args):
         meta["group_order"] = inputs.group.order
     if inputs.complex is not None:
         meta["f_vector"] = list(inputs.complex.f_vector())
-    if args.no_subdivide:
+    if getattr(args, "no_subdivide", False):
         meta["subdivision"] = "forbidden"
     return meta
 

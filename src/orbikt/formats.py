@@ -272,24 +272,26 @@ def parse_action_text(text, group: FiniteGroup,
                             % (lineno, group.name_of(g)))
         known[g] = perm
 
-    # Close under multiplication: act(a*b) = act(a) o act(b).
-    changed = True
-    while changed:
-        changed = False
-        for a in list(known):
-            pa = known[a]
-            for b in list(known):
-                pb = known[b]
-                c = group.mult[a][b]
-                pc = tuple(map(pa.__getitem__, pb))
-                if c in known:
-                    if known[c] != pc:
-                        raise BadAction(
-                            "action file is inconsistent with the group "
-                            "table at element %s" % group.name_of(c))
-                else:
-                    known[c] = pc
-                    changed = True
+    # Reach each element a once and set act(a*s) = act(a) o act(s) for every
+    # listed s, checking it wherever act(a*s) is already known.  That proves
+    # a homomorphism on the group the listed elements generate: each b there
+    # is a word in them, so act(a*b) = act(a) o act(b) by induction on the
+    # length of the word.
+    listed = [(s, ps) for s, ps in known.items() if s != group.identity]
+    queue = [group.identity]
+    reached = {group.identity}
+    for a in queue:
+        pa, row = known[a], group.mult[a]
+        for s, ps in listed:
+            c = row[s]
+            pc = tuple(map(pa.__getitem__, ps))
+            if known.setdefault(c, pc) != pc:
+                raise BadAction(
+                    "action file is inconsistent with the group "
+                    "table at element %s" % group.name_of(c))
+            if c not in reached:
+                reached.add(c)
+                queue.append(c)
     if len(known) != group.order:
         missing = next(g for g in range(group.order) if g not in known)
         raise BadAction(

@@ -8,9 +8,10 @@ isolated-singular-orbit regime the integral K-groups are assembled from the
 six-term sequence with the boundary map provably zero whenever the odd
 K-group of the quotient is torsion-free.  The decomposition reads each
 H_*(X^g/Z(g)) from the cellular chains of the orbit cells of X^g, and the
-row of the identity from X itself; isolated_k_theory reads H_*(X/G) from
-that row and runs the cross-check.  The simplicial quotients of
-quotient_complex serve the Euler and counting routes.
+row of the identity from X itself, so it subdivides nothing;
+isolated_k_theory reads H_*(X/G) from that row and runs the cross-check.
+The simplicial quotients of quotient_complex serve invariants_check and the
+Euler routes through X/G, which alone take its subdivision policy.
 """
 
 from __future__ import annotations
@@ -47,16 +48,15 @@ class BCDecomposition(NamedTuple):
         return [(rep, *hom.k_ranks()) for _, rep, hom in self.per_class]
 
 
-def bc_decomposition(gx: GSimplicialComplex,
-                     allow_subdivide=True) -> BCDecomposition:
+def bc_decomposition(gx: GSimplicialComplex) -> BCDecomposition:
     """H_*(X^g/Z(g)) per class, from the orbit cells of X^g under Z(g).
 
     X^e = X and Z(e) = G, so the identity's row is read from gx itself.
-    The orbit cells need no subdivision; without allow_subdivide each class
-    is still refused with NotRegular wherever X^g/Z(g) is not simplicial.
-    The totals are checked against the prim nodes: the open-cell pieces of
-    C(X) x| G are Morita equivalent to C0(cell) (x) C*(Stab), so even - odd
-    must equal the sum over orbits of (-1)^dim #classes(Stab).
+    X^g/Z(g) is a CW complex whose cells are the orbits of X^g, so no class
+    needs a subdivision or a simplicial quotient.  The totals are checked
+    against the prim nodes: the open-cell pieces of C(X) x| G are Morita
+    equivalent to C0(cell) (x) C*(Stab), so even - odd must equal the sum
+    over orbits of (-1)^dim #classes(Stab).
     """
     gx.require_admissible()
     cd = conjugacy_data(gx.group)
@@ -65,8 +65,6 @@ def bc_decomposition(gx: GSimplicialComplex,
     for idx, rep in enumerate(cd.reps):
         sub = (gx if rep == gx.group.identity
                else centralizer_fixed_action(gx, rep).gcomplex)
-        if not allow_subdivide:
-            quotient_complex(sub, allow_subdivide=False)
         hom = quotient_homology(sub)
         per_class.append((idx, rep, hom))
         totals = totals + hom.k_ranks()
@@ -106,7 +104,7 @@ def equivariant_euler(gx: GSimplicialComplex, method="bc",
                       allow_subdivide=True) -> int:
     gx.require_admissible()
     if method == "bc":
-        totals = bc_decomposition(gx, allow_subdivide=allow_subdivide).totals
+        totals = bc_decomposition(gx).totals
         return totals.even - totals.odd
     if method == "commuting_pairs":
         order = gx.group.order
@@ -166,12 +164,12 @@ class CountIdentity(NamedTuple):
         return self.lhs == self.rhs
 
 
-def bc_vs_count_identity(gx: GSimplicialComplex,
-                         allow_subdivide=True) -> CountIdentity:
+def bc_vs_count_identity(gx: GSimplicialComplex) -> CountIdentity:
     """Sum of point counts of nontrivial-class quotients against the total
     number of nontrivial stabilizer irreps over singular orbits.
 
     Requires every fixed set of a nontrivial element to be 0-dimensional.
+    The points of such an X^g/Z(g) are the orbits of its vertices.
     """
     gx.require_admissible()
     cd = conjugacy_data(gx.group)
@@ -185,9 +183,7 @@ def bc_vs_count_identity(gx: GSimplicialComplex,
         if dimension > 0:
             raise NotApplicable("fixed set of element %d is %d-dimensional"
                                 % (rep, dimension))
-        quotient = quotient_complex(cfa.gcomplex,
-                                    allow_subdivide=allow_subdivide)
-        lhs += quotient.complex.vertex_count
+        lhs += len(orbits_and_stabilizers(cfa.gcomplex))
     od, singular = _singular_orbits(gx)
     rhs = sum(_rep_star_count(od.stabilizer(i)) for i in singular)
     return CountIdentity(lhs, rhs)
@@ -239,8 +235,7 @@ class IsolatedKResult(NamedTuple):
     decomposition: BCDecomposition
 
 
-def isolated_k_theory(gx: GSimplicialComplex,
-                      allow_subdivide=True) -> IsolatedKResult:
+def isolated_k_theory(gx: GSimplicialComplex) -> IsolatedKResult:
     """K-groups from H_*(X/G), read from the identity row of
     bc_decomposition (not row 0: relabeling can sort central elements
     first), plus one correction per singular orbit; checked by
@@ -251,7 +246,7 @@ def isolated_k_theory(gx: GSimplicialComplex,
         (i, od.stabilizer(i), _rep_star_count(od.stabilizer(i)))
         for i in singular)
     extra_rank = sum(r for _, _, r in singular_records)
-    decomp = bc_decomposition(gx, allow_subdivide=allow_subdivide)
+    decomp = bc_decomposition(gx)
     identity_class = conjugacy_data(gx.group).class_of[gx.group.identity]
     _, _, hom = decomp.per_class[identity_class]
     even, odd = hom.k_ranks()

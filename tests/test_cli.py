@@ -190,13 +190,19 @@ def test_orbits_json(capsys):
     assert doc["payload"]["orbit_count"] == 9
 
 
-def test_quotient_respects_no_subdivide(capsys):
-    code, out, _ = run_cli(capsys, ["quotient", "--fixture", "z2-circle",
-                                    "--no-subdivide", "--format", "json"])
+@pytest.mark.parametrize("argv, payload", [
+    (["quotient", "--fixture", "z2-circle"], {"subdivisions": 0}),
+    # the bc route reads orbit cells: z4-torus answers, where the quotient
+    # would need a subdivision
+    (["euler", "--method", "bc", "--fixture", "z4-torus"], {"value": 9}),
+], ids=["quotient", "euler"])
+def test_quotient_routes_respect_no_subdivide(capsys, argv, payload):
+    code, out, _ = run_cli(capsys, argv + ["--no-subdivide", "--format",
+                                           "json"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["payload"]["subdivisions"] == 0
     assert doc["meta"]["subdivision"] == "forbidden"
+    assert payload.items() <= doc["payload"].items()
 
 
 # -- filtration command ---------------------------------------------------------------
@@ -442,7 +448,7 @@ def _count_calls(monkeypatch, modules, name, calls):
     original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("allow_subdivide", True))
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module in modules:
@@ -523,14 +529,19 @@ def test_orbit_pass_maps_each_orbit_once(monkeypatch):
     assert len(calls) == 264
 
 
-def test_ktheory_respects_no_subdivide(capsys, monkeypatch):
-    code, bc_calls, quotient_calls = _traced_ktheory(
-        capsys, monkeypatch,
-        ["ktheory", "--fixture", "z2-flip-torus", "--no-subdivide"])
+@pytest.mark.parametrize("command", ["bc", "ktheory", "identity-check"])
+def test_commands_without_a_quotient_refuse_no_subdivide(capsys, monkeypatch,
+                                                         command):
+    """They read X^g/Z(g) from orbit cells, so there is nothing to forbid."""
+    code, out, err = run_cli(capsys, [command, "--fixture", "z4-torus",
+                                      "--no-subdivide"])
+    assert code == 1 and out == ""
+    assert err == ("orbikt: ParseError: unrecognized arguments: "
+                   "--no-subdivide\n")
+    code, _bc_calls, quotient_calls = _traced_ktheory(
+        capsys, monkeypatch, [command, "--fixture", "z4-torus"])
     assert code == 0
-    assert bc_calls == [False]
-    # two classes of Z2; the identity class is the isolated quotient
-    assert quotient_calls == [False] * 2
+    assert quotient_calls == []
 
 
 # -- closed output --------------------------------------------------------------------

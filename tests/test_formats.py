@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from orbikt import (BadAction, BoundExceeded, NotAGroup, ParseError,
@@ -126,6 +128,19 @@ def test_action_extends_from_generators(d4_torus):
     gx = parse_action_text("\n".join(lines) + "\n",
                            d4_torus.group, d4_torus.complex)
     assert gx.vertex_action == d4_torus.vertex_action
+
+
+def test_action_closure_is_linear_in_the_group_order():
+    """One act line for the generator of Z/512 on a 512-cycle (admitted by
+    the default --max-order) is extended by |G| compositions, not by
+    sweeps over every pair of elements."""
+    g = cyclic_group(512)
+    x = circle_complex(512)
+    text = "act 1 : %s\n" % " ".join(str((v + 1) % 512) for v in range(512))
+    start = time.perf_counter()
+    gx = parse_action_text(text, g, x)
+    assert time.perf_counter() - start < 3
+    assert gx.vertex_action[5] == tuple((v + 5) % 512 for v in range(512))
 
 
 def test_action_requires_permutation():

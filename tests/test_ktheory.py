@@ -185,22 +185,11 @@ def test_bc_cross_check_agrees(z4_torus, z2_flip_torus, z2_circle):
         assert (totals.even, totals.odd) == (res.k0[0], res.k1[0])
 
 
-def test_bc_cross_check_keeps_callers_subdivision_policy(z2_flip_torus,
-                                                         monkeypatch):
+def test_bc_cross_check_does_not_recompute(z2_flip_torus, monkeypatch):
     import orbikt.ktheory as ktheory
 
-    policies = []
-    original = ktheory.quotient_complex
-
-    def spy(gx, allow_subdivide=True):
-        policies.append(allow_subdivide)
-        return original(gx, allow_subdivide=allow_subdivide)
-
-    monkeypatch.setattr(ktheory, "quotient_complex", spy)
-    res = isolated_k_theory(z2_flip_torus, allow_subdivide=False)
+    res = isolated_k_theory(z2_flip_torus)
     decomp = res.decomposition
-    # one refusal check per class of Z2, each without subdivision
-    assert policies == [False, False]
 
     def no_recompute(*args, **kwargs):
         raise AssertionError("bc_cross_check recomputed the decomposition")

@@ -10,9 +10,8 @@ from collections import Counter
 
 import pytest
 
-from orbikt import (NotIsolated, NotRegular, bc_decomposition,
-                    conjugacy_data, fixture, homology_integral,
-                    isolated_k_theory, quotient_complex)
+from orbikt import (NotIsolated, bc_decomposition, conjugacy_data, fixture,
+                    homology_integral, isolated_k_theory, quotient_complex)
 from orbikt.cli import main
 from orbikt.fixtures import FIXTURE_NAMES
 from orbikt.formats import serialize_bundle
@@ -180,13 +179,6 @@ def test_isolated_k_theory_is_label_free(inputs, name):
         assert outcome == outcomes[0], seed
 
 
-def _homology_or_refusal(build):
-    try:
-        return build()
-    except NotRegular:
-        return "NotRegular"
-
-
 def _identity_row_cases():
     cases = [pytest.param(None, name, id=name) for name in FIXTURE_NAMES]
     cases += [pytest.param((kind, grid, seed), None,
@@ -196,13 +188,10 @@ def _identity_row_cases():
 
 
 @pytest.mark.parametrize("torus, name", _identity_row_cases())
-@pytest.mark.parametrize("allow_subdivide", (True, False))
-def test_identity_row_is_the_plain_quotient(inputs, torus, name,
-                                            allow_subdivide):
+def test_identity_row_is_the_plain_quotient(inputs, torus, name):
     """isolated_k_theory reads H_*(X/G) from the identity row of the
     decomposition; that row must be the homology of quotient_complex(gx),
-    or the same refusal, found by the identity's class index wherever
-    relabeling sorts it."""
+    found by the identity's class index wherever relabeling sorts it."""
     if torus is None:
         gx = fixture(name)
     else:
@@ -210,10 +199,5 @@ def test_identity_row_is_the_plain_quotient(inputs, torus, name,
         gx = inputs.relabel_action(inputs.torus_action(kind, grid), seed)
     identity_class = conjugacy_data(gx.group).class_of[gx.group.identity]
 
-    def identity_row():
-        decomp = bc_decomposition(gx, allow_subdivide=allow_subdivide)
-        return decomp.per_class[identity_class][2]
-
-    plain = _homology_or_refusal(lambda: homology_integral(quotient_complex(
-        gx, allow_subdivide=allow_subdivide).complex))
-    assert _homology_or_refusal(identity_row) == plain
+    row = bc_decomposition(gx).per_class[identity_class][2]
+    assert row == homology_integral(quotient_complex(gx).complex)
