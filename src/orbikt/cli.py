@@ -125,19 +125,20 @@ def _load_group(source, max_order):
     return parse_group_text(_read_file(source))
 
 
-def _fixture_inputs(name) -> Inputs:
-    gx = build_fixture(name)
-    return Inputs(gx.group, gx.complex, gx, name)
-
-
 def resolve_inputs(args) -> Inputs:
-    if args.fixture:
+    name = args.fixture
+    if getattr(args, "name", None):  # the example named by `fixture NAME`
+        if name or args.group or args.complex_file:
+            raise ParseError("fixture NAME cannot be combined with "
+                             "--fixture, --group or --complex")
+        name = args.name
+    if name:
         if args.group or args.complex_file:
             raise ParseError("--fixture cannot be combined with --group "
                              "or --complex")
-        inputs = _fixture_inputs(args.fixture)
-        _check_order(inputs.group, args)
-        return inputs
+        gx = build_fixture(name)
+        _check_order(gx.group, args)
+        return Inputs(gx.group, gx.complex, gx, name)
 
     group = _load_group(args.group, args.max_order) if args.group else None
     complex = None
@@ -284,8 +285,7 @@ def _cmd_euler(inputs, args):
     gx = inputs.require_action()
     flags = []
     if args.method == "quotient-check":
-        check = euler_quotient_check(gx,
-                                     allow_subdivide=not args.no_subdivide)
+        check = euler_quotient_check(gx)
         payload = {
             "method": args.method,
             "quotient_euler": check.lhs,
@@ -299,8 +299,7 @@ def _cmd_euler(inputs, args):
         return payload, flags
     method = {"bc": "bc", "pairs": "commuting_pairs",
               "isolated": "isolated"}[args.method]
-    value = equivariant_euler(gx, method,
-                              allow_subdivide=not args.no_subdivide)
+    value = equivariant_euler(gx, method)
     return {"method": args.method, "value": value}, flags
 
 
@@ -468,11 +467,6 @@ def _cmd_fixture(inputs, args):
     return payload, []
 
 
-# The commands whose routes build the simplicial quotient sd(X)/G.
-_NO_SUBDIVIDE = (["--no-subdivide"], dict(
-    action="store_true",
-    help="forbid automatic barycentric subdivision when forming quotients"))
-
 # command -> (handler, help, its own arguments as (names, options) pairs),
 # in help order
 _COMMANDS = {
@@ -482,13 +476,16 @@ _COMMANDS = {
     "fixed": (_cmd_fixed, "fixed-point subcomplex of the listed elements",
               [(["elements"], dict(nargs="+", metavar="ELT",
                                    help="group elements by name or index"))]),
+    # the one command that builds the simplicial quotient sd(X)/G
     "quotient": (_cmd_quotient, "orbit space as a simplicial complex",
-                 [_NO_SUBDIVIDE]),
+                 [(["--no-subdivide"], dict(
+                     action="store_true",
+                     help="forbid automatic barycentric subdivision "
+                          "when forming quotients"))]),
     "betti": (_cmd_betti, "integral homology of the complex", ()),
     "euler": (_cmd_euler, "equivariant Euler characteristic",
               [(["--method"], dict(default="bc", choices=(
-                  "bc", "pairs", "isolated", "quotient-check"))),
-               _NO_SUBDIVIDE]),
+                  "bc", "pairs", "isolated", "quotient-check")))]),
     "fiber": (_cmd_fiber, "fiber blocks of the crossed product over a "
                           "point with the given stabilizer",
               [(["generators"], dict(
@@ -681,10 +678,7 @@ def render_table(command, payload, flags) -> str:
 def run(argv) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv)
-    if args.command == "fixture":
-        inputs = _fixture_inputs(args.name)
-    else:
-        inputs = resolve_inputs(args)
+    inputs = resolve_inputs(args)
     payload, flags = _COMMANDS[args.command][0](inputs, args)
     if "_raw" in payload:
         sys.stdout.write(payload["_raw"])

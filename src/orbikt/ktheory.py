@@ -2,16 +2,18 @@
 
 Rational ranks come from the localization decomposition over conjugacy
 classes (sum of rational K-ranks of the centralizer quotients of fixed sets).
-Three Euler-characteristic routes cross-check each other, an exact counting
-identity is verified when all nontrivial fixed sets are finite, and in the
-isolated-singular-orbit regime the integral K-groups are assembled from the
-six-term sequence with the boundary map provably zero whenever the odd
-K-group of the quotient is torsion-free.  The decomposition reads each
-H_*(X^g/Z(g)) from the cellular chains of the orbit cells of X^g, and the
-row of the identity from X itself, so it subdivides nothing;
-isolated_k_theory reads H_*(X/G) from that row and runs the cross-check.
-The simplicial quotients of quotient_complex serve invariants_check and the
-Euler routes through X/G, which alone take its subdivision policy.
+Three routes give the equivariant Euler characteristic (only the tests
+compare them), an exact counting identity is verified when all nontrivial
+fixed sets are finite, and in the isolated-singular-orbit regime the
+integral K-groups are assembled from the six-term sequence with the
+boundary map provably zero whenever the odd K-group of the quotient is
+torsion-free.  For an admissible action X/G is a CW complex with one cell
+per simplex orbit, and so is each X^g/Z(g); every route here reads them
+from those orbit cells and subdivides nothing.  The decomposition reads
+each H_*(X^g/Z(g)) from their cellular chains, and the identity's row from
+X itself; isolated_k_theory reads H_*(X/G) from that row and runs the
+cross-check; invariants_check reads H_*(X/G) from the same chains, and the
+Euler routes through X/G count the cells.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .complexes import (
     centralizer_fixed_action,
     fixed_subcomplex,
     orbits_and_stabilizers,
-    quotient_complex,
 )
 from .errors import (
     InternalInconsistency,
@@ -33,8 +34,7 @@ from .errors import (
     NotIsolated,
 )
 from .groups import commuting_pairs, conjugacy_data
-from .homology import (KRanks, euler_characteristic, homology_integral,
-                       quotient_homology)
+from .homology import KRanks, euler_characteristic, quotient_homology
 
 
 class BCDecomposition(NamedTuple):
@@ -100,8 +100,21 @@ def _rep_star_count(stabilizer):
     return len(conjugacy_data(stabilizer.group).classes) - 1
 
 
-def equivariant_euler(gx: GSimplicialComplex, method="bc",
-                      allow_subdivide=True) -> int:
+def _quotient_euler(od):
+    """chi(X/G): X/G has one cell per simplex orbit, of its dimension."""
+    return sum((-1) ** (len(rep) - 1) for rep, *_ in od.orbits)
+
+
+def equivariant_euler(gx: GSimplicialComplex, method="bc") -> int:
+    """The Euler characteristic of K^G_*(X) (rank K0 - rank K1), by one of
+    three formulas:
+
+    - "bc": even - odd of the localization totals of bc_decomposition;
+    - "commuting_pairs": (1/|G|) sum over commuting pairs (g, h) of
+      chi(X^<g,h>);
+    - "isolated": chi(X/G) + sum over singular orbits of (#irreps - 1) of
+      the stabilizer, where every singular orbit must be a vertex orbit.
+    """
     gx.require_admissible()
     if method == "bc":
         totals = bc_decomposition(gx).totals
@@ -119,8 +132,7 @@ def equivariant_euler(gx: GSimplicialComplex, method="bc",
         return total // order
     if method == "isolated":
         od, singular = _singular_orbits(gx)
-        quotient = quotient_complex(gx, allow_subdivide=allow_subdivide)
-        return (euler_characteristic(quotient.complex)
+        return (_quotient_euler(od)
                 + sum(_rep_star_count(od.stabilizer(i)) for i in singular))
     raise ValueError("unknown method %r" % (method,))
 
@@ -137,12 +149,9 @@ class EulerQuotientCheck(NamedTuple):
         return self.integral and self.lhs == self.rhs
 
 
-def euler_quotient_check(gx: GSimplicialComplex,
-                         allow_subdivide=True) -> EulerQuotientCheck:
+def euler_quotient_check(gx: GSimplicialComplex) -> EulerQuotientCheck:
     """Compare the quotient's Euler characteristic with the fixed-set average."""
-    gx.require_admissible()
-    quotient = quotient_complex(gx, allow_subdivide=allow_subdivide)
-    lhs = euler_characteristic(quotient.complex)
+    lhs = _quotient_euler(orbits_and_stabilizers(gx))
     cd = conjugacy_data(gx.group)
     total = 0
     for cls, rep in zip(cd.classes, cd.reps):
@@ -204,8 +213,7 @@ def invariants_check(gx: GSimplicialComplex) -> InvariantsCheck:
     from .homology import invariant_cohomology_dims
 
     dims = invariant_cohomology_dims(gx)
-    quotient = quotient_complex(gx)
-    betti = homology_integral(quotient.complex).betti
+    betti = quotient_homology(gx).betti
     top = max(len(dims), len(betti))
     rows = []
     for k in range(top):

@@ -190,19 +190,13 @@ def test_orbits_json(capsys):
     assert doc["payload"]["orbit_count"] == 9
 
 
-@pytest.mark.parametrize("argv, payload", [
-    (["quotient", "--fixture", "z2-circle"], {"subdivisions": 0}),
-    # the bc route reads orbit cells: z4-torus answers, where the quotient
-    # would need a subdivision
-    (["euler", "--method", "bc", "--fixture", "z4-torus"], {"value": 9}),
-], ids=["quotient", "euler"])
-def test_quotient_routes_respect_no_subdivide(capsys, argv, payload):
-    code, out, _ = run_cli(capsys, argv + ["--no-subdivide", "--format",
-                                           "json"])
+def test_quotient_routes_respect_no_subdivide(capsys):
+    code, out, _ = run_cli(capsys, ["quotient", "--fixture", "z2-circle",
+                                    "--no-subdivide", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
     assert doc["meta"]["subdivision"] == "forbidden"
-    assert payload.items() <= doc["payload"].items()
+    assert doc["payload"]["subdivisions"] == 0
 
 
 # -- filtration command ---------------------------------------------------------------
@@ -286,6 +280,20 @@ def test_orbits_refuses_inadmissible_action(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == ("orbikt: NotAdmissible: element 1 permutes the vertices "
                    "of invariant simplex (0, 1)\n")
+
+
+@pytest.mark.parametrize("flag, kind", [
+    (["--fixture", "d4-torus"], "ParseError"),
+    (["--group", "builtin:cyclic:3"], "ParseError"),
+    (["--complex", "/nonexistent"], "ParseError"),
+    (["--max-order", "2"], "BoundExceeded"),
+], ids=["fixture", "group", "complex", "max-order"])
+def test_fixture_command_checks_the_input_flags(capsys, flag, kind):
+    """`fixture NAME` resolves its inputs as every other command does."""
+    code, out, err = run_cli(capsys, ["fixture", "z4-torus"] + flag)
+    assert code == 1 and out == ""
+    assert err.startswith("orbikt: %s: " % kind)
+    assert err.count("\n") == 1
 
 
 def test_input_errors_exit_1(capsys):
@@ -464,7 +472,7 @@ def _traced_ktheory(capsys, monkeypatch, argv):
 
     bc_calls, quotient_calls = [], []
     _count_calls(monkeypatch, (ktheory,), "bc_decomposition", bc_calls)
-    _count_calls(monkeypatch, (complexes, ktheory), "quotient_complex",
+    _count_calls(monkeypatch, (complexes,), "quotient_complex",
                  quotient_calls)
     code, _out, _err = run_cli(capsys, argv)
     return code, bc_calls, quotient_calls
@@ -529,17 +537,20 @@ def test_orbit_pass_maps_each_orbit_once(monkeypatch):
     assert len(calls) == 264
 
 
-@pytest.mark.parametrize("command", ["bc", "ktheory", "identity-check"])
+@pytest.mark.parametrize("command", [
+    "bc", "ktheory", "identity-check", "euler --method bc",
+    "euler --method isolated", "euler --method quotient-check"])
 def test_commands_without_a_quotient_refuse_no_subdivide(capsys, monkeypatch,
                                                          command):
-    """They read X^g/Z(g) from orbit cells, so there is nothing to forbid."""
-    code, out, err = run_cli(capsys, [command, "--fixture", "z4-torus",
-                                      "--no-subdivide"])
+    """They read X/G and X^g/Z(g) from orbit cells, so there is nothing to
+    forbid."""
+    argv = command.split() + ["--fixture", "z4-torus"]
+    code, out, err = run_cli(capsys, argv + ["--no-subdivide"])
     assert code == 1 and out == ""
     assert err == ("orbikt: ParseError: unrecognized arguments: "
                    "--no-subdivide\n")
-    code, _bc_calls, quotient_calls = _traced_ktheory(
-        capsys, monkeypatch, [command, "--fixture", "z4-torus"])
+    code, _bc_calls, quotient_calls = _traced_ktheory(capsys, monkeypatch,
+                                                      argv)
     assert code == 0
     assert quotient_calls == []
 

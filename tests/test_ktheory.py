@@ -186,6 +186,7 @@ def test_bc_cross_check_agrees(z4_torus, z2_flip_torus, z2_circle):
 
 
 def test_bc_cross_check_does_not_recompute(z2_flip_torus, monkeypatch):
+    import orbikt.complexes as complexes
     import orbikt.ktheory as ktheory
 
     res = isolated_k_theory(z2_flip_torus)
@@ -195,7 +196,7 @@ def test_bc_cross_check_does_not_recompute(z2_flip_torus, monkeypatch):
         raise AssertionError("bc_cross_check recomputed the decomposition")
 
     monkeypatch.setattr(ktheory, "bc_decomposition", no_recompute)
-    monkeypatch.setattr(ktheory, "quotient_complex", no_recompute)
+    monkeypatch.setattr(complexes, "quotient_complex", no_recompute)
     monkeypatch.setattr(ktheory, "quotient_homology", no_recompute)
     totals = bc_cross_check(decomp, res)
     assert totals == decomp.totals
@@ -206,12 +207,14 @@ def test_isolated_k_theory_builds_quotients_only_in_bc(z4_torus,
     """H_*(X/G) comes from the decomposition's identity row: every homology
     call happens inside the one bc_decomposition, on orbit cells, with no
     simplicial quotient, and the result is cross-checked once."""
+    import orbikt.complexes as complexes
+    import orbikt.homology as homology
     import orbikt.ktheory as ktheory
 
     depth, calls = [0], []
 
-    def watched(name):
-        original = getattr(ktheory, name)
+    def watched(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append((name, depth[0]))
@@ -220,11 +223,16 @@ def test_isolated_k_theory_builds_quotients_only_in_bc(z4_torus,
                 return original(*args, **kwargs)
             finally:
                 depth[0] -= 1
-        monkeypatch.setattr(ktheory, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("bc_decomposition", "quotient_complex", "homology_integral",
-                 "quotient_homology", "bc_cross_check"):
-        watched(name)
+    # quotient_complex and homology_integral are watched where they are
+    # defined: ktheory does not import them
+    for module, name in ((ktheory, "bc_decomposition"),
+                         (complexes, "quotient_complex"),
+                         (homology, "homology_integral"),
+                         (ktheory, "quotient_homology"),
+                         (ktheory, "bc_cross_check")):
+        watched(module, name)
     res = isolated_k_theory(z4_torus)
     assert res.k0 == (9, ())
     assert sorted(calls) == sorted(

@@ -7,7 +7,9 @@ subdivision count, or the same refusal.
 
 bc_decomposition reads H_*(X^g/Z(g)) from the cellular chains of the orbit
 cells (homology.quotient_homology); the homology of the simplicial quotient
-is its oracle on every class row."""
+is its oracle on every class row.  The Euler routes through X/G count its
+orbit cells; the Euler characteristic of the simplicial quotient is their
+oracle."""
 
 import importlib.util
 import json
@@ -19,12 +21,13 @@ import pytest
 
 from orbikt import (GSimplicialComplex, SimplicialComplex,
                     centralizer_fixed_action, complexes, conjugacy_data,
-                    cyclic_group, fixture, homology, homology_integral,
-                    quotient_complex, quotient_homology)
+                    cyclic_group, equivariant_euler, euler_characteristic,
+                    euler_quotient_check, fixture, homology,
+                    homology_integral, quotient_complex, quotient_homology)
 from orbikt.cli import main
 from orbikt.complexes import (MAX_SUBDIVISIONS, _bredon_witness,
                               barycentric_subdivide, orbits_and_stabilizers)
-from orbikt.errors import BoundExceeded, NotRegular, OrbiktError
+from orbikt.errors import BoundExceeded, NotIsolated, NotRegular, OrbiktError
 from orbikt.fixtures import FIXTURE_NAMES, _torus_permutation, torus_complex
 from orbikt.formats import serialize_bundle
 
@@ -159,6 +162,21 @@ def test_quotient_equals_the_materialized_subdivision(inputs, case,
         _build(inputs, case), allow_subdivide))
     assert _outcome(lambda: quotient_complex(
         _build(inputs, case), allow_subdivide)) == expected
+    gx = _build(inputs, case)
+    if isinstance(expected[0], str) or not gx.is_admissible():
+        return
+    # the Euler routes through X/G read it from its orbit cells
+    euler = euler_characteristic(expected[0])
+    assert euler_quotient_check(gx).lhs == euler
+    od = orbits_and_stabilizers(gx)
+    singular = [i for i in range(len(od)) if od.stabilizer(i).order > 1]
+    if any(len(od.rep(i)) > 1 for i in singular):
+        with pytest.raises(NotIsolated):
+            equivariant_euler(gx, "isolated")
+    else:
+        assert equivariant_euler(gx, "isolated") == euler + sum(
+            len(conjugacy_data(od.stabilizer(i).group).classes) - 1
+            for i in singular)
 
 
 def test_the_cases_cover_every_route(inputs):
@@ -217,6 +235,16 @@ def test_subdivision_bound_is_checked_before_any_flag(monkeypatch, build,
     assert str(info.value) == ("complex may have up to %d simplices, more"
                                " than %d" % (bound, complexes.MAX_SIMPLICES))
     assert built == []
+
+
+def test_euler_routes_answer_where_the_subdivision_is_refused():
+    """sd(X) would exceed MAX_SIMPLICES, but the orbit cells of X/G are one
+    6-simplex and a circle of two vertices and two edges."""
+    gx = swapped_simplices_and_cycle()
+    with pytest.raises(BoundExceeded):
+        quotient_complex(gx)
+    assert equivariant_euler(gx, "isolated") == 1
+    assert tuple(euler_quotient_check(gx)) == (1, 1, True)
 
 
 # -- orbit cells against the simplicial quotient ------------------------------------
