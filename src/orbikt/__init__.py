@@ -42,19 +42,20 @@ _EXPORTS = {
     "homology": ("ChainComplex", "HomologyResult", "KRanks",
                  "boundary_matrix", "euler_characteristic",
                  "fraction_free_rank", "homology_integral",
-                 "induced_homology_matrix", "invariant_cohomology_dims",
                  "quotient_homology", "smith_invariant_factors"),
+    "transfer": ("InvariantsCheck", "chain_map_matrix",
+                 "induced_homology_matrix", "invariant_cohomology_dims",
+                 "invariants_check"),
     "linalg": ("rational_rank",),
     "crossed": ("FiberDecomposition", "FiltrationReport",
                 "InclusionMultiplicityMatrix", "PrimNode", "PrimPoset",
                 "aggregate_strata", "fiber_decomposition",
                 "filtration_report", "inclusion_multiplicities", "ix_nodes",
                 "prim_nodes", "specialization"),
-    "ktheory": ("BCDecomposition", "CountIdentity", "EulerQuotientCheck",
-                "InvariantsCheck", "IsolatedKResult", "bc_cross_check",
-                "bc_decomposition", "bc_vs_count_identity",
-                "equivariant_euler", "euler_quotient_check",
-                "invariants_check", "isolated_k_theory"),
+    "ktheory": ("BCDecomposition", "IsolatedKResult", "bc_cross_check",
+                "bc_decomposition", "isolated_k_theory"),
+    "euler": ("CountIdentity", "EulerQuotientCheck", "bc_vs_count_identity",
+              "equivariant_euler", "euler_quotient_check"),
     "formats": ("parse_action_text", "parse_builtin_spec",
                 "parse_bundle_text", "parse_complex_text",
                 "parse_filtration_text", "parse_group_text",

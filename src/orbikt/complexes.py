@@ -260,8 +260,9 @@ def _orbit_pass(gx: GSimplicialComplex, check=False):
     Simplices are walked in (dimension, lex) order, so the first one met of
     each orbit is its representative; it is mapped under every element
     exactly once, and its members, transporters and stabilizer are read from
-    those images, and its facets from the orbits met before it.  Stabilizers
-    are conjugate along an orbit, so the orbit is admissible iff Stab(rep)
+    those images, and its facets from the orbits met before it.  Orbits with
+    the same stabilizer share one checked Subgroup.  Stabilizers are
+    conjugate along an orbit, so the orbit is admissible iff Stab(rep)
     fixes rep pointwise.  Only when some orbit is not are the violators
     conjugated along the transporters to every member, to find the smallest
     violating element and its first simplex.
@@ -273,6 +274,7 @@ def _orbit_pass(gx: GSimplicialComplex, check=False):
     orbit_of = {}
     orbits = []
     facets = []
+    subgroups = {}  # stabilizer elements -> its one Subgroup in this pass
     violations = []  # (transporter, elements of Stab(rep) moving a vertex)
     for rep in complex.all_simplices():
         if rep in orbit_of:
@@ -301,7 +303,10 @@ def _orbit_pass(gx: GSimplicialComplex, check=False):
                             for f in faces_of_rep if f))  # none for a vertex
         for t in members:
             orbit_of[t] = len(orbits)
-        orbits.append((rep, members, Subgroup(group, stab), transporter))
+        stab = tuple(stab)
+        if stab not in subgroups:
+            subgroups[stab] = Subgroup(group, stab)
+        orbits.append((rep, members, subgroups[stab], transporter))
     witness = None
     if violations:
         # t g t^-1 leaves t·rep invariant and moves one of its vertices

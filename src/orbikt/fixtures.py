@@ -14,7 +14,6 @@ quotient is the real projective plane and carries 2-torsion.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import UnknownFixture
@@ -32,6 +31,8 @@ _GRID = 4  # grid squares per side; vertex coordinates live in (1/GRID)Z^2 / Z^2
 
 def _torus_vertices():
     """Vertex id -> exact (s, t) coordinate on the unit square mod 1."""
+    from fractions import Fraction
+
     coords = []
     for i in range(_GRID):
         for j in range(_GRID):

@@ -48,6 +48,17 @@ if TYPE_CHECKING:
     from .complexes import GSimplicialComplex, SimplicialComplex
 
 
+def read_file(path):
+    """The text of a UTF-8 file; ParseError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError:
+        raise ParseError("cannot read %s: not UTF-8 text" % path)
+
+
 def _content_lines(text):
     """Split into (lineno, stripped content) pairs, dropping blanks/comments."""
     out = []
@@ -65,6 +76,15 @@ def _int_token(token, lineno, what):
     except ValueError:
         raise ParseError("line %d: %s must be an integer, got %r"
                          % (lineno, what, token))
+
+
+def _int_tokens(tokens, lineno, what):
+    """The tokens of one line as integers, converted in one pass; only when
+    one is not an integer are they scanned again, to name the first such."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return [_int_token(token, lineno, what) for token in tokens]
 
 
 # -- groups --------------------------------------------------------------------
@@ -95,8 +115,7 @@ def parse_group_text(text) -> FiniteGroup:
                              % (n, len(body)))
         table = []
         for row_lineno, row_line in body:
-            row = [_int_token(tok, row_lineno, "table entry")
-                   for tok in row_line.split()]
+            row = _int_tokens(row_line.split(), row_lineno, "table entry")
             if len(row) != n:
                 raise ParseError("line %d: expected %d entries in table row"
                                  % (row_lineno, n))
@@ -114,8 +133,7 @@ def parse_group_text(text) -> FiniteGroup:
             raise ParseError("'perm' group file lists no generators")
         perms = []
         for row_lineno, row_line in body:
-            images = [_int_token(tok, row_lineno, "image")
-                      for tok in row_line.split()]
+            images = _int_tokens(row_line.split(), row_lineno, "image")
             if len(images) != degree:
                 raise ParseError("line %d: expected %d images" %
                                  (row_lineno, degree))
@@ -210,12 +228,7 @@ def parse_complex_text(text) -> SimplicialComplex:
         if parts[0] != "simplex":
             raise ParseError("line %d: expected 'simplex v0 v1 ...'"
                              % row_lineno)
-        try:
-            simplex = list(map(int, parts[1:]))
-        except ValueError:
-            # name the first bad token
-            simplex = [_int_token(tok, row_lineno, "vertex")
-                       for tok in parts[1:]]
+        simplex = _int_tokens(parts[1:], row_lineno, "vertex")
         if not simplex:
             raise ParseError("line %d: empty simplex" % row_lineno)
         if len(set(simplex)) != len(simplex):
@@ -260,8 +273,7 @@ def parse_action_text(text, group: FiniteGroup,
         if not 0 <= g < group.order:
             raise BadAction("line %d: element index %d out of range"
                             % (lineno, g))
-        images = [_int_token(tok, lineno, "vertex image")
-                  for tok in match.group(2).split()]
+        images = _int_tokens(match.group(2).split(), lineno, "vertex image")
         if sorted(images) != list(range(n)):
             raise BadAction(
                 "line %d: images are not a permutation of 0..%d"

@@ -8,14 +8,12 @@ built from the dense boundary matrices.  A chain complex comes either from
 the simplices of a complex or, for the orbit space X/G of an admissible
 action, from its simplex orbits: X/G is then a CW complex with one cell per
 orbit, so its homology needs no subdivision and no simplicial quotient.
-Also: induced chain maps of group elements, invariant cohomology
-dimensions, Euler characteristics, and rational K-ranks (even/odd Betti
-sums) of compact polyhedra.
+Also: Euler characteristics and rational K-ranks (even/odd Betti sums) of
+compact polyhedra.  The action of G on H_*(X; Q) is in ``transfer``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress
 from math import gcd
@@ -381,82 +379,3 @@ def quotient_homology(gx: GSimplicialComplex) -> HomologyResult:
 
 def euler_characteristic(complex: SimplicialComplex) -> int:
     return sum((-1) ** k * d for k, d in enumerate(complex.f_vector()))
-
-
-def chain_map_matrix(gx: GSimplicialComplex, g, k):
-    """The signed permutation matrix of g acting on k-chains."""
-    simplices = gx.complex.simplices[k] if k <= gx.complex.dimension else []
-    index = {s: i for i, s in enumerate(simplices)}
-    n = len(simplices)
-    matrix = [[0] * n for _ in range(n)]
-    row = gx.vertex_action[g]
-    for j, s in enumerate(simplices):
-        images = [row[v] for v in s]
-        matrix[index[tuple(sorted(images))]][j] = _sorting_sign(images)
-    return matrix
-
-
-def _homology_basis(cc: ChainComplex, k):
-    """(echelon over [boundaries | reps], boundary count, homology reps)."""
-    from .linalg import Echelon, nullspace
-
-    n_k = cc.dims[k] if k < len(cc.dims) else 0
-    d_k = cc.boundaries[k] if 0 < k < len(cc.dims) else []
-    cycles = nullspace(d_k, n_k)
-    d_next = cc.boundaries[k + 1] if k + 1 < len(cc.dims) else []
-    ech = Echelon()
-    if d_next:
-        for j in range(len(d_next[0])):
-            ech.insert([row[j] for row in d_next])
-    n_boundaries = ech.rank
-    reps = [cyc for cyc in cycles if ech.insert(cyc)]
-    return ech, n_boundaries, reps
-
-
-def _induced_on_basis(gx, g, k, ech, n_boundaries, reps):
-    t_g = chain_map_matrix(gx, g, k)
-    b = len(reps)
-    matrix = [[None] * b for _ in range(b)]
-    for l, h in enumerate(reps):
-        image = [sum(t_g[i][j] * h[j] for j in range(len(h)) if t_g[i][j])
-                 for i in range(len(h))]
-        coords = ech.coordinates(image)
-        if coords is None:
-            raise InternalInconsistency("chain map does not preserve cycles")
-        for i in range(b):
-            matrix[i][l] = Fraction(coords[n_boundaries + i])
-    return matrix
-
-
-def induced_homology_matrix(gx: GSimplicialComplex, g, k):
-    """The matrix of g acting on H_k(X; Q) in a fixed homology basis."""
-    cc = ChainComplex.from_complex(gx.complex)
-    ech, n_boundaries, reps = _homology_basis(cc, k)
-    return _induced_on_basis(gx, g, k, ech, n_boundaries, reps)
-
-
-def invariant_cohomology_dims(gx: GSimplicialComplex):
-    """Per-degree dimension of the G-invariant part of H^k(X; Q).
-
-    Computed on homology with Q coefficients (same dimensions as the dual
-    cohomology statement): the average of the induced maps over the group is
-    an idempotent, so its rank is its trace, (1/|G|) sum_g tr(g_*).
-    """
-    gx.require_admissible()
-    cc = ChainComplex.from_complex(gx.complex)
-    order = gx.group.order
-    dims = []
-    for k in range(len(cc.dims)):
-        ech, n_boundaries, reps = _homology_basis(cc, k)
-        total = 0
-        if reps:
-            for g in range(order):
-                m_g = _induced_on_basis(gx, g, k, ech, n_boundaries, reps)
-                total += sum(m_g[i][i] for i in range(len(reps)))
-        dim, rest = divmod(total, order)
-        if rest:
-            raise InternalInconsistency(
-                "averaging idempotent has trace %s, not a multiple of |G| = %d"
-                " in degree %d" % (total, order, k))
-        dims.append(int(dim))
-    return tuple(dims)

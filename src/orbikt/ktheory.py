@@ -1,40 +1,28 @@
-"""Equivariant K-theory of a finite group acting on a finite complex.
+"""Integral K-theory of C0(X) x| G for a finite group acting on a finite
+complex.
 
 Rational ranks come from the localization decomposition over conjugacy
-classes (sum of rational K-ranks of the centralizer quotients of fixed sets).
-Three routes give the equivariant Euler characteristic (only the tests
-compare them), an exact counting identity is verified when all nontrivial
-fixed sets are finite, and in the isolated-singular-orbit regime the
-integral K-groups are assembled from the six-term sequence with the
-boundary map provably zero whenever the odd K-group of the quotient is
-torsion-free.  For an admissible action X/G is a CW complex with one cell
-per simplex orbit, and so is each X^g/Z(g); every route here reads them
-from those orbit cells and subdivides nothing.  The decomposition reads
-each H_*(X^g/Z(g)) from their cellular chains, and the identity's row from
-X itself; isolated_k_theory reads H_*(X/G) from that row and runs the
-cross-check; invariants_check reads H_*(X/G) from the same chains, and the
-Euler routes through X/G count the cells.
+classes (sum of rational K-ranks of the centralizer quotients of fixed sets),
+and in the isolated-singular-orbit regime the integral K-groups are
+assembled from the six-term sequence with the boundary map provably zero
+whenever the odd K-group of the quotient is torsion-free.  For an admissible
+action X/G is a CW complex with one cell per simplex orbit, and so is each
+X^g/Z(g); the decomposition reads each H_*(X^g/Z(g)) from their cellular
+chains, and the identity's row from X itself, so nothing is subdivided;
+isolated_k_theory reads H_*(X/G) from that row and runs the cross-check.
+The Euler-characteristic routes and the counting identity are in ``euler``,
+the comparison with invariant cohomology in ``transfer``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .complexes import (
-    GSimplicialComplex,
-    centralizer_fixed_action,
-    fixed_subcomplex,
-    orbits_and_stabilizers,
-)
-from .errors import (
-    InternalInconsistency,
-    NonIntegralResult,
-    NotApplicable,
-    NotIsolated,
-)
-from .groups import commuting_pairs, conjugacy_data
-from .homology import KRanks, euler_characteristic, quotient_homology
+from .complexes import (GSimplicialComplex, centralizer_fixed_action,
+                        orbits_and_stabilizers)
+from .errors import InternalInconsistency, NotIsolated
+from .groups import conjugacy_data
+from .homology import KRanks, quotient_homology
 
 
 class BCDecomposition(NamedTuple):
@@ -98,129 +86,6 @@ def _singular_orbits(gx: GSimplicialComplex):
 def _rep_star_count(stabilizer):
     """Number of nontrivial irreps = conjugacy class count minus one."""
     return len(conjugacy_data(stabilizer.group).classes) - 1
-
-
-def _quotient_euler(od):
-    """chi(X/G): X/G has one cell per simplex orbit, of its dimension."""
-    return sum((-1) ** (len(rep) - 1) for rep, *_ in od.orbits)
-
-
-def equivariant_euler(gx: GSimplicialComplex, method="bc") -> int:
-    """The Euler characteristic of K^G_*(X) (rank K0 - rank K1), by one of
-    three formulas:
-
-    - "bc": even - odd of the localization totals of bc_decomposition;
-    - "commuting_pairs": (1/|G|) sum over commuting pairs (g, h) of
-      chi(X^<g,h>);
-    - "isolated": chi(X/G) + sum over singular orbits of (#irreps - 1) of
-      the stabilizer, where every singular orbit must be a vertex orbit.
-    """
-    gx.require_admissible()
-    if method == "bc":
-        totals = bc_decomposition(gx).totals
-        return totals.even - totals.odd
-    if method == "commuting_pairs":
-        order = gx.group.order
-        total = 0
-        for g, h in commuting_pairs(gx.group):
-            fixed = fixed_subcomplex(gx, [g, h])
-            total += euler_characteristic(fixed.complex)
-        if total % order:
-            raise NonIntegralResult(
-                "commuting-pair sum %d is not divisible by |G| = %d"
-                % (total, order))
-        return total // order
-    if method == "isolated":
-        od, singular = _singular_orbits(gx)
-        return (_quotient_euler(od)
-                + sum(_rep_star_count(od.stabilizer(i)) for i in singular))
-    raise ValueError("unknown method %r" % (method,))
-
-
-class EulerQuotientCheck(NamedTuple):
-    """Euler characteristic of X/G against the fixed-set class average."""
-
-    lhs: int
-    rhs: int | Fraction
-    integral: bool
-
-    @property
-    def equal(self):
-        return self.integral and self.lhs == self.rhs
-
-
-def euler_quotient_check(gx: GSimplicialComplex) -> EulerQuotientCheck:
-    """Compare the quotient's Euler characteristic with the fixed-set average."""
-    lhs = _quotient_euler(orbits_and_stabilizers(gx))
-    cd = conjugacy_data(gx.group)
-    total = 0
-    for cls, rep in zip(cd.classes, cd.reps):
-        fixed = fixed_subcomplex(gx, [rep])
-        total += len(cls) * euler_characteristic(fixed.complex)
-    rhs = Fraction(total, gx.group.order)
-    integral = rhs.denominator == 1
-    return EulerQuotientCheck(lhs, int(rhs) if integral else rhs, integral)
-
-
-class CountIdentity(NamedTuple):
-    """Point counts of nontrivial-class quotients against singular irreps."""
-
-    lhs: int
-    rhs: int
-
-    @property
-    def equal(self):
-        return self.lhs == self.rhs
-
-
-def bc_vs_count_identity(gx: GSimplicialComplex) -> CountIdentity:
-    """Sum of point counts of nontrivial-class quotients against the total
-    number of nontrivial stabilizer irreps over singular orbits.
-
-    Requires every fixed set of a nontrivial element to be 0-dimensional.
-    The points of such an X^g/Z(g) are the orbits of its vertices.
-    """
-    gx.require_admissible()
-    cd = conjugacy_data(gx.group)
-    identity_class = cd.class_of[gx.group.identity]
-    lhs = 0
-    for idx, rep in enumerate(cd.reps):
-        if idx == identity_class:
-            continue
-        cfa = centralizer_fixed_action(gx, rep)
-        dimension = cfa.gcomplex.complex.dimension
-        if dimension > 0:
-            raise NotApplicable("fixed set of element %d is %d-dimensional"
-                                % (rep, dimension))
-        lhs += len(orbits_and_stabilizers(cfa.gcomplex))
-    od, singular = _singular_orbits(gx)
-    rhs = sum(_rep_star_count(od.stabilizer(i)) for i in singular)
-    return CountIdentity(lhs, rhs)
-
-
-class InvariantsCheck(NamedTuple):
-    """Invariant cohomology dimensions against quotient Betti numbers."""
-
-    rows: tuple  # records (degree, invariant dim, quotient Betti)
-
-    @property
-    def all_equal(self):
-        return all(a == b for _, a, b in self.rows)
-
-
-def invariants_check(gx: GSimplicialComplex) -> InvariantsCheck:
-    """Invariant cohomology dimensions against quotient Betti numbers."""
-    from .homology import invariant_cohomology_dims
-
-    dims = invariant_cohomology_dims(gx)
-    betti = quotient_homology(gx).betti
-    top = max(len(dims), len(betti))
-    rows = []
-    for k in range(top):
-        a = dims[k] if k < len(dims) else 0
-        b = betti[k] if k < len(betti) else 0
-        rows.append((k, a, b))
-    return InvariantsCheck(tuple(rows))
 
 
 class IsolatedKResult(NamedTuple):

@@ -171,6 +171,13 @@ def test_orbit_stabilizer_identity_catches_a_broken_action():
         orbits_and_stabilizers(gx)
 
 
+def test_orbits_with_one_stabilizer_share_one_subgroup(d4_torus):
+    od = orbits_and_stabilizers(d4_torus)
+    stabs = [od.stabilizer(i) for i in range(len(od))]
+    assert len({id(stab) for stab in stabs}) == len(
+        {stab.elements for stab in stabs}) == 6 < len(od)
+
+
 def test_orbit_inventory_of_dihedral_torus(d4_torus):
     od = orbits_and_stabilizers(d4_torus)
     inventory = {}

@@ -38,6 +38,22 @@ def test_group_perm_form_order_mismatch():
         parse_group_text(text)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_group_text, "group 2\ntable\n0 1\n1 y 0x\n",
+     "line 4: table entry must be an integer, got 'y'"),
+    (parse_group_text, "group 2\nperm 2\n1 z\n",
+     "line 3: image must be an integer, got 'z'"),
+    (parse_complex_text, "vertices 3\nsimplex 0 a b\n",
+     "line 2: vertex must be an integer, got 'a'"),
+    (lambda text: parse_action_text(text, cyclic_group(2), circle_complex(3)),
+     "\nact 1 : 0 2 q\n", "line 2: vertex image must be an integer, got 'q'"),
+], ids=["table", "perm", "complex", "action"])
+def test_a_line_of_integers_names_its_first_bad_token(parse, text, message):
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert str(caught.value) == message
+
+
 def test_group_file_errors():
     with pytest.raises(ParseError, match="empty"):
         parse_group_text("# only a comment\n")

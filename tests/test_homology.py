@@ -5,7 +5,7 @@ import pytest
 
 from orbikt import (ChainComplex, HomologyResult, InternalInconsistency,
                     KRanks, SimplicialComplex, boundary_matrix,
-                    euler_characteristic, fixture, fraction_free_rank,
+                    chain_map_matrix, euler_characteristic, fixture, fraction_free_rank,
                     homology_integral, induced_homology_matrix,
                     invariant_cohomology_dims, rational_rank,
                     smith_invariant_factors)
@@ -166,6 +166,25 @@ def test_induced_map_on_top_homology_detects_orientation():
     m1 = induced_homology_matrix(gx, 1, 1)
     # the flip negates both circle factors
     assert m1 == [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def test_chain_maps_are_signed_permutations_commuting_with_boundaries(
+        d4_torus):
+    """g_# d = d g_# on every degree, for every element of D4."""
+    complex = d4_torus.complex
+    for g in range(d4_torus.group.order):
+        maps = [chain_map_matrix(d4_torus, g, k) for k in range(3)]
+        for matrix in maps:
+            assert all(sorted(map(abs, row)) == [0] * (len(row) - 1) + [1]
+                       for row in matrix)
+        for k in (1, 2):
+            d = boundary_matrix(complex, k)
+            assert _product(d, maps[k]) == _product(maps[k - 1], d)
 
 
 def test_identity_induces_identity(z2_circle):

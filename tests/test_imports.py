@@ -14,14 +14,15 @@ import orbikt
 SRC = os.path.dirname(os.path.dirname(orbikt.__file__))
 
 # Prints the modules the snippet loaded beyond those the interpreter started
-# with, as a json list.
+# with, as a json list; json itself is imported only after they are listed.
 PRELUDE = "import sys\n_before = set(sys.modules)\n"
-REPORT = "\nprint(json.dumps(sorted(set(sys.modules) - _before)))\n"
+REPORT = ("\n_loaded = sorted(set(sys.modules) - _before)\n"
+          "import json\nprint(json.dumps(_loaded))\n")
 
 
 def _loaded(snippet):
     proc = subprocess.run(
-        [sys.executable, "-c", PRELUDE + snippet + "\nimport json" + REPORT],
+        [sys.executable, "-c", PRELUDE + snippet + REPORT],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
         timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -39,6 +40,24 @@ def _loaded_by_command(argv):
 def _orbikt_modules(loaded):
     return {name.split(".", 1)[1] for name in loaded
             if name.startswith("orbikt.")}
+
+
+def _json_package(loaded):
+    """The modules of the json package among the loaded ones (the C
+    accelerator ``_json`` is not one of them)."""
+    return {name for name in loaded
+            if name == "json" or name.startswith("json.")}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Option -> input file: a z4-torus bundle and a D4 group table."""
+    directory = tmp_path_factory.mktemp("inputs")
+    bundle = directory / "z4-torus.txt"
+    bundle.write_text(orbikt.serialize_bundle(orbikt.fixture("z4-torus")))
+    group = directory / "d4.txt"
+    group.write_text(orbikt.serialize_group(orbikt.dihedral_group(4)))
+    return {"--complex": str(bundle), "--group": str(group)}
 
 
 def test_import_orbikt_loads_no_submodule():
@@ -83,6 +102,38 @@ def test_homology_commands_load_no_linalg(argv):
     modules = _orbikt_modules(_loaded_by_command(argv))
     assert "homology" in modules
     assert "linalg" not in modules
+
+
+def test_ktheory_from_a_file_loads_only_its_route(files):
+    loaded = _loaded_by_command(["ktheory", "--complex", files["--complex"],
+                                 "--format", "json"])
+    modules = _orbikt_modules(loaded)
+    assert {"cli_ktheory", "ktheory", "homology"} <= modules
+    assert not modules & {"fixtures", "cli_table", "transfer", "euler",
+                          "linalg", "characters", "crossed"}
+    assert "fractions" not in loaded
+    assert not _json_package(loaded)
+
+
+@pytest.mark.parametrize("command, option, family", [
+    ("group", "--group", "cli_groups"),
+    ("prim", "--complex", "cli_crossed"),
+])
+def test_commands_on_files_load_no_fixtures_and_no_json(files, command,
+                                                        option, family):
+    loaded = _loaded_by_command([command, option, files[option],
+                                 "--format", "json"])
+    modules = _orbikt_modules(loaded)
+    assert family in modules
+    assert not modules & {"fixtures", "cli_table"}
+    assert not _json_package(loaded)
+
+
+def test_only_the_table_format_loads_the_table_writer():
+    argv = ["bc", "--fixture", "z2-circle"]
+    assert "cli_table" in _orbikt_modules(_loaded_by_command(argv))
+    assert "cli_table" not in _orbikt_modules(
+        _loaded_by_command(argv + ["--format", "json"]))
 
 
 def test_every_exported_name_resolves_to_its_defining_module():

@@ -12,7 +12,8 @@ import pytest
 
 from orbikt import (NotIsolated, NotRegular, bc_decomposition,
                     conjugacy_data, fixture, homology_integral,
-                    isolated_k_theory, quotient_complex)
+                    invariant_cohomology_dims, isolated_k_theory,
+                    quotient_complex)
 from orbikt.cli import main
 from orbikt.fixtures import FIXTURE_NAMES
 from orbikt.formats import serialize_bundle
@@ -160,6 +161,15 @@ def test_ktheory_refuses_every_relabeled_dihedral_torus(inputs, grid,
         assert (code, out) == (2, ""), seed
         assert err.startswith("orbikt: NotIsolated: "), seed
         assert err.count("\n") == 1, seed
+
+
+@pytest.mark.parametrize("grid", [4, 6])
+def test_invariant_cohomology_of_relabeled_dihedral_tori(inputs, grid):
+    """D4 reverses the orientation of the torus and fixes no class of
+    H_1, so only H_0 is invariant, whatever the labels."""
+    for seed in SEEDS:
+        gx = inputs.relabel_action(inputs.torus_action("d4", grid), seed)
+        assert invariant_cohomology_dims(gx) == (1, 0, 0), seed
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
