@@ -1,21 +1,32 @@
 """The commands on one complex or G-complex: ``complex``, ``orbits``,
 ``fixed``, ``quotient``, ``betti`` and ``fixture``.  ``orbits`` and
-``fixture`` run no homology, so the commands that do import it."""
+``fixture`` run no homology, so the commands that do import it.
 
-from .complexes import (fixed_subcomplex, orbits_and_stabilizers,
-                        quotient_complex)
+``quotient`` reports the simplicial quotient's subdivisions and face counts,
+and reads H_*(X/G) from the orbit cells of X, or of sd(X) when X is not
+admissible: no command computes the homology of sd(X)/G."""
+
+from .complexes import (barycentric_subdivide, fixed_subcomplex,
+                        orbits_and_stabilizers, quotient_complex)
+from .errors import InternalInconsistency
 from .formats import serialize_bundle
 
 
-def _homology_payload(complex):
-    from .homology import euler_characteristic, homology_integral
+def _homology_payload(complex, hom):
+    """Face counts and Euler characteristic of complex with the homology
+    hom of its space, checked against each other."""
+    from .homology import euler_characteristic
 
-    hom = homology_integral(complex)
+    euler = euler_characteristic(complex)
+    if euler != sum((-1) ** k * b for k, b in enumerate(hom.betti)):
+        raise InternalInconsistency(
+            "Euler characteristic %d of the face counts disagrees with the"
+            " Betti numbers %s" % (euler, list(hom.betti)))
     return {
         "f_vector": list(complex.f_vector()),
         "betti": list(hom.betti),
         "torsion": [list(t) for t in hom.torsion],
-        "euler": euler_characteristic(complex),
+        "euler": euler,
     }
 
 
@@ -51,26 +62,37 @@ def cmd_orbits(inputs, args):
 
 
 def cmd_fixed(inputs, args):
+    from .homology import homology_integral
+
     gx = inputs.require_action()
     group = gx.group
     elements = [group.element_index(tok) for tok in args.elements]
     fixed = fixed_subcomplex(gx, elements)
     payload = {"elements": [group.name_of(g) for g in elements]}
-    payload.update(_homology_payload(fixed.complex))
+    payload.update(_homology_payload(fixed.complex,
+                                     homology_integral(fixed.complex)))
     payload["vertex_embedding"] = list(fixed.vertex_embedding)
     return payload, []
 
 
 def cmd_quotient(inputs, args):
+    from .homology import quotient_homology
+
     gx = inputs.require_action()
     quotient = quotient_complex(gx, allow_subdivide=not args.no_subdivide)
+    # sd(X) is admissible and |sd X| = |X|, so its orbit cells give X/G too
+    model = gx if gx.is_admissible() else barycentric_subdivide(gx)
     payload = {"subdivisions": quotient.subdivisions}
-    payload.update(_homology_payload(quotient.complex))
+    payload.update(_homology_payload(quotient.complex,
+                                     quotient_homology(model)))
     return payload, []
 
 
 def cmd_betti(inputs, args):
-    return _homology_payload(inputs.require_complex()), []
+    from .homology import homology_integral
+
+    complex = inputs.require_complex()
+    return _homology_payload(complex, homology_integral(complex)), []
 
 
 def cmd_fixture(inputs, args):

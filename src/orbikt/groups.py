@@ -408,7 +408,13 @@ def product_group(g1, g2):
 
 def group_from_permutations(degree, perms, element_names=None):
     """Expand permutation generators (image notation on 0..degree-1) to a
-    multiplication-table group."""
+    multiplication-table group.
+
+    Elements are listed breadth first from the identity; each b but the
+    identity is first met as p∘gen_j for an earlier p.  Composing each
+    element with each generator once gives right[j][x], the index of
+    x∘gen_j, so a∘b = (a∘p)∘gen_j is mult[a][b] = right[j][mult[a][p]]: the
+    table costs lookups, not compositions of permutations."""
     idperm = tuple(range(degree))
     for p in perms:
         if sorted(p) != list(range(degree)):
@@ -416,11 +422,11 @@ def group_from_permutations(degree, perms, element_names=None):
                             % (degree - 1))
     elements = [idperm]
     index = {idperm: 0}
-    frontier = [idperm]
-    while frontier:
-        p = frontier.pop(0)
-        for q in perms:
-            composed = tuple(p[q[i]] for i in range(degree))
+    parent = [None]  # parent[b] = (p, j) with b = p∘gen_j
+    right = [[] for _ in perms]  # right[j][x] = index of x∘gen_j
+    for x, perm in enumerate(elements):  # grows while it is walked
+        for j, gen in enumerate(perms):
+            composed = tuple(map(perm.__getitem__, gen))
             if composed not in index:
                 if len(elements) >= GROUP_ORDER_BOUND + 1:
                     raise NotAGroup(
@@ -428,12 +434,12 @@ def group_from_permutations(degree, perms, element_names=None):
                         % GROUP_ORDER_BOUND)
                 index[composed] = len(elements)
                 elements.append(composed)
-                frontier.append(composed)
+                parent.append((x, j))
+            right[j].append(index[composed])
     n = len(elements)
-    table = []
-    for a in elements:
-        row = []
-        for b in elements:
-            row.append(index[tuple(a[b[i]] for i in range(degree))])
-        table.append(row)
+    columns = [range(n)]  # columns[b][a] = mult[a][b]
+    for b in range(1, n):
+        p, j = parent[b]
+        columns.append(list(map(right[j].__getitem__, columns[p])))
+    table = list(zip(*columns))
     return FiniteGroup(table, element_names=element_names, check=False)

@@ -24,7 +24,8 @@ from .complexes import (GSimplicialComplex, SimplicialComplex,
 from .errors import BoundExceeded, InternalInconsistency
 
 # Most entries a dense boundary matrix may have, checked before any is built.
-# The grid-24 torus under Z4 needs 5184 x 3456 (17.9M) for its quotient.
+# d2 of `betti` on the grid-32 torus of bench/inputs.py is 6144 x 4096
+# (25.2M); `quotient` on its Z4 action reads the orbit cells, 1536 x 1024.
 MAX_MATRIX_ENTRIES = 2 ** 25
 
 

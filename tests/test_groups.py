@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 from orbikt import (FiniteGroup, NotAGroup, NotSubgroup, commuting_pairs,
                     conjugacy_data, cyclic_group, dihedral_group,
                     group_from_permutations, product_group, trivial_group)
+from orbikt.formats import parse_group_text
 from orbikt.groups import Subgroup
 
 
@@ -68,10 +71,39 @@ def test_bad_table_rejected():
                      [4, 3, 1, 2, 0]])
 
 
+def _closure(degree, perms):
+    """The elements of <perms>, breadth first from the identity, each
+    element's products with the generators in generator order."""
+    elements = [tuple(range(degree))]
+    for p in elements:
+        for q in perms:
+            composed = tuple(p[q[i]] for i in range(degree))
+            if composed not in elements:
+                elements.append(composed)
+    return elements
+
+
 def test_group_from_permutations_dihedral():
-    g = group_from_permutations(4, [(1, 2, 3, 0), (0, 3, 2, 1)])
+    perms = [(1, 2, 3, 0), (0, 3, 2, 1)]
+    g = group_from_permutations(4, perms)
     assert g.order == 8
     assert not g.is_abelian
+    elements = _closure(4, perms)
+    for a, x in enumerate(elements):
+        for b, y in enumerate(elements):
+            assert elements[g.mult[a][b]] == tuple(x[y[i]] for i in range(4))
+
+
+def test_permutation_group_of_large_degree_parses_quickly():
+    """One 512-cycle on 2048 points: the table is filled by lookups along
+    the expansion, not by composing 512^2 permutations of degree 2048."""
+    cycle = [(i + 1) % 512 for i in range(512)] + list(range(512, 2048))
+    text = "group 512\nperm 2048\n%s\n" % " ".join(map(str, cycle))
+    start = time.perf_counter()
+    g = parse_group_text(text)
+    assert time.perf_counter() - start < 2
+    assert g.order == 512 and g.is_abelian
+    assert g.element_order(1) == 512
 
 
 def test_subgroup_closure_and_index():

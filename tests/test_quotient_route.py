@@ -5,9 +5,10 @@ sd(X).  The oracle below is the loop that builds every subdivision and runs
 the Bredon check on it; both must give the same quotient, vertex map and
 subdivision count, or the same refusal.
 
-bc_decomposition reads H_*(X^g/Z(g)) from the cellular chains of the orbit
-cells (homology.quotient_homology); the homology of the simplicial quotient
-is its oracle on every class row.  The Euler routes through X/G count its
+bc_decomposition and the quotient command read H_*(X^g/Z(g)) and H_*(X/G)
+from the cellular chains of the orbit cells (homology.quotient_homology);
+the homology of the simplicial quotient is their oracle on every class row
+and on every quotient payload.  The Euler routes through X/G count its
 orbit cells; the Euler characteristic of the simplicial quotient is their
 oracle."""
 
@@ -154,14 +155,41 @@ def _build(inputs, case):
     return SMALL[case[1]]()
 
 
+def _quotient_command(gx, tmp_path, capsys, allow_subdivide=True):
+    """The exit code, payload (or None) and stderr of ``quotient`` on gx."""
+    path = tmp_path / "bundle.txt"
+    path.write_text(serialize_bundle(gx))
+    argv = ["quotient", "--complex", str(path), "--format", "json"]
+    code = main(argv + ([] if allow_subdivide else ["--no-subdivide"]))
+    out, err = capsys.readouterr()
+    return code, json.loads(out)["payload"] if out else None, err
+
+
 @pytest.mark.parametrize("case", _cases())
 @pytest.mark.parametrize("allow_subdivide", (True, False))
 def test_quotient_equals_the_materialized_subdivision(inputs, case,
-                                                      allow_subdivide):
+                                                      allow_subdivide,
+                                                      tmp_path, capsys):
     expected = _outcome(lambda: materialized_quotient(
         _build(inputs, case), allow_subdivide))
     assert _outcome(lambda: quotient_complex(
         _build(inputs, case), allow_subdivide)) == expected
+    # the command reads the homology from orbit cells, the oracle from the
+    # materialized quotient
+    code, payload, err = _quotient_command(_build(inputs, case), tmp_path,
+                                           capsys, allow_subdivide)
+    if isinstance(expected[0], str):
+        assert (code, payload, err) == (
+            1 if expected[0] == "BoundExceeded" else 2, None,
+            "orbikt: %s: %s\n" % expected)
+        return
+    hom = homology_integral(expected[0])
+    assert code == 0 and err == ""
+    assert payload == {"subdivisions": expected[2],
+                       "f_vector": list(expected[0].f_vector()),
+                       "betti": list(hom.betti),
+                       "torsion": [list(t) for t in hom.torsion],
+                       "euler": euler_characteristic(expected[0])}
     gx = _build(inputs, case)
     if isinstance(expected[0], str) or not gx.is_admissible():
         return
@@ -321,6 +349,49 @@ def test_grid_32_ktheory_answers(inputs, tmp_path, capsys):
     assert payload["k0"] == {"rank": 9, "torsion": []}
     assert payload["k1"] == {"rank": 0, "torsion": []}
     assert payload["quotient_k0"] == {"rank": 2, "torsion": []}
+
+
+def test_grid_32_quotient_answers(inputs, tmp_path, capsys):
+    """The command keeps the simplicial quotient's face counts but reads
+    its homology from the 1536 x 1024 d2 of the orbit cells."""
+    code, payload, err = _quotient_command(inputs.torus_action("z4", 32),
+                                           tmp_path, capsys)
+    assert code == 0 and err == ""
+    assert payload["betti"] == [1, 0, 1]
+    assert payload["f_vector"] == [3074, 9216, 6144]
+    assert payload["subdivisions"] == 1
+
+
+def test_quotient_builds_no_chain_complex_of_the_quotient(monkeypatch,
+                                                          capsys):
+    calls = []
+    for owner, name in ((homology.ChainComplex, "from_complex"),
+                        (homology, "homology_integral")):
+        def spy(*args, _name=name, _original=getattr(owner, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    code = main(["quotient", "--fixture", "z4-torus", "--format", "json"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert calls == []
+
+
+def test_quotient_checks_euler_against_the_orbit_cells(monkeypatch, capsys):
+    """Betti numbers that disagree with the face counts of the simplicial
+    quotient are an internal inconsistency, not an answer."""
+    original = homology.quotient_homology
+
+    def shifted(gx):
+        hom = original(gx)
+        return hom._replace(betti=(hom.betti[0] + 1,) + hom.betti[1:])
+
+    monkeypatch.setattr(homology, "quotient_homology", shifted)
+    code = main(["quotient", "--fixture", "z4-torus", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("orbikt: InternalInconsistency: ")
+    assert err.count("\n") == 1
 
 
 def test_orbit_complex_is_refused_before_allocation(inputs, monkeypatch):
