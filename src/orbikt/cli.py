@@ -269,7 +269,10 @@ _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 def _json_text(value, newline):
     """The indented json of a str, int, bool, None, or a list, tuple or
     str-keyed dict of such values; newline is the line break plus the
-    indent of the line the value starts on."""
+    indent of the line the value starts on.
+
+    A list of uniform rows (see _rows_text) is written from one row
+    template; every other value is written item by item."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -282,9 +285,12 @@ def _json_text(value, newline):
         if not value:
             return "[]"
         opening, closing = "[", "]"
-        texts = (map(int.__repr__, value)
-                 if all(type(x) is int for x in value)
-                 else [_json_text(x, inner) for x in value])
+        if all(type(x) is int for x in value):
+            texts = map(int.__repr__, value)
+        else:
+            rows = _rows_text(value, inner)
+            texts = ([rows] if rows is not None
+                     else [_json_text(x, inner) for x in value])
     elif kind is dict and all(type(key) is str for key in value):
         if not value:
             return "{}"
@@ -298,6 +304,37 @@ def _json_text(value, newline):
     else:
         raise _NotWritten
     return opening + inner + ("," + inner).join(texts) + newline + closing
+
+
+def _rows_text(rows, newline):
+    """The json of the items of rows joined by "," and newline, when they
+    are uniform rows: every item a non-empty list of ints of one length, or
+    every item a dict with one non-empty set of str keys and int values
+    (bool is not int here).  Such rows are written by one % format of a
+    row template over their values in sorted-key order.  None otherwise."""
+    first = rows[0]
+    kind = type(first)
+    if kind is list and first:
+        width = len(first)
+        if any(type(row) is not list or len(row) != width for row in rows):
+            return None
+        values = [x for row in rows for x in row]
+        opening, closing, fields = "[", "]", ["%d"] * width
+    elif kind is dict and first and all(type(key) is str for key in first):
+        keys = sorted(first)
+        if any(type(row) is not dict or row.keys() != first.keys()
+               for row in rows):
+            return None
+        values = [row[key] for row in rows for key in keys]
+        opening, closing = "{", "}"
+        fields = [_quote(key).replace("%", "%%") + ": %d" for key in keys]
+    else:
+        return None
+    if any(type(x) is not int for x in values):
+        return None
+    inner = newline + "  "
+    row = opening + inner + ("," + inner).join(fields) + newline + closing
+    return ("," + newline).join([row] * len(rows)) % tuple(values)
 
 
 # -- entry point -----------------------------------------------------------------

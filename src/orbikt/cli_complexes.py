@@ -6,8 +6,8 @@
 and reads H_*(X/G) from the orbit cells of X, or of sd(X) when X is not
 admissible: no command computes the homology of sd(X)/G."""
 
-from .complexes import (barycentric_subdivide, fixed_subcomplex,
-                        orbits_and_stabilizers, quotient_complex)
+from .complexes import (fixed_subcomplex, orbits_and_stabilizers,
+                        quotient_complex)
 from .errors import InternalInconsistency
 from .formats import serialize_bundle
 
@@ -80,8 +80,9 @@ def cmd_quotient(inputs, args):
 
     gx = inputs.require_action()
     quotient = quotient_complex(gx, allow_subdivide=not args.no_subdivide)
-    # sd(X) is admissible and |sd X| = |X|, so its orbit cells give X/G too
-    model = gx if gx.is_admissible() else barycentric_subdivide(gx)
+    # sd(X) is admissible and |sd X| = |X|, so its orbit cells give X/G too;
+    # quotient_complex has built it already when X is not admissible
+    model = gx if gx.is_admissible() else gx.subdivision()
     payload = {"subdivisions": quotient.subdivisions}
     payload.update(_homology_payload(quotient.complex,
                                      quotient_homology(model)))

@@ -125,6 +125,7 @@ class GSimplicialComplex:
         self.group = group
         self.vertex_action = tuple(tuple(row) for row in vertex_action)
         self._orbit_data = None
+        self._subdivision = None
         if check:
             self._validate()
 
@@ -176,6 +177,12 @@ class GSimplicialComplex:
         the first such simplex in (dimension, lex) order."""
         witness = _orbit_pass(self).witness
         return witness is None, witness
+
+    def subdivision(self) -> GSimplicialComplex:
+        """sd(self), built by barycentric_subdivide once and cached."""
+        if self._subdivision is None:
+            self._subdivision = barycentric_subdivide(self)
+        return self._subdivision
 
     def require_admissible(self):
         ok, witness = self.admissibility_witness()
@@ -441,7 +448,7 @@ def quotient_complex(gx: GSimplicialComplex,
             quotient = _subdivided_quotient(current, subdivisions)
             if quotient is not None:
                 return quotient
-        current = barycentric_subdivide(current)
+        current = current.subdivision()
     od = orbits_and_stabilizers(current)
     vert_orbit = {s[0]: i for s, i in od.orbit_of.items() if len(s) == 1}
     # quotient vertices numbered by the (dim, rep)-sorted vertex-orbit order

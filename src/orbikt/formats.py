@@ -253,9 +253,12 @@ def parse_action_text(text, group: FiniteGroup,
                       complex: SimplicialComplex) -> GSimplicialComplex:
     """Parse generator action lines and extend to the whole group.
 
-    The listed elements together with the identity must generate the group;
-    every derived permutation is cross-checked against any explicit line for
-    the same element.
+    The listed elements together with the identity must generate the group.
+    The action is closed over a generating subset of them: a listed element
+    is kept only when it lies outside the subgroup that the elements kept
+    before it generate, so the closure costs |G| compositions per kept
+    element.  Every other listed line is compared with the closure at its
+    element.
     """
     from .complexes import GSimplicialComplex
 
@@ -284,26 +287,40 @@ def parse_action_text(text, group: FiniteGroup,
                             % (lineno, group.name_of(g)))
         known[g] = perm
 
-    # Reach each element a once and set act(a*s) = act(a) o act(s) for every
-    # listed s, checking it wherever act(a*s) is already known.  That proves
-    # a homomorphism on the group the listed elements generate: each b there
-    # is a word in them, so act(a*b) = act(a) o act(b) by induction on the
-    # length of the word.
-    listed = [(s, ps) for s, ps in known.items() if s != group.identity]
-    queue = [group.identity]
-    reached = {group.identity}
-    for a in queue:
-        pa, row = known[a], group.mult[a]
-        for s, ps in listed:
+    # Keep the listed elements outside the subgroup the kept ones generate,
+    # and list that subgroup in span: each element after the identity is
+    # a*s for an element a before it and a kept s.
+    mult = group.mult
+    kept = []
+    span = [group.identity]
+    spanned = {group.identity}
+    for s in known:
+        if s in spanned:
+            continue
+        kept.append(s)
+        for a in span:  # span grows while it is read
+            row = mult[a]
+            for t in kept:
+                c = row[t]
+                if c not in spanned:
+                    spanned.add(c)
+                    span.append(c)
+    # Walk span and set act(a*s) = act(a) o act(s) for every kept s,
+    # checking it wherever act(a*s) is already known, a listed line
+    # included.  That proves a homomorphism on the group the kept elements
+    # generate, which the listed ones generate too: each b there is a word
+    # in the kept elements, so act(a*b) = act(a) o act(b) by induction on
+    # the length of the word.
+    generators = [(s, known[s]) for s in kept]
+    for a in span:
+        pa, row = known[a], mult[a]
+        for s, ps in generators:
             c = row[s]
             pc = tuple(map(pa.__getitem__, ps))
             if known.setdefault(c, pc) != pc:
                 raise BadAction(
                     "action file is inconsistent with the group "
                     "table at element %s" % group.name_of(c))
-            if c not in reached:
-                reached.add(c)
-                queue.append(c)
     if len(known) != group.order:
         missing = next(g for g in range(group.order) if g not in known)
         raise BadAction(
@@ -314,8 +331,10 @@ def parse_action_text(text, group: FiniteGroup,
 
 
 def serialize_action(gx: GSimplicialComplex) -> str:
-    """One ``act`` line per non-identity element (a generating set that makes
-    re-parsing verify every entry against the group table)."""
+    """One ``act`` line per non-identity element.  Parsing them again closes
+    the action over a generating subset of these lines and compares every
+    other line with that closure, so each entry is checked against the
+    group table again."""
     lines = []
     for g in range(gx.group.order):
         if g == gx.group.identity:
@@ -398,7 +417,8 @@ def parse_bundle_text(text) -> GSimplicialComplex:
 
 # -- filtrations ----------------------------------------------------------------
 
-_PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+# compiled on first use, and then taken from the cache of the re module
+_PAIR = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
 
 
 def parse_filtration_text(text):
@@ -415,8 +435,8 @@ def parse_filtration_text(text):
         if step_no != len(steps) + 1:
             raise ParseError("line %d: step labels must be 1, 2, ... in "
                              "order (got %d)" % (lineno, step_no))
-        pairs = [(int(a), int(b)) for a, b in _PAIR_RE.findall(rest)]
-        leftover = _PAIR_RE.sub("", rest).strip()
+        pairs = [(int(a), int(b)) for a, b in re.findall(_PAIR, rest)]
+        leftover = re.sub(_PAIR, "", rest).strip()
         if leftover:
             raise ParseError("line %d: unparsable text %r in step"
                              % (lineno, leftover))

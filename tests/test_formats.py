@@ -9,6 +9,7 @@ from orbikt import (BadAction, BoundExceeded, NotAGroup, ParseError,
                     parse_group_text, serialize_action, serialize_bundle,
                     serialize_complex, serialize_filtration, serialize_group,
                     split_bundle_text)
+from orbikt.complexes import GSimplicialComplex
 
 
 # -- group files --------------------------------------------------------------------
@@ -157,6 +158,54 @@ def test_action_closure_is_linear_in_the_group_order():
     gx = parse_action_text(text, g, x)
     assert time.perf_counter() - start < 3
     assert gx.vertex_action[5] == tuple((v + 5) % 512 for v in range(512))
+
+
+def test_emitted_cyclic_bundle_parses_again_quickly():
+    """serialize_action lists all 511 non-identity elements of Z/512; the
+    closure runs over element 1 alone, which generates the group, and the
+    other 510 lines are compared with it."""
+    group = cyclic_group(512)
+    action = [tuple((v + k) % 512 for v in range(512)) for k in range(512)]
+    text = serialize_bundle(GSimplicialComplex(circle_complex(512), group,
+                                               action, check=False))
+    start = time.perf_counter()
+    gx = parse_bundle_text(text)
+    assert time.perf_counter() - start < 2
+    assert gx.vertex_action == tuple(action)
+
+
+def test_a_line_outside_the_kept_generators_is_still_checked(d4_torus):
+    """R is kept and generates R2 and R3, S is kept, and SR lies in the
+    group they generate: two images swapped on its line are caught when
+    the closure reaches SR."""
+    lines = serialize_bundle(d4_torus).splitlines()
+    index = next(i for i, line in enumerate(lines)
+                 if line.startswith("act 5 :"))
+    head, images = lines[index].split(":")
+    images = images.split()
+    images[0], images[1] = images[1], images[0]
+    lines[index] = head + ": " + " ".join(images)
+    with pytest.raises(BadAction, match="inconsistent"):
+        parse_bundle_text("\n".join(lines) + "\n")
+
+
+def test_action_closes_when_the_first_element_generates_a_subgroup(
+        d4_torus):
+    """R2 generates {E, R2}; S and then R are kept after it."""
+    text = "".join(
+        "act %d : %s\n" % (g, " ".join(map(str, d4_torus.vertex_action[g])))
+        for g in (2, 4, 1))
+    gx = parse_action_text(text, d4_torus.group, d4_torus.complex)
+    assert gx.vertex_action == d4_torus.vertex_action
+
+
+def test_action_names_the_first_unreachable_element():
+    """g2 generates {e, g2} in Z/4: g is the first element not reached."""
+    text = "act 2 : 2 3 0 1\n"
+    with pytest.raises(BadAction) as info:
+        parse_action_text(text, cyclic_group(4), circle_complex(4))
+    assert str(info.value) == ("action file elements do not generate the "
+                               "group (element g is unreachable)")
 
 
 def test_action_requires_permutation():

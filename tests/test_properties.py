@@ -17,7 +17,7 @@ from orbikt import (Cyclotomic, FiniteGroup, GSimplicialComplex,
                     multiplicity, orbits_and_stabilizers, product_group,
                     rational_rank, smith_invariant_factors, specialization,
                     trivial_group)
-from orbikt.cli import report_json
+from orbikt.cli import _rows_text, report_json
 from orbikt.errors import BadAction
 from orbikt.linalg import Echelon, nullspace
 
@@ -410,3 +410,71 @@ def test_report_json_writes_what_json_dumps_writes(meta, payload, flags):
     doc = {"meta": meta, "payload": payload, "flags": flags}
     assert report_json(meta, payload, flags) == json.dumps(
         doc, sort_keys=True, indent=2)
+
+
+row_ints = (st.integers(-2 ** 70, 2 ** 70)
+            | st.sampled_from([0, -1, 2 ** 64, 2 ** 64 + 1, -2 ** 64 - 1]))
+row_keys = st.text(st.sampled_from('a%d"\\\n\u00e9\u20ac\U0001f600'),
+                   max_size=3)
+
+
+@st.composite
+def uniform_rows(draw, min_size=1):
+    """Int lists of one width, or dicts with one set of str keys and int
+    values."""
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 4))
+        row = st.lists(row_ints, min_size=width, max_size=width)
+    else:
+        keys = draw(st.sets(row_keys, min_size=1, max_size=4))
+        row = st.fixed_dictionaries({key: row_ints for key in keys})
+    return draw(st.lists(row, min_size=min_size, max_size=6))
+
+
+@st.composite
+def near_miss_rows(draw):
+    """Uniform rows with one change that leaves them not uniform: a row of
+    another width, a missing or extra key, one bool, str or None value, or
+    an empty first row."""
+    rows = draw(uniform_rows(min_size=2))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    change = draw(st.sampled_from(["shape", "value", "empty first row"]))
+    if change == "empty first row":
+        rows.insert(0, type(row)())
+    elif change == "value":
+        at = draw(st.sampled_from(sorted(row) if type(row) is dict
+                                  else range(len(row))))
+        row[at] = draw(st.booleans() | st.none() | st.text(max_size=2))
+    elif type(row) is list:
+        if len(row) > 1 and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(row_ints))
+    elif draw(st.booleans()):
+        del row[draw(st.sampled_from(sorted(row)))]
+    else:
+        row[draw(row_keys.filter(lambda key: key not in row))] = 0
+    return rows
+
+
+def _written_as_json_dumps_writes(rows):
+    meta, payload = {"rows": rows}, {"nested": [rows]}
+    doc = {"meta": meta, "payload": payload, "flags": rows}
+    assert report_json(meta, payload, rows) == json.dumps(
+        doc, sort_keys=True, indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(uniform_rows())
+def test_uniform_rows_are_written_from_one_template(rows):
+    """Keys with %, quotes, backslashes, control and non-ASCII characters,
+    negative values and values beyond 2**64."""
+    assert _rows_text(rows, "\n") is not None
+    _written_as_json_dumps_writes(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_miss_rows())
+def test_near_miss_rows_are_written_item_by_item(rows):
+    assert _rows_text(rows, "\n") is None
+    _written_as_json_dumps_writes(rows)

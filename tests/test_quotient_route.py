@@ -246,6 +246,19 @@ def test_only_the_last_subdivision_is_virtual(monkeypatch, build, built,
     assert len(calls) == built
 
 
+def test_quotient_command_builds_the_subdivision_once(monkeypatch, tmp_path,
+                                                     capsys):
+    """The rotated triangle is not admissible: the command reads H_*(X/G)
+    from the orbit cells of the sd(X) that quotient_complex built."""
+    calls = _count_subdivisions(monkeypatch)
+    code, payload, err = _quotient_command(rotated_triangle(), tmp_path,
+                                           capsys)
+    assert code == 0 and err == ""
+    assert len(calls) == 1
+    assert payload["subdivisions"] == 2
+    assert payload["betti"] == [1, 0, 0]
+
+
 @pytest.mark.parametrize("build, bound", [
     (lambda: flipped_simplex(8), 10281855),
     (swapped_simplices_and_cycle, 1280446),
