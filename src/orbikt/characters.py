@@ -12,7 +12,6 @@ the lifted values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -475,8 +474,7 @@ def character_table(group: FiniteGroup, conductor=None) -> CharacterTable:
     rows, degrees = _dixon_rows(group, conductor)
     # Rows are sorted on the integer coefficients of their values, taken
     # once per value object (rows share them; each is held by rows for the
-    # whole call, so its id is not reused), in the order their Fraction
-    # coefficients have.
+    # whole call, so its id is not reused).
     coefficients = {}
     for row in rows:
         for v in row:
@@ -647,6 +645,8 @@ def multiplicity(chi: Character, psi: Character, sub: Subgroup) -> int:
     reduced = _exponent_sum(products, m)
     total = reduced[0]
     if any(reduced[1:]) or total % sub.order or total < 0:
+        from fractions import Fraction
+
         acc = Cyclotomic(m, reduced) * Fraction(1, sub.order)
         raise NonIntegralMultiplicity(
             "inner product %s is not a non-negative integer" % (acc,))
@@ -701,6 +701,8 @@ def conjugate_irrep(g: int, sigma_id: int, sub: Subgroup):
 
 def induced_character(psi: Character, sub: Subgroup) -> Character:
     """Induction of a subgroup character to the parent group."""
+    from fractions import Fraction
+
     parent = sub.parent
     if psi.group is not sub.group and psi.group.mult != sub.group.mult:
         raise NotSubgroup("psi does not live on this subgroup")

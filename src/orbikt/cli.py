@@ -9,7 +9,11 @@ integers, no timestamps).
 
 Exit status: 0 on success, 1 on input errors, 2 when a mathematical
 precondition of the requested computation fails (refusals such as
-NotIsolated, NotApplicable, NotOpen).
+NotIsolated, NotApplicable, NotOpen).  Output that cannot be written (a
+closed pipe, a full device) is an input error too, reported by one stderr
+line.  ``main`` returns the status; ``entry``, the program that
+``python -m orbikt.cli`` and the ``orbikt`` script run, flushes the output
+and exits with that status without the interpreter's teardown.
 
 Each command's handler lives in a module of its family (``cli_groups``,
 ``cli_complexes``, ``cli_crossed``, ``cli_ktheory``), which imports the
@@ -364,6 +368,7 @@ def run(argv) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one call and return its exit status; the in-process entry."""
     try:
         code = run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
@@ -371,14 +376,42 @@ def main(argv=None) -> int:
     except OrbiktError as exc:
         print("orbikt: %s: %s" % (exc.kind, exc), file=sys.stderr)
         return exc.exit_code
-    except BrokenPipeError:
-        # The reader is gone: let the flush at exit write to devnull instead.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("orbikt: BrokenPipeError: output closed early", file=sys.stderr)
-        return 1
+    except OSError as exc:
+        return _output_failed(exc)
+
+
+def _output_failed(exc) -> int:
+    """Report stdout that cannot be written, a reader that closed the pipe
+    (``orbikt ... | head -c 10``) or a full device, by one stderr line and
+    exit status 1.  Whatever is still buffered then goes to devnull, so no
+    later flush fails again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    if isinstance(exc, BrokenPipeError):
+        message = "BrokenPipeError: output closed early"
+    else:
+        message = "OSError: %s" % (exc,)
+    print("orbikt: " + message, file=sys.stderr)
+    return 1
+
+
+def entry():
+    """The ``orbikt`` program: main(), a flush of stdout and stderr, and
+    os._exit with main's status, which skips the interpreter's teardown.
+    A failed final flush is reported as main reports one.  orbikt registers
+    no atexit handler and writes no file of its own, so nothing is lost;
+    code that opens a file must close it before main returns.  Tools that
+    run this module as __main__ and report at exit (cProfile, coverage)
+    should call main() instead."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _output_failed(exc)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

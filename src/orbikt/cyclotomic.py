@@ -1,17 +1,27 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_m).
 
-Elements are stored as coefficient vectors of length phi(m) over Fraction, in
+Elements are stored as coefficient vectors of length phi(m) of rationals, in
 the power basis 1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th
 cyclotomic polynomial.  All operations are exact; nothing here touches floats.
+
+A coefficient is kept as given: an int stays an int and a Fraction stays a
+Fraction (Fraction(3) == 3, with the same hash and text, so neither equality,
+hashing nor printing tells them apart).  Character values are algebraic
+integers, so their coefficients stay ints, and ``fractions`` is imported only
+where a non-integral rational can arise: scaling by a Fraction, or testing
+whether a value that is neither an int nor a Cyclotomic is a Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import InternalInconsistency
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @lru_cache(maxsize=None)
@@ -78,14 +88,23 @@ def _power_vectors(m: int):
     return tuple(vectors)
 
 
+def _is_rational(x):
+    """x is an int or a Fraction; ``fractions`` is imported only when x is
+    no int."""
+    if isinstance(x, int):
+        return True
+    from fractions import Fraction
+
+    return isinstance(x, Fraction)
+
+
 class Cyclotomic:
     """An element of Q(zeta_m), immutable."""
 
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor, coeffs):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c)
-                       for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != euler_phi(conductor):
             raise InternalInconsistency("coefficient vector has wrong length")
         object.__setattr__(self, "conductor", conductor)
@@ -98,9 +117,8 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(m, value):
-        phi = euler_phi(m)
-        v = [Fraction(0)] * phi
-        v[0] = Fraction(value)
+        v = [0] * euler_phi(m)
+        v[0] = value
         return Cyclotomic(m, v)
 
     @staticmethod
@@ -127,7 +145,7 @@ class Cyclotomic:
         if isinstance(other, Cyclotomic):
             self._same_conductor(other)
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return Cyclotomic.from_rational(self.conductor, other)
         return None
 
@@ -155,14 +173,13 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyclotomic(self.conductor, [a * q for a in self.coeffs])
         if not isinstance(other, Cyclotomic):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            return Cyclotomic(self.conductor, [a * other for a in self.coeffs])
         self._same_conductor(other)
         phi = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * phi - 1)
+        prod = [0] * (2 * phi - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -186,7 +203,7 @@ class Cyclotomic:
         m = self.conductor
         powers = _power_vectors(m)
         phi = len(self.coeffs)
-        out = [Fraction(0)] * phi
+        out = [0] * phi
         for j, a in enumerate(self.coeffs):
             if a:
                 vec = powers[(m - j) % m]
@@ -205,7 +222,7 @@ class Cyclotomic:
         step = big // m
         powers = _power_vectors(big)
         phi = euler_phi(big)
-        out = [Fraction(0)] * phi
+        out = [0] * phi
         for j, a in enumerate(self.coeffs):
             if a:
                 vec = powers[(j * step) % big]
@@ -221,7 +238,7 @@ class Cyclotomic:
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> int | Fraction:
         if not self.is_rational():
             raise InternalInconsistency("value is not rational")
         return self.coeffs[0]
@@ -235,10 +252,10 @@ class Cyclotomic:
         return int(self.coeffs[0])
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, Cyclotomic):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            return self.is_rational() and self.coeffs[0] == other
         if other.conductor != self.conductor:
             big = self.conductor * other.conductor // gcd(
                 self.conductor, other.conductor)

@@ -555,7 +555,36 @@ def test_commands_without_a_quotient_refuse_no_subdivide(capsys, monkeypatch,
     assert quotient_calls == []
 
 
-# -- closed output --------------------------------------------------------------------
+# -- the program: python -m orbikt.cli ------------------------------------------------
+
+
+def _program(python, argv, stdout=subprocess.PIPE):
+    """Run ``python [python...] -m orbikt.cli argv...`` in a fresh process."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(orbikt.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *python, "-m", "orbikt.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("argv, code, head", [
+    (["ktheory", "--fixture", "d4-torus"], 2, "orbikt: NotIsolated: "),
+    (["group", "--group", "builtin:cyclic:x"], 1, "orbikt: ParseError: "),
+], ids=["refusal", "input-error"])
+def test_program_failures_leave_one_stderr_line(argv, code, head):
+    proc = _program([], argv)
+    err = proc.stderr.decode()
+    assert proc.returncode == code, err
+    assert proc.stdout == b""
+    assert err.startswith(head) and err.count("\n") == 1, err
+
+
+def test_program_help_exits_0_with_its_text():
+    proc = _program([], ["--help"])
+    assert proc.returncode == 0 and proc.stderr == b""
+    out = proc.stdout.decode()
+    assert out.startswith("usage: orbikt") and "identity-check" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -568,18 +597,63 @@ def test_closed_stdout_ends_with_one_stderr_line(argv, python):
     """A reader that closes the pipe (``orbikt ... | head -c 10``) gets exit
     1 and one diagnostic line, not a BrokenPipeError traceback.  Buffered,
     the output fails only when flushed; unbuffered, when printed."""
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(orbikt.__file__)))
-    env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, *python, "-m", "orbikt.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        proc = _program(python, argv, stdout=write_end)
     finally:
         os.close(write_end)
     err = proc.stderr.decode()
     assert proc.returncode == 1, err
     assert err.startswith("orbikt: ") and err.count("\n") == 1, err
     assert "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "builtin:cyclic:4", "--format", "json"],
+    # a document larger than the output buffer fails while it is printed
+    ["group", "--group", "builtin:cyclic:24", "--format", "json"],
+    ["group", "--fixture", "z2-circle"],
+], ids=["json", "json-large", "table"])
+@pytest.mark.parametrize("python", [[], ["-u"]],
+                         ids=["buffered", "unbuffered"])
+def test_full_device_ends_with_one_stderr_line(argv, python):
+    """Output to a full device (``orbikt ... > /dev/full``) gets exit 1 and
+    one ``orbikt: OSError: ...`` line, not a traceback."""
+    with open("/dev/full", "wb") as full:
+        proc = _program(python, argv, stdout=full)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert err.startswith("orbikt: OSError: ") and err.count("\n") == 1, err
+    assert "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+def test_failed_final_flush_is_reported_as_main_reports_it(monkeypatch,
+                                                           capsys):
+    """Output that main left buffered and that the exit's own flush cannot
+    write ends with status 1 and one ``orbikt: OSError: ...`` line."""
+    from orbikt import cli
+
+    exits = []
+
+    def fake_exit(code):
+        exits.append(code)
+        raise SystemExit(code)
+
+    def main_leaving_output_buffered():
+        sys.stdout.write("left over")
+        return 0
+
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        monkeypatch.setattr(cli, "main", main_leaving_output_buffered)
+        monkeypatch.setattr(cli.os, "_exit", fake_exit)
+        with pytest.raises(SystemExit):
+            cli.entry()
+    assert exits == [1]
+    err = capsys.readouterr().err
+    assert err.startswith("orbikt: OSError: ") and err.count("\n") == 1, err

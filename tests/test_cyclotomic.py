@@ -122,4 +122,9 @@ def test_constructor_keeps_fraction_coefficients():
     half = Fraction(1, 2)
     value = Cyclotomic(4, [half, 1])
     assert value.coeffs[0] is half
-    assert all(type(c) is Fraction for c in value.coeffs)
+    assert value.coeffs == (half, 1)
+    # an int coefficient stays an int, indistinguishable from its Fraction
+    same = Cyclotomic(4, [half, Fraction(1)])
+    assert value == same and same == value
+    assert hash(value) == hash(same)
+    assert str(value) == str(same) == "1/2 + z4"

@@ -78,14 +78,38 @@ def test_output_matches_golden(name, capsysbinary):
         assert out == f.read()
 
 
-def test_golden_holds_without_asserts():
-    """Under ``python -O`` (asserts stripped) the answers are unchanged."""
-    name = "group_cyclic-24.json"
+def _program_output(python, name, tmp_path):
+    """Exit status, stderr and stdout of ``python [python...] -m orbikt.cli``
+    on the golden's command, with stdout redirected to a regular file as
+    the benchmark does."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(orbikt.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "orbikt.cli"] + GOLDEN[name],
-        env=env, capture_output=True, timeout=120, check=False)
-    assert proc.returncode == 0 and proc.stderr == b""
+    env.pop("PYTHONUNBUFFERED", None)
+    path = tmp_path / "out"
+    with open(path, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, *python, "-m", "orbikt.cli"] + GOLDEN[name],
+            env=env, stdout=out, stderr=subprocess.PIPE, timeout=120,
+            check=False)
+    return proc.returncode, proc.stderr, path.read_bytes()
+
+
+def _golden(name):
     with open(os.path.join(GOLDEN_DIR, name), "rb") as f:
-        assert proc.stdout == f.read()
+        return f.read()
+
+
+def test_golden_holds_without_asserts(tmp_path):
+    """Under ``python -O`` (asserts stripped) the answers are unchanged."""
+    name = "group_cyclic-24.json"
+    assert _program_output(["-O"], name, tmp_path) == (0, b"", _golden(name))
+
+
+@pytest.mark.parametrize("name", ["group_cyclic-24.json",
+                                  "prim_d4-torus.json"])
+@pytest.mark.parametrize("python", [[], ["-u"]],
+                         ids=["buffered", "unbuffered"])
+def test_golden_written_to_a_regular_file(name, python, tmp_path):
+    """The program, which ends without the interpreter's teardown, writes
+    the whole golden."""
+    assert _program_output(python, name, tmp_path) == (0, b"", _golden(name))
