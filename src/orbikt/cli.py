@@ -374,8 +374,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except OrbiktError as exc:
-        print("orbikt: %s: %s" % (exc.kind, exc), file=sys.stderr)
-        return exc.exit_code
+        return _diagnose(exc.exit_code, "%s: %s" % (exc.kind, exc))
     except OSError as exc:
         return _output_failed(exc)
 
@@ -383,17 +382,30 @@ def main(argv=None) -> int:
 def _output_failed(exc) -> int:
     """Report stdout that cannot be written, a reader that closed the pipe
     (``orbikt ... | head -c 10``) or a full device, by one stderr line and
-    exit status 1.  Whatever is still buffered then goes to devnull, so no
-    later flush fails again."""
+    exit status 1."""
+    _to_devnull(sys.stdout)
+    return _diagnose(1, "BrokenPipeError: output closed early"
+                     if isinstance(exc, BrokenPipeError)
+                     else "OSError: %s" % (exc,))
+
+
+def _diagnose(code, message) -> int:
+    """Write one diagnostic line to stderr and return code; a stderr that
+    is closed (``orbikt ... 2>&-``) or fails loses the line, not the code."""
+    if sys.stderr is not None:  # None when the process starts without fd 2
+        try:
+            print("orbikt: " + message, file=sys.stderr, flush=True)
+        except OSError:
+            _to_devnull(sys.stderr)
+    return code
+
+
+def _to_devnull(stream):
+    """Send what a failed stream still buffers, and all it gets later, to
+    devnull, so no later flush fails again."""
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
+    os.dup2(devnull, stream.fileno())
     os.close(devnull)
-    if isinstance(exc, BrokenPipeError):
-        message = "BrokenPipeError: output closed early"
-    else:
-        message = "OSError: %s" % (exc,)
-    print("orbikt: " + message, file=sys.stderr)
-    return 1
 
 
 def entry():
@@ -409,7 +421,8 @@ def entry():
         sys.stdout.flush()
     except OSError as exc:
         code = _output_failed(exc)
-    sys.stderr.flush()
+    if sys.stderr is not None:
+        sys.stderr.flush()
     os._exit(code)
 
 

@@ -142,7 +142,7 @@ class GSimplicialComplex:
         # Checking h over a generating set is a complete proof: every element
         # is a product of generators, so rho(g) rho(h) = rho(gh) for all g and
         # generators h gives a homomorphism by induction on word length.
-        gens = self.group._generating_set()
+        gens = self.group.generators
         for g, row in enumerate(action):
             for h in gens:
                 if (tuple(map(row.__getitem__, action[h]))

@@ -41,7 +41,7 @@ import re
 from typing import TYPE_CHECKING
 
 from .errors import BadAction, BoundExceeded, NotAGroup, ParseError
-from .groups import (FiniteGroup, cyclic_group, dihedral_group,
+from .groups import (FiniteGroup, _span, cyclic_group, dihedral_group,
                      group_from_permutations, product_group, trivial_group)
 
 if TYPE_CHECKING:
@@ -158,7 +158,8 @@ def serialize_group(group: FiniteGroup) -> str:
 
 def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
     """Parse a colon-separated builtin group spec such as ``cyclic:4`` or
-    ``product:cyclic:2:dihedral:3`` (prefix notation, consumed recursively).
+    ``product:cyclic:2:dihedral:3`` (prefix notation, read left to right with
+    a stack of the open products, so any depth parses).
 
     With ``max_order``, each group's order is computed from the spec and
     checked before its table is built, so an oversized group is refused
@@ -172,39 +173,44 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
             raise BoundExceeded("group order %d exceeds --max-order %d"
                                 % (order, max_order))
 
-    def consume(pos):
+    pos, open_products = 0, []  # each open product: None or its left factor
+    while True:
         if pos >= len(tokens):
             raise ParseError("builtin spec %r ends mid-expression" % spec)
         head = tokens[pos]
+        pos += 1
+        if head == "product":
+            open_products.append(None)
+            continue
         if head == "trivial":
-            return trivial_group(), pos + 1
-        if head in ("cyclic", "dihedral"):
-            if pos + 1 >= len(tokens):
+            group = trivial_group()
+        elif head in ("cyclic", "dihedral"):
+            if pos >= len(tokens):
                 raise ParseError("builtin spec %r: %s needs a parameter"
                                  % (spec, head))
             try:
-                n = int(tokens[pos + 1])
+                n = int(tokens[pos])
             except ValueError:
                 raise ParseError("builtin spec %r: %s parameter must be an "
-                                 "integer, got %r"
-                                 % (spec, head, tokens[pos + 1]))
-            if head == "cyclic":
-                check(n)
-                return cyclic_group(n), pos + 2
-            check(2 * n)
-            return dihedral_group(n), pos + 2
-        if head == "product":
-            left, pos = consume(pos + 1)
-            right, pos = consume(pos)
-            check(left.order * right.order)
-            return product_group(left, right), pos
-        raise ParseError("unknown builtin group %r (expected trivial, "
-                         "cyclic, dihedral, or product)" % head)
-
-    group, end = consume(0)
-    if end != len(tokens):
+                                 "integer, got %r" % (spec, head, tokens[pos]))
+            pos += 1
+            check(n if head == "cyclic" else 2 * n)
+            group = (cyclic_group if head == "cyclic" else dihedral_group)(n)
+        else:
+            raise ParseError("unknown builtin group %r (expected trivial, "
+                             "cyclic, dihedral, or product)" % head)
+        # a finished group is the right factor of every open product that
+        # has its left one, and the left factor of the innermost other one
+        while open_products and open_products[-1] is not None:
+            left = open_products.pop()
+            check(left.order * group.order)
+            group = product_group(left, group)
+        if not open_products:
+            break
+        open_products[-1] = group
+    if pos != len(tokens):
         raise ParseError("builtin spec %r has trailing tokens %r"
-                         % (spec, ":".join(tokens[end:])))
+                         % (spec, ":".join(tokens[pos:])))
     return group
 
 
@@ -254,11 +260,12 @@ def parse_action_text(text, group: FiniteGroup,
     """Parse generator action lines and extend to the whole group.
 
     The listed elements together with the identity must generate the group.
-    The action is closed over a generating subset of them: a listed element
-    is kept only when it lies outside the subgroup that the elements kept
-    before it generate, so the closure costs |G| compositions per kept
-    element.  Every other listed line is compared with the closure at its
-    element.
+    The action is closed over the generating subset of them that
+    ``groups._span`` keeps: a listed element is kept only when it lies
+    outside the subgroup that the elements kept before it generate.  Listing
+    that subgroup costs at most |G| k^2 table lookups for k kept elements,
+    and the closure then costs |G| compositions per kept element.  Every
+    other listed line is compared with the closure at its element.
     """
     from .complexes import GSimplicialComplex
 
@@ -287,24 +294,9 @@ def parse_action_text(text, group: FiniteGroup,
                             % (lineno, group.name_of(g)))
         known[g] = perm
 
-    # Keep the listed elements outside the subgroup the kept ones generate,
-    # and list that subgroup in span: each element after the identity is
-    # a*s for an element a before it and a kept s.
+    # span lists the identity, then each element as a*s for an earlier a
     mult = group.mult
-    kept = []
-    span = [group.identity]
-    spanned = {group.identity}
-    for s in known:
-        if s in spanned:
-            continue
-        kept.append(s)
-        for a in span:  # span grows while it is read
-            row = mult[a]
-            for t in kept:
-                c = row[t]
-                if c not in spanned:
-                    spanned.add(c)
-                    span.append(c)
+    kept, span = _span(mult, group.identity, known)
     # Walk span and set act(a*s) = act(a) o act(s) for every kept s,
     # checking it wherever act(a*s) is already known, a listed line
     # included.  That proves a homomorphism on the group the kept elements

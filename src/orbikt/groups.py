@@ -3,8 +3,11 @@
 Groups are always the full n x n table; permutation generators and builtin
 constructors are expanded to tables at build time.  Validation proves the
 table is a group: latin-square rows/columns, identity, inverses, and
-associativity via Light's test against a generating set (a complete proof,
-not a sample).
+associativity via Light's test against the group's ``generators`` (a
+complete proof, not a sample).  Those, ``subgroup()``, the subgroup check
+and ``formats.parse_action_text`` all use one walk, ``_span``, which lists
+the subgroup that some elements generate and keeps a generating subset of
+them, in at most |span| k^2 table lookups for k kept elements.
 """
 
 from __future__ import annotations
@@ -12,6 +15,28 @@ from __future__ import annotations
 from .errors import InternalInconsistency, NotAGroup, NotSubgroup
 
 GROUP_ORDER_BOUND = 512
+
+
+def _span(mult, identity, candidates):
+    """(generators, elements): each candidate that the ones kept before it
+    do not generate, and the span of those, in a finite group the subgroup
+    they generate.  elements lists the identity, then each new element as a*s
+    for an earlier a and a kept s, walking again from the first element after
+    each new generator: at most |span| k^2 lookups for k generators, and in
+    a group k <= log2 |span|."""
+    generators, elements, spanned = [], [identity], {identity}
+    for s in candidates:
+        if s in spanned:
+            continue
+        generators.append(s)
+        for a in elements:  # elements grows while it is read
+            row = mult[a]
+            for t in generators:
+                c = row[t]
+                if c not in spanned:
+                    spanned.add(c)
+                    elements.append(c)
+    return generators, elements
 
 
 class FiniteGroup:
@@ -28,6 +53,7 @@ class FiniteGroup:
         if check:
             self._validate()
         self.identity = self._find_identity()
+        self.generators, _ = _span(self.mult, self.identity, range(self.order))
         self.inv = self._build_inverses()
         self._conjugacy = None
         self._tables = {}
@@ -57,20 +83,15 @@ class FiniteGroup:
         raise NotAGroup("no identity element")
 
     def _build_inverses(self):
-        n, e = self.order, self.identity
-        inv = [None] * n
-        for g in range(n):
-            for h in range(n):
-                if self.mult[g][h] == e and self.mult[h][g] == e:
-                    inv[g] = h
-                    break
-            if inv[g] is None:
+        n, e, mult = self.order, self.identity, self.mult
+        # each row is a permutation, so g h = e for exactly one h
+        inv = tuple(row.index(e) for row in mult)
+        for g, h in enumerate(inv):
+            if mult[h][g] != e:
                 raise NotAGroup("element %d has no inverse" % g)
         # Light's associativity test: (xg)y = x(gy) for g in a generating set
         # proves associativity of the whole closed table.
-        gens = self._generating_set()
-        mult = self.mult
-        for g in gens:
+        for g in self.generators:
             row_g = mult[g]
             for x in range(n):
                 xg = mult[x][g]
@@ -79,31 +100,9 @@ class FiniteGroup:
                     if row_xg[y] != row_x[row_g[y]]:
                         raise NotAGroup(
                             "associativity fails at (%d,%d,%d)" % (x, g, y))
-        return tuple(inv)
-
-    def _generating_set(self):
-        n, e = self.order, self.identity
-        gens, reached = [], {e}
-        for g in range(n):
-            if g in reached:
-                continue
-            gens.append(g)
-            frontier = [g]
-            while frontier:
-                x = frontier.pop()
-                if x in reached:
-                    continue
-                reached.add(x)
-                for h in list(reached):
-                    for y in (self.mult[x][h], self.mult[h][x]):
-                        if y not in reached:
-                            frontier.append(y)
-        return gens
+        return inv
 
     # -- basic arithmetic ------------------------------------------------------
-
-    def mul(self, a, b):
-        return self.mult[a][b]
 
     def inverse(self, a):
         return self.inv[a]
@@ -113,7 +112,7 @@ class FiniteGroup:
         return self.mult[self.mult[g][x]][self.inv[g]]
 
     def power(self, a, k):
-        out, e = self.identity, self.identity
+        out = self.identity
         if k < 0:
             a, k = self.inv[a], -k
         for _ in range(k):
@@ -157,21 +156,11 @@ class FiniteGroup:
 
     def subgroup(self, generators):
         """Closure of the generators (empty set gives the trivial subgroup)."""
-        elements = {self.identity}
-        frontier = list(generators)
-        for g in frontier:
+        for g in generators:
             if not 0 <= g < self.order:
                 raise NotSubgroup("generator index %d out of range" % g)
-        while frontier:
-            g = frontier.pop()
-            if g in elements:
-                continue
-            elements.add(g)
-            for h in list(elements):
-                for y in (self.mult[g][h], self.mult[h][g], self.inv[g]):
-                    if y not in elements:
-                        frontier.append(y)
-        return Subgroup(self, sorted(elements))
+        _, elements = _span(self.mult, self.identity, generators)
+        return Subgroup(self, elements)
 
     def full_subgroup(self):
         return Subgroup(self, range(self.order))
@@ -192,43 +181,21 @@ class Subgroup:
             self._validate()
 
     def _validate(self):
-        """Prove closure with O(|H| |S|) products for a generating set S.
-
-        S is built greedily: each element not yet reached joins S, and the
-        reached set grows by right multiplication with S.  Every product of a
-        reached element with an element of S must lie in H; when all of H is
-        reached, H = <S> and H S is inside H, so H H = H <S> is inside H.
-        """
+        """Prove closure with O(|H| |S|^2) products, S the generators that
+        _span keeps from H.  The span holds H, so it lies inside H exactly
+        when it has |H| elements; then H S is inside H and H = <S>, so H H =
+        H <S> is inside H."""
         parent = self.parent
-        inside = set(self.elements)
         for a in self.elements:
             if not 0 <= a < parent.order:
                 raise NotSubgroup("element index %d out of range" % a)
-        if parent.identity not in inside:
+        if parent.identity not in self.elements:
             raise NotSubgroup("subgroup must contain the identity")
         if parent.order % len(self.elements) != 0:
             raise NotSubgroup("order does not divide |G|")
-        mult = parent.mult
-        gens, reached, seen = [], [parent.identity], {parent.identity}
-        for h in self.elements:
-            if h in seen:
-                continue
-            gens.append(h)
-            # elements reached so far meet only the new generator; elements
-            # reached from now on meet every generator
-            todo = [(x, (h,)) for x in reached]
-            while todo:
-                x, by = todo.pop()
-                row = mult[x]
-                for g in by:
-                    y = row[g]
-                    if y not in seen:
-                        if y not in inside:
-                            raise NotSubgroup(
-                                "subgroup not closed under product")
-                        seen.add(y)
-                        reached.append(y)
-                        todo.append((y, gens))
+        _, span = _span(parent.mult, parent.identity, self.elements)
+        if len(span) != len(self.elements):
+            raise NotSubgroup("subgroup not closed under product")
 
     @property
     def order(self):

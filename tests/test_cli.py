@@ -327,6 +327,27 @@ def test_builtin_spec_errors_name_the_spec(capsys, spec, head):
                    "be an integer, got 'x'\n" % (spec, head))
 
 
+DEEP_SPEC = "product:" * 2000 + ":".join(["trivial"] * 2001)
+
+
+def test_builtin_spec_of_any_depth_answers(capsys):
+    """Nested products are read with a stack, not by recursion, so a spec
+    deeper than the interpreter's recursion limit answers."""
+    code, out, err = run_cli(capsys, ["group", "--group",
+                                      "builtin:" + DEEP_SPEC,
+                                      "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["order"] == 1
+
+
+def test_deep_builtin_spec_cut_short_ends_with_one_line(capsys):
+    cut = DEEP_SPEC[:-len(":trivial")]
+    code, out, err = run_cli(capsys, ["group", "--group", "builtin:" + cut])
+    assert (code, out) == (1, "")
+    assert err == ("orbikt: ParseError: builtin spec %r ends mid-expression\n"
+                   % cut)
+
+
 def test_oversized_inputs_are_refused_before_allocation(capsys, tmp_path):
     path = tmp_path / "simplex22.txt"
     path.write_text("vertices 22\nsimplex %s\n"
@@ -558,14 +579,15 @@ def test_commands_without_a_quotient_refuse_no_subdivide(capsys, monkeypatch,
 # -- the program: python -m orbikt.cli ------------------------------------------------
 
 
-def _program(python, argv, stdout=subprocess.PIPE):
+def _program(python, argv, stdout=subprocess.PIPE, **options):
     """Run ``python [python...] -m orbikt.cli argv...`` in a fresh process."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(orbikt.__file__)))
     env.pop("PYTHONUNBUFFERED", None)
+    options.setdefault("stderr", subprocess.PIPE)
     return subprocess.run(
         [sys.executable, *python, "-m", "orbikt.cli", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+        stdout=stdout, env=env, timeout=60, **options)
 
 
 @pytest.mark.parametrize("argv, code, head", [
@@ -578,6 +600,47 @@ def test_program_failures_leave_one_stderr_line(argv, code, head):
     assert proc.returncode == code, err
     assert proc.stdout == b""
     assert err.startswith(head) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["ktheory", "--fixture", "d4-torus"], 2),
+    (["group", "--group", "builtin:cyclic:x"], 1),
+    (["group", "--group", "builtin:cyclic:2"], 0),
+], ids=["refusal", "input-error", "answer"])
+def test_program_keeps_its_status_and_output_with_stderr_closed(argv, code):
+    """``orbikt ... 2>&-``: the diagnostic line is lost, and the exit status
+    and stdout are those of a run with stderr open."""
+    proc = _program([], argv, stderr=subprocess.DEVNULL,
+                    preexec_fn=lambda: os.close(2))
+    assert proc.returncode == code
+    assert proc.stdout == _program([], argv).stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+@pytest.mark.parametrize("stderr", ["closed-pipe", "none"])
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["ktheory", "--fixture", "d4-torus"], 2, "file"),
+    (["group", "--group", "builtin:cyclic:x"], 1, "file"),
+    # the line that reports a failed stdout cannot be written either
+    (["group", "--group", "builtin:cyclic:4", "--format", "json"], 1,
+     "/dev/full"),
+], ids=["refusal", "input-error", "output-error"])
+def test_main_returns_the_status_when_stderr_fails(monkeypatch, tmp_path,
+                                                   stderr, argv, code,
+                                                   stdout):
+    """main() never raises when its diagnostic line cannot be written, and
+    never writes that line to stdout."""
+    path = tmp_path / "out" if stdout == "file" else stdout
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as closed_pipe, open(path, "w") as out:
+        monkeypatch.setattr(sys, "stderr",
+                            closed_pipe if stderr == "closed-pipe" else None)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == code
+    if stdout == "file":
+        assert (tmp_path / "out").read_text() == ""
 
 
 def test_program_help_exits_0_with_its_text():

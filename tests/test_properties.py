@@ -2,7 +2,9 @@
 chain-complex identities, dual-oracle rank agreement, closure-operator laws,
 and subdivision invariance."""
 
+import functools
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -11,14 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbikt import (Cyclotomic, FiniteGroup, GSimplicialComplex,
-                    SimplicialComplex, barycentric_subdivide, boundary_matrix,
-                    character_table, cyclic_group, dihedral_group,
-                    fraction_free_rank, homology_integral, induced_character,
-                    multiplicity, orbits_and_stabilizers, product_group,
-                    rational_rank, smith_invariant_factors, specialization,
-                    trivial_group)
+                    SimplicialComplex, Subgroup, barycentric_subdivide,
+                    boundary_matrix, character_table, cyclic_group,
+                    dihedral_group, fraction_free_rank, homology_integral,
+                    induced_character, multiplicity, orbits_and_stabilizers,
+                    product_group, rational_rank, smith_invariant_factors,
+                    specialization, trivial_group)
 from orbikt.cli import _rows_text, report_json
-from orbikt.errors import BadAction
+from orbikt.errors import BadAction, NotAGroup, NotSubgroup
 from orbikt.linalg import Echelon, nullspace
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -132,6 +134,159 @@ def test_frobenius_reciprocity(group, raw_gens):
             induced = induced_character(psi, sub)
             assert (multiplicity(chi, psi, sub)
                     == multiplicity(induced, big.character(i), full))
+
+
+# -- generated subgroups --------------------------------------------------------------
+
+
+def _factor_order(factor):
+    kind, n = factor
+    return n if kind == "cyclic" else 2 * n
+
+
+factors = (st.tuples(st.just("cyclic"), st.integers(1, 12))
+           | st.tuples(st.just("dihedral"), st.integers(1, 6)))
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin(factors):
+    groups = [cyclic_group(n) if kind == "cyclic" else dihedral_group(n)
+              for kind, n in factors]
+    return groups[0] if len(groups) == 1 else product_group(*groups)
+
+
+small_builtins = (factors.map(lambda f: (f,))
+                  | st.tuples(factors, factors).filter(
+                      lambda fs: _factor_order(fs[0]) * _factor_order(fs[1])
+                      <= 48)).map(_builtin)
+
+
+def _closure(group, elements):
+    """All products of the elements and the identity, by brute force."""
+    closed = {group.identity, *elements}
+    while True:
+        products = {group.mult[a][b] for a in closed for b in closed}
+        if products <= closed:
+            return closed
+        closed |= products
+
+
+@st.composite
+def builtin_and_subset(draw):
+    group = draw(small_builtins)
+    subset = draw(st.sets(st.integers(0, group.order - 1), max_size=4))
+    return group, subset
+
+
+@SETTINGS
+@given(builtin_and_subset())
+def test_subgroup_is_the_closure_of_its_generators(data):
+    group, subset = data
+    assert group.subgroup(sorted(subset)).elements == tuple(
+        sorted(_closure(group, subset)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(builtin_and_subset(), st.sampled_from(["closure", "add", "remove",
+                                              "as drawn"]),
+       st.integers(0, 47))
+def test_subgroup_check_accepts_exactly_the_closed_sets(data, how, pick):
+    """Subgroup(G, T) is accepted exactly when T holds the identity and is
+    closed under products."""
+    group, subset = data
+    if how != "as drawn":
+        subset = _closure(group, subset)
+    if how == "add":
+        subset.add(pick % group.order)
+    elif how == "remove":
+        subset.discard(sorted(subset)[pick % len(subset)])
+    closed = all(group.mult[a][b] in subset for a in subset for b in subset)
+    if group.identity in subset and closed:
+        assert Subgroup(group, subset).elements == tuple(sorted(subset))
+    else:
+        with pytest.raises(NotSubgroup):
+            Subgroup(group, subset)
+
+
+@SETTINGS
+@given(small_builtins)
+def test_generating_set_takes_the_least_element_outside_the_span(group):
+    """Each generator is the least element outside the subgroup that the
+    generators before it generate, and they generate the group."""
+    for i, g in enumerate(group.generators):
+        spanned = _closure(group, group.generators[:i])
+        assert g == min(set(range(group.order)) - spanned)
+    assert _closure(group, group.generators) == set(range(group.order))
+
+
+def _next_latin_row(rng, rows, n):
+    """A random row that extends the Latin rectangle rows: a perfect matching
+    of symbols to columns (one exists by Hall's theorem), found by
+    augmenting paths tried in random order."""
+    column_of = {}
+
+    def place(column, seen):
+        for s in rng.sample(range(n), n):
+            if s in seen or any(row[column] == s for row in rows):
+                continue
+            seen.add(s)
+            if s not in column_of or place(column_of[s], seen):
+                column_of[s] = column
+                return True
+        return False
+
+    for column in rng.sample(range(n), n):
+        place(column, set())
+    row = [None] * n
+    for s, column in column_of.items():
+        row[column] = s
+    return row
+
+
+LATIN_GROUPS = {
+    5: [cyclic_group(5)],
+    6: [cyclic_group(6), dihedral_group(3)],
+    7: [cyclic_group(7)],
+    8: [cyclic_group(8), dihedral_group(4),
+        product_group(cyclic_group(2), cyclic_group(4)),
+        product_group(product_group(cyclic_group(2), cyclic_group(2)),
+                      cyclic_group(2))],
+}
+
+
+def _random_loop(rng, n, from_group):
+    """A Latin square with an identity: a relabeled group table, or a random
+    Latin square L made a loop by x.y = L[R^-1(x)][C^-1(y)], where R and C
+    read L's first column and row, so that L[0][0] is the identity."""
+    if from_group:
+        group = rng.choice(LATIN_GROUPS[n])
+        label = rng.sample(range(n), n)
+        table = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[label[a]][label[b]] = label[group.mult[a][b]]
+        return table
+    square = []
+    while len(square) < n:
+        square.append(_next_latin_row(rng, square, n))
+    row_of = {square[i][0]: i for i in range(n)}
+    column_of = {square[0][j]: j for j in range(n)}
+    return [[square[row_of[x]][column_of[y]] for y in range(n)]
+            for x in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(5, 8), st.booleans())
+def test_latin_squares_are_groups_exactly_when_associative(seed, n,
+                                                           from_group):
+    table = _random_loop(random.Random(seed), n, from_group)
+    associative = all(table[table[a][b]][c] == table[a][table[b][c]]
+                      for a in range(n) for b in range(n) for c in range(n))
+    if associative:
+        assert FiniteGroup(table).order == n
+    else:
+        with pytest.raises(NotAGroup):
+            FiniteGroup(table)
 
 
 # -- chain complexes ------------------------------------------------------------------
@@ -378,7 +533,7 @@ def test_action_check_names_the_first_simplex_sent_outside(data):
     generating-set order, and its first simplex in (dimension, lex) order
     that it sends outside."""
     complex, group, action = data
-    outside = [(g, s) for g in group._generating_set()
+    outside = [(g, s) for g in group.generators
                for s in complex.all_simplices()
                if tuple(sorted(action[g][v] for v in s)) not in complex]
     if not outside:
