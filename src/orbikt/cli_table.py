@@ -40,6 +40,7 @@ def _flat(value):
 
 
 def _k_text(entry):
+    """The group, with a null torsion (not determined) said in words."""
     rank, torsion = entry["rank"], entry["torsion"]
     parts = []
     if rank == 1:
@@ -48,7 +49,8 @@ def _k_text(entry):
         parts.append("Z^%d" % rank)
     for t in torsion or ():
         parts.append("Z/%d" % t)
-    return " + ".join(parts) if parts else "0"
+    text = " + ".join(parts) if parts else "0"
+    return text if torsion is not None else text + " (torsion not determined)"
 
 
 def _bc_lines(payload):

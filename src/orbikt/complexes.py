@@ -149,14 +149,19 @@ class GSimplicialComplex:
                         != action[self.group.mult[g][h]]):
                     raise BadAction(
                         "action is not a homomorphism at (%d,%d)" % (g, h))
-        # Every simplex is k.rep for an orbit representative rep, so
-        # g.(k.rep) = (gk).rep: the action keeps the complex once every image
-        # of every representative is a simplex, which the orbit pass checks.
+        self._validate_images()
+
+    def _validate_images(self):
+        """Check that the action keeps the complex, given that it is a
+        homomorphism into the vertex permutations.  Every simplex is k.rep
+        for an orbit representative rep, so g.(k.rep) = (gk).rep: the action
+        keeps the complex once every image of every representative is a
+        simplex, which the orbit pass checks."""
         if _orbit_pass(self, check=True) is not None:
             return
         complex = self.complex
         # name the first (generator, simplex) in dimension-then-lex order
-        for g in gens:
+        for g in self.group.generators:
             for s in complex.all_simplices():
                 if self.simplex_image(g, s) not in complex:
                     raise BadAction(

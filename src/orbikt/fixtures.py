@@ -84,48 +84,25 @@ def _torus_permutation(linear_map):
     return tuple(images)
 
 
-def _rotation(k):
-    """(s, t) -> R^k (s, t) where R is the quarter turn (s, t) -> (-t, s)."""
+def _dihedral_map(k):
+    """Element k of ``dihedral_group(4)`` on (s, t): the k-th quarter turn
+    (s, t) -> (-t, s) for k < 4, and for k >= 4 quarter turn k - 4 followed
+    by the reflection (s, t) -> (s, -t).  Elements 0..3 are also those of
+    ``cyclic_group(4)``."""
     def apply(s, t):
         for _ in range(k % 4):
             s, t = -t, s
-        return s, t
+        return (s, t) if k < 4 else (s, -t)
     return apply
-
-
-def _d4_maps():
-    """Geometric map per dihedral element: index k < 4 is R^k, index 4 + k
-    is S R^k with S the reflection (s, t) -> (s, -t)."""
-    maps = []
-    for k in range(4):
-        maps.append(_rotation(k))
-    for k in range(4):
-        rot = _rotation(k)
-
-        def apply(s, t, rot=rot):
-            u, w = rot(s, t)
-            return u, -w
-        maps.append(apply)
-    return maps
 
 
 # Each builder returns (complex, group, vertex action).
 
 
-def _d4_torus():
-    action = [_torus_permutation(f) for f in _d4_maps()]
-    return torus_complex(), dihedral_group(4), action
-
-
-def _z4_torus():
-    action = [_torus_permutation(_rotation(k)) for k in range(4)]
-    return torus_complex(), cyclic_group(4), action
-
-
-def _z2_flip_torus():
-    action = [_torus_permutation(_rotation(0)),
-              _torus_permutation(_rotation(2))]
-    return torus_complex(), cyclic_group(2), action
+def _torus(group, elements):
+    """The torus, element i of group acting by _dihedral_map(elements[i])."""
+    action = [_torus_permutation(_dihedral_map(k)) for k in elements]
+    return torus_complex(), group, action
 
 
 def _z2_circle():
@@ -151,9 +128,9 @@ def _trivial_on(complex: SimplicialComplex):
 
 
 _BUILDERS = {
-    "d4-torus": _d4_torus,
-    "z4-torus": _z4_torus,
-    "z2-flip-torus": _z2_flip_torus,
+    "d4-torus": lambda: _torus(dihedral_group(4), range(8)),
+    "z4-torus": lambda: _torus(cyclic_group(4), range(4)),
+    "z2-flip-torus": lambda: _torus(cyclic_group(2), (0, 2)),
     "z2-circle": _z2_circle,
     "z2-antipodal-sphere": _z2_antipodal_sphere,
     "trivial-on(torus)": lambda: _trivial_on(torus_complex()),

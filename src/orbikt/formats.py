@@ -318,8 +318,12 @@ def parse_action_text(text, group: FiniteGroup,
         raise BadAction(
             "action file elements do not generate the group "
             "(element %s is unreachable)" % group.name_of(missing))
+    # the walk proved the rest of _validate: one permutation per element,
+    # the identity fixed, a homomorphism
     vertex_action = [known[g] for g in range(group.order)]
-    return GSimplicialComplex(complex, group, vertex_action)
+    gx = GSimplicialComplex(complex, group, vertex_action, check=False)
+    gx._validate_images()
+    return gx
 
 
 def serialize_action(gx: GSimplicialComplex) -> str:

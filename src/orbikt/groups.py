@@ -160,7 +160,7 @@ class FiniteGroup:
             if not 0 <= g < self.order:
                 raise NotSubgroup("generator index %d out of range" % g)
         _, elements = _span(self.mult, self.identity, generators)
-        return Subgroup(self, elements)
+        return Subgroup(self, elements, check=False)  # a span is closed
 
     def full_subgroup(self):
         return Subgroup(self, range(self.order))

@@ -59,6 +59,38 @@ def test_ktheory_table_rotation_torus(capsys):
     )
 
 
+def test_ktheory_table_says_when_torsion_is_not_determined():
+    """Above dimension 2 ktheory reports torsion as null; the table says
+    so instead of printing the free part as the whole group."""
+    from orbikt.cli_table import render_table
+
+    def payload(k0, k1, capped):
+        return {"per_class": [{"class": 0, "rep": "e", "even": 12, "odd": 0}],
+                "totals": {"even": 12, "odd": 0}, "k0": k0, "k1": k1,
+                "boundary_status": "torsion-bounded",
+                "dimension_capped": capped}
+
+    capped = payload({"rank": 12, "torsion": None},
+                     {"rank": 0, "torsion": None}, True)
+    assert render_table("ktheory", capped, []).splitlines()[0] == (
+        "K0 = Z^12 (torsion not determined), "
+        "K1 = 0 (torsion not determined)")
+    known = payload({"rank": 1, "torsion": [2]}, {"rank": 0, "torsion": []},
+                    False)
+    assert render_table("ktheory", known, []).splitlines()[0] == \
+        "K0 = Z + Z/2, K1 = 0"
+
+
+def test_ktheory_table_on_a_solid_tetrahedron(capsys, tmp_path):
+    path = tmp_path / "tetrahedron.txt"
+    path.write_text("# group\ngroup 1\ntable\n0\n# complex\nvertices 4\n"
+                    "simplex 0 1 2 3\n# action\nact 0 : 0 1 2 3\n")
+    code, out, err = run_cli(capsys, ["ktheory", "--complex", str(path)])
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == (
+        "K0 = Z (torsion not determined), K1 = 0 (torsion not determined)")
+
+
 def test_prim_aggregate_table_circle(capsys):
     code, out, _ = run_cli(capsys,
                            ["prim", "--aggregate", "--fixture", "z2-circle"])

@@ -4,7 +4,8 @@ from orbikt import (BadAction, BoundExceeded, GSimplicialComplex, NotAComplex,
                     NotAdmissible, NotRegular, SimplicialComplex,
                     barycentric_subdivide, cyclic_group, dihedral_group,
                     fixed_subcomplex, fixture, isotropy_strata,
-                    orbits_and_stabilizers, quotient_complex, trivial_group)
+                    orbits_and_stabilizers, parse_action_text,
+                    quotient_complex, serialize_action, trivial_group)
 from orbikt.complexes import faces
 from orbikt.fixtures import FIXTURE_NAMES
 
@@ -17,6 +18,16 @@ def two_point_circle():
     """Two vertices joined by two edges is not a simplicial complex;
     the closest simplicial model needs distinct edges, so use the square."""
     return SimplicialComplex(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def direct(complex, group, action):
+    return GSimplicialComplex(complex, group, action)
+
+
+def parsed(complex, group, action):
+    """The same action read back from its act lines, as a bundle is read."""
+    unchecked = GSimplicialComplex(complex, group, action, check=False)
+    return parse_action_text(serialize_action(unchecked), group, complex)
 
 
 def test_closure_generates_faces():
@@ -60,34 +71,39 @@ def test_action_must_be_homomorphism():
         GSimplicialComplex(c, g, [(1, 0), (1, 0)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (direct, "homomorphism"),
+    (parsed, "inconsistent with the group table at element g%d")])
 @pytest.mark.parametrize("bad", [2, 3])
-def test_action_check_covers_non_generators(bad):
+def test_action_check_covers_non_generators(bad, build, message):
     # element 1 alone generates Z4, so the validator checks products with it
     # only; a wrong permutation on a non-generator must still be caught
     c = two_point_circle()
     rotations = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
-    GSimplicialComplex(c, cyclic_group(4), rotations)
+    build(c, cyclic_group(4), rotations)
     wrong = list(rotations)
     wrong[bad] = (0, 1, 2, 3)
-    with pytest.raises(BadAction, match="homomorphism"):
-        GSimplicialComplex(c, cyclic_group(4), wrong)
+    with pytest.raises(BadAction, match=message.replace("%d", str(bad))):
+        build(c, cyclic_group(4), wrong)
 
 
-def test_action_must_preserve_simplices():
+@pytest.mark.parametrize("build", [direct, parsed])
+def test_action_must_preserve_simplices(build):
     # the swap of 1 and 2 is an involution, so only the edge check fails
     c = SimplicialComplex(3, [(0, 1)])
     g = cyclic_group(2)
     with pytest.raises(BadAction, match="outside the complex"):
-        GSimplicialComplex(c, g, [(0, 1, 2), (0, 2, 1)])
+        build(c, g, [(0, 1, 2), (0, 2, 1)])
 
 
-def test_bad_simplex_message_names_first_simplex_in_order():
+@pytest.mark.parametrize("build", [direct, parsed])
+def test_bad_simplex_message_names_first_simplex_in_order(build):
     """The given triangle (1, 2, 3) leaves the complex under the swap of 0
     and 3, and so do its edges (1, 3) and (2, 3); the message names the
     first of them in dimension-then-lex order, an edge."""
     c = SimplicialComplex(4, [(1, 2, 3)])
     with pytest.raises(BadAction) as info:
-        GSimplicialComplex(c, cyclic_group(2), [(0, 1, 2, 3), (3, 1, 2, 0)])
+        build(c, cyclic_group(2), [(0, 1, 2, 3), (3, 1, 2, 0)])
     assert str(info.value) == \
         "element 1 maps simplex (1, 3) outside the complex"
 
@@ -149,6 +165,21 @@ def test_subdivision_counts_of_triangle():
     sd = barycentric_subdivide(gx)
     # vertices = simplices of the original; each triangle gives 6 triangles
     assert sd.complex.f_vector() == (7, 12, 6)
+
+
+@pytest.mark.parametrize("name, kind, elements", [
+    ("d4-torus", "d4", range(8)),
+    ("z4-torus", "z4", range(4)),
+    ("z2-flip-torus", "z4", (0, 2))])
+def test_torus_fixtures_match_the_benchmark_construction(name, kind, elements,
+                                                         inputs):
+    """bench/inputs.py builds the grid-4 torus actions on its own; each torus
+    fixture acts as its elements there do, element by element."""
+    built = fixture(name)
+    independent = inputs.torus_action(kind, 4)
+    assert built.complex == independent.complex
+    assert built.vertex_action == tuple(independent.vertex_action[k]
+                                        for k in elements)
 
 
 def test_orbit_stabilizer_identity_on_fixtures(all_fixtures):

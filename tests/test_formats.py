@@ -174,6 +174,29 @@ def test_emitted_cyclic_bundle_parses_again_quickly():
     assert gx.vertex_action == tuple(action)
 
 
+def test_a_parsed_bundle_proves_its_action_once(monkeypatch):
+    """The span walk of parse_action_text proves the action a homomorphism,
+    so the G-complex it builds runs only the check that the action keeps
+    the complex, not the homomorphism loop of _validate."""
+    group = cyclic_group(12)
+    action = [tuple((v + k) % 12 for v in range(12)) for k in range(12)]
+    text = serialize_bundle(GSimplicialComplex(circle_complex(12), group,
+                                               action, check=False))
+    calls = []
+    for name in ("_validate", "_validate_images"):
+        original = getattr(GSimplicialComplex, name)
+
+        def spy(self, name=name, original=original):
+            calls.append(name)
+            return original(self)
+        monkeypatch.setattr(GSimplicialComplex, name, spy)
+    assert parse_bundle_text(text).vertex_action == tuple(action)
+    assert calls == ["_validate_images"]
+    calls.clear()
+    GSimplicialComplex(circle_complex(12), group, action)
+    assert calls == ["_validate", "_validate_images"]
+
+
 def test_a_line_outside_the_kept_generators_is_still_checked(d4_torus):
     """R is kept and generates R2 and R3, S is kept, and SR lies in the
     group they generate: two images swapped on its line are caught when

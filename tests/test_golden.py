@@ -33,6 +33,8 @@ GOLDEN = {
     "complex_d4-torus.json":
         ["complex", "--fixture", "d4-torus", "--format", "json"],
     "fixture_z4-torus_emit.txt": ["fixture", "z4-torus", "--emit"],
+    "fixture_d4-torus_emit.txt": ["fixture", "d4-torus", "--emit"],
+    "fixture_z2-flip-torus_emit.txt": ["fixture", "z2-flip-torus", "--emit"],
     "group_product-dihedral-8-cyclic-6.json":
         ["group", "--group", "builtin:product:dihedral:8:cyclic:6",
          "--format", "json"],

@@ -5,6 +5,7 @@ import pytest
 from orbikt import (FiniteGroup, NotAGroup, NotSubgroup, commuting_pairs,
                     conjugacy_data, cyclic_group, dihedral_group,
                     group_from_permutations, product_group, trivial_group)
+from orbikt import groups
 from orbikt.formats import parse_group_text
 from orbikt.groups import Subgroup
 
@@ -114,6 +115,27 @@ def test_subgroup_closure_and_index():
     assert h.index_in_parent == 2
     assert g.subgroup([]).elements == (0,)
     assert g.subgroup([1]).elements == (0, 1, 2, 3)
+
+
+def test_subgroup_spans_its_generators_once(monkeypatch):
+    """subgroup() lists the span of its generators with one _span walk and
+    does not walk it again to prove it closed; a generator out of range is
+    refused before any walk."""
+    g = cyclic_group(12)
+    calls = []
+    original = groups._span
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(groups, "_span", spy)
+    assert g.subgroup([4, 6]).elements == (0, 2, 4, 6, 8, 10)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(NotSubgroup) as info:
+        g.subgroup([4, 12])
+    assert str(info.value) == "generator index 12 out of range"
+    assert calls == []
 
 
 def test_subgroup_order_needs_a_common_parent():
