@@ -43,9 +43,6 @@ _EXPORTS = {
                  "boundary_matrix", "euler_characteristic",
                  "fraction_free_rank", "homology_integral",
                  "quotient_homology", "smith_invariant_factors"),
-    "transfer": ("InvariantsCheck", "chain_map_matrix",
-                 "induced_homology_matrix", "invariant_cohomology_dims",
-                 "invariants_check"),
     "linalg": ("rational_rank",),
     "crossed": ("FiberDecomposition", "FiltrationReport",
                 "InclusionMultiplicityMatrix", "PrimNode", "PrimPoset",

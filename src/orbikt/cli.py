@@ -29,7 +29,8 @@ import os
 import sys
 from typing import NamedTuple
 
-from .errors import BadAction, BoundExceeded, OrbiktError, ParseError
+from .errors import (BadAction, BoundExceeded, InternalInconsistency,
+                     OrbiktError, ParseError)
 from .formats import (parse_action_text, parse_builtin_spec,
                       parse_complex_text, parse_group_text, read_file,
                       split_bundle_text)
@@ -251,20 +252,12 @@ def report_json(meta, payload, flags) -> str:
     """The document as json.dumps(doc, sort_keys=True, indent=2) writes it.
 
     With an indent, json.dumps runs its pure-Python encoder; _json_text
-    writes the same text in far fewer steps, and hands a document holding
-    any other value back to json.dumps.
+    writes the same text in far fewer steps.  Every payload and flag is a
+    str, int, bool, None, or a list, tuple or str-keyed dict of such values;
+    any other value is a bug, reported as InternalInconsistency.
     """
     doc = {"meta": meta, "payload": payload, "flags": flags}
-    try:
-        return _json_text(doc, "\n")
-    except _NotWritten:
-        import json
-
-        return json.dumps(doc, sort_keys=True, indent=2)
-
-
-class _NotWritten(Exception):
-    """A value _json_text leaves to json.dumps."""
+    return _json_text(doc, "\n")
 
 
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
@@ -306,7 +299,8 @@ def _json_text(value, newline):
             map(int.__repr__, items) if all(type(x) is int for x in items)
             else [_json_text(x, inner) for x in items])]
     else:
-        raise _NotWritten
+        raise InternalInconsistency("no json writer for a %s value"
+                                    % kind.__name__)
     return opening + inner + ("," + inner).join(texts) + newline + closing
 
 

@@ -350,21 +350,21 @@ def split_bundle_text(text):
     """Split a document that may interleave group, complex, and action
     sections into their raw texts.
 
-    Complex lines start with ``vertices``/``simplex``, action lines with
-    ``act``; everything else (``group``, ``table``, ``perm``, bare numeric
-    rows) belongs to the group section.  Returns a dict with keys 'group',
-    'complex', 'action' mapping to text or None.  Each section keeps its
-    lines at their line numbers in the document, with every other line
-    blank, so a parse error names the line of the document.
+    A line goes by its first token: ``vertices``/``simplex`` to the complex,
+    ``act`` to the action, ``group``, ``table``, ``perm`` or an integer to
+    the group.  Returns a dict with keys 'group', 'complex', 'action'
+    mapping to text or None.  Each section keeps its lines at their line
+    numbers in the document, with every other line blank, so a parse error
+    names the line of the document.
     """
     sections = {"group": [], "complex": [], "action": []}
     for lineno, line in _content_lines(text):
-        head = line.split()[0]
+        head = line.split(None, 1)[0]
         if head in ("vertices", "simplex"):
             sections["complex"].append((lineno, line))
         elif head == "act":
             sections["action"].append((lineno, line))
-        elif head in ("group", "table", "perm") or _is_numeric_row(line):
+        elif head in ("group", "table", "perm") or _is_int(head):
             sections["group"].append((lineno, line))
         else:
             raise ParseError("line %d: unrecognized directive %r"
@@ -382,10 +382,9 @@ def _placed_text(lines):
     return "\n".join(out) + "\n"
 
 
-def _is_numeric_row(line):
+def _is_int(token):
     try:
-        for tok in line.split():
-            int(tok)
+        int(token)
     except ValueError:
         return False
     return True

@@ -10,8 +10,7 @@ action X/G is a CW complex with one cell per simplex orbit, and so is each
 X^g/Z(g); the decomposition reads each H_*(X^g/Z(g)) from their cellular
 chains, and the identity's row from X itself, so nothing is subdivided;
 isolated_k_theory reads H_*(X/G) from that row and runs the cross-check.
-The Euler-characteristic routes and the counting identity are in ``euler``,
-the comparison with invariant cohomology in ``transfer``.
+The Euler-characteristic routes and the counting identity are in ``euler``.
 """
 
 from __future__ import annotations

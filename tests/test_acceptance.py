@@ -16,10 +16,11 @@ from orbikt import (ChainComplex, Cyclotomic, aggregate_strata,
                     euler_quotient_check, fiber_decomposition,
                     filtration_report, fixture, fraction_free_rank,
                     homology_integral, inclusion_multiplicities,
-                    induced_character, invariants_check, multiplicity,
-                    quotient_complex, rational_rank,
-                    smith_invariant_factors, specialization, subgroup_table)
+                    induced_character, multiplicity, quotient_complex,
+                    rational_rank, smith_invariant_factors, specialization,
+                    subgroup_table)
 from orbikt.cli import main
+from transfer_oracle import invariants_check
 
 
 def _report(num, label):

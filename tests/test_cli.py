@@ -150,6 +150,24 @@ def test_json_byte_deterministic(capsys):
     }]
 
 
+def test_a_value_the_json_writer_cannot_write_is_an_internal_error(
+        capsys, monkeypatch):
+    """Documents hold str, int, bool, None, lists, tuples and str-keyed
+    dicts; any other value (a float) is a bug, reported by one line with
+    exit status 1."""
+    from orbikt import InternalInconsistency, cli
+
+    with pytest.raises(InternalInconsistency,
+                       match="^no json writer for a float value$"):
+        cli.report_json({}, {"chi": 0.5}, [])
+    monkeypatch.setattr(cli, "_meta", lambda inputs, args: {"ratio": 0.5})
+    code, out, err = run_cli(capsys, ["group", "--group", "builtin:cyclic:4",
+                                      "--format", "json"])
+    assert (code, out) == (1, "")
+    assert err == ("orbikt: InternalInconsistency: "
+                   "no json writer for a float value\n")
+
+
 def test_bc_json_flip_torus(capsys):
     code, out, _ = run_cli(capsys, ["bc", "--fixture", "z2-flip-torus",
                                     "--format", "json"])

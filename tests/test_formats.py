@@ -68,6 +68,38 @@ def test_group_file_errors():
         parse_group_text("group 2\ntable\n0 x\n1 0\n")
 
 
+def _act_on_a_point(text):
+    return parse_action_text(text, cyclic_group(1), circle_complex(3))
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_group_text, "group 0\ntable\n",
+     "line 1: group order must be positive"),
+    (parse_group_text, "# header only\ngroup 2\n",
+     "group file ends after the header"),
+    (parse_group_text, "group 1\ntable 1\n0\n",
+     "line 2: 'table' takes no arguments"),
+    (parse_group_text, "group 2\nperm\n1 0\n", "line 2: expected 'perm <k>'"),
+    (parse_group_text, "group 1\nperm 0\n",
+     "line 2: permutation degree must be positive"),
+    (parse_group_text, "group 1\nperm 2\n",
+     "'perm' group file lists no generators"),
+    (parse_group_text, "group 2\nperm 2\n1 0 2\n",
+     "line 3: expected 2 images"),
+    (parse_group_text, "group 1\nlist\n0\n",
+     "line 2: expected 'table' or 'perm <k>', got 'list'"),
+    (_act_on_a_point, "# no lines\n\n", "empty action file"),
+    (parse_bundle_text, "group 1\ntable\n0\nvertices 1\nsimplex 0\n",
+     "bundle document lacks action lines"),
+], ids=["order", "header-only", "table-args", "perm-args", "perm-degree",
+        "perm-empty", "perm-images", "mode", "action-empty",
+        "bundle-no-action"])
+def test_malformed_input_messages(parse, text, message):
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert str(caught.value) == message
+
+
 def test_builtin_specs():
     assert parse_builtin_spec("trivial").order == 1
     assert parse_builtin_spec("cyclic:6").order == 6
@@ -311,8 +343,21 @@ def test_bundle_section_routing(z2_circle):
 
 
 def test_bundle_unknown_directive():
-    with pytest.raises(ParseError, match="unrecognized"):
+    with pytest.raises(ParseError) as caught:
         split_bundle_text("frobnicate 3\n")
+    assert str(caught.value) == "line 1: unrecognized directive 'frobnicate'"
+
+
+def test_a_bundle_line_starting_with_an_integer_goes_to_the_group():
+    """A line is routed by its first token alone, so a row with a bad
+    token later on gets the group parser's message, naming its line."""
+    assert split_bundle_text("3 x\n")["group"] == "3 x\n"
+    text = ("group 2\ntable\n0 1\n3 x\n"
+            "vertices 2\nsimplex 0 1\nact 1 : 1 0\n")
+    with pytest.raises(ParseError) as caught:
+        parse_bundle_text(text)
+    assert str(caught.value) == ("line 4: table entry must be an integer, "
+                                 "got 'x'")
 
 
 def test_bundle_missing_sections():

@@ -4,6 +4,7 @@ interpreter, since the test process has imported every module already."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ import pytest
 import orbikt
 
 SRC = os.path.dirname(os.path.dirname(orbikt.__file__))
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                      "README.md")
 
 # Prints the modules the snippet loaded beyond those the interpreter started
 # with, as a json list; json itself is imported only after they are listed.
@@ -113,8 +116,8 @@ def test_ktheory_from_a_file_loads_only_its_route(files):
                                  "--format", "json"])
     modules = _orbikt_modules(loaded)
     assert {"cli_ktheory", "ktheory", "homology"} <= modules
-    assert not modules & {"fixtures", "cli_table", "transfer", "euler",
-                          "linalg", "characters", "crossed"}
+    assert not modules & {"fixtures", "cli_table", "euler", "linalg",
+                          "characters", "crossed"}
     assert not loaded & FRACTIONS
     assert not _json_package(loaded)
 
@@ -132,6 +135,44 @@ def test_commands_on_files_load_no_fixtures_and_no_json(files, command,
     assert not modules & {"fixtures", "cli_table"}
     assert not _json_package(loaded)
     assert not loaded & FRACTIONS
+
+
+def _lines_loaded_table():
+    """README's table of what each command loads: command -> (modules,
+    summed source lines)."""
+    with open(README, encoding="utf-8") as handle:
+        rows = re.findall(r"^\| `(\w+)` +\| (.+?) \| ([\d,]+) \|$",
+                          handle.read(), flags=re.M)
+    return {command: (set(re.findall(r"`(\w+)`", modules)),
+                      int(lines.replace(",", "")))
+            for command, modules, lines in rows}
+
+
+def _source_lines(module):
+    """What ``wc -l`` counts for the module's file."""
+    path = os.path.join(os.path.dirname(orbikt.__file__), module + ".py")
+    with open(path, "rb") as handle:
+        return handle.read().count(b"\n")
+
+
+def test_readme_tabulates_the_four_commands_on_files():
+    assert sorted(_lines_loaded_table()) == ["betti", "group", "ktheory",
+                                             "prim"]
+
+
+@pytest.mark.parametrize("command, option", [
+    ("ktheory", "--complex"), ("prim", "--complex"), ("group", "--group"),
+    ("betti", "--complex"),
+])
+def test_readme_table_of_loaded_modules_and_lines(files, command, option):
+    """The README row names the orbikt modules the command loads on a file
+    input (the package ``__init__`` aside) and their summed line count."""
+    modules, lines = _lines_loaded_table()[command]
+    loaded = _orbikt_modules(_loaded_by_command([command, option,
+                                                 files[option],
+                                                 "--format", "json"]))
+    assert loaded == modules
+    assert sum(map(_source_lines, loaded)) == lines
 
 
 def test_only_the_table_format_loads_the_table_writer():
@@ -164,7 +205,8 @@ def test_every_exported_name_resolves_to_its_defining_module():
         "assert orbikt.__version__ == '1.0.0'\n")
 
 
-@pytest.mark.parametrize("name", ["cli", "__wrapped__"])
+@pytest.mark.parametrize("name", ["cli", "__wrapped__", "transfer",
+                                  "invariants_check"])
 def test_unexported_names_are_not_resolved(name):
     loaded = _loaded(
         "import orbikt\n"

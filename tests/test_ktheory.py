@@ -3,7 +3,8 @@ import pytest
 from orbikt import (InternalInconsistency, NotApplicable, NotIsolated,
                     bc_cross_check, bc_decomposition, bc_vs_count_identity,
                     equivariant_euler, euler_quotient_check, homology_integral,
-                    invariants_check, isolated_k_theory, quotient_complex)
+                    isolated_k_theory, quotient_complex)
+from transfer_oracle import invariants_check
 
 
 # -- localization decomposition ----------------------------------------------------

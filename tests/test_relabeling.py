@@ -12,11 +12,11 @@ import pytest
 
 from orbikt import (NotIsolated, NotRegular, bc_decomposition,
                     conjugacy_data, fixture, homology_integral,
-                    invariant_cohomology_dims, isolated_k_theory,
-                    quotient_complex)
+                    isolated_k_theory, quotient_complex)
 from orbikt.cli import main
 from orbikt.fixtures import FIXTURE_NAMES
 from orbikt.formats import serialize_bundle
+from transfer_oracle import invariant_cohomology_dims
 
 SEEDS = (0, 1, 2, 3)
 

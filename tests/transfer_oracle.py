@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complexes import GSimplicialComplex
-from .errors import InternalInconsistency
-from .homology import ChainComplex, _sorting_sign, quotient_homology
-from .linalg import Echelon, nullspace
+from orbikt.complexes import GSimplicialComplex
+from orbikt.errors import InternalInconsistency
+from orbikt.homology import ChainComplex, _sorting_sign, quotient_homology
+from orbikt.linalg import Echelon, nullspace
 
 
 def _signed_permutation(gx: GSimplicialComplex, g, k):
