@@ -3,7 +3,8 @@
 One batch run per invocation: inputs are resolved (fixture name, or group and
 complex files), the requested command dispatches to a library operation, and
 the result is printed as an aligned table or as a single json document with
-top-level keys ``meta``, ``payload``, ``flags``.  The json output is
+top-level keys ``meta``, ``payload``, ``flags``, written in bounded pieces
+(``json_pieces``).  The json output is
 byte-identical across runs for identical inputs (sorted keys, canonical
 integers, no timestamps).
 
@@ -248,16 +249,39 @@ def _meta(inputs, args):
     return meta
 
 
+# The longest piece json_pieces makes, in characters, and the most rows of
+# a uniform row list that one % format writes (see _rows_text).
+PIECE_CHARS = 1 << 15
+_BATCH_ROWS = 128
+
+
 def report_json(meta, payload, flags) -> str:
-    """The document as json.dumps(doc, sort_keys=True, indent=2) writes it.
+    """The document as json.dumps(doc, sort_keys=True, indent=2) writes it:
+    the pieces of json_pieces, joined."""
+    return "".join(json_pieces(meta, payload, flags))
+
+
+def json_pieces(meta, payload, flags) -> list:
+    """The text json.dumps(doc, sort_keys=True, indent=2) writes for the
+    document, as a list of strs that join to it, none longer than
+    PIECE_CHARS: a long document is never held as one str.
 
     With an indent, json.dumps runs its pure-Python encoder; _json_text
     writes the same text in far fewer steps.  Every payload and flag is a
     str, int, bool, None, or a list, tuple or str-keyed dict of such values;
-    any other value is a bug, reported as InternalInconsistency.
+    any other value is a bug, reported as InternalInconsistency.  Every
+    piece is made before this returns, so a caller that writes the pieces
+    writes either the whole document or, on that error, nothing.
     """
     doc = {"meta": meta, "payload": payload, "flags": flags}
-    return _json_text(doc, "\n")
+    text = _json_text(doc, "\n")
+    if type(text) is str:
+        return [text]
+    if max(map(len, text)) <= PIECE_CHARS:
+        return text
+    # a long str value, or a batch of long rows
+    return [piece[at:at + PIECE_CHARS] for piece in text
+            for at in range(0, len(piece), PIECE_CHARS)]
 
 
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
@@ -266,10 +290,15 @@ _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 def _json_text(value, newline):
     """The indented json of a str, int, bool, None, or a list, tuple or
     str-keyed dict of such values; newline is the line break plus the
-    indent of the line the value starts on.
+    indent of the line the value starts on.  A container whose text may
+    be longer than PIECE_CHARS gives, instead of one str, the list of strs
+    that join to it: its opening, the texts of its items and the
+    separators between them, and its closing, with the list of each item
+    that gave one spliced in.
 
     A list of uniform rows (see _rows_text) is written from one row
-    template; every other value is written item by item."""
+    template, _BATCH_ROWS rows at a time; every other value is written
+    item by item."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -278,61 +307,92 @@ def _json_text(value, newline):
     if kind is bool or value is None:
         return _JSON_CONSTANTS[value]
     inner = newline + "  "
+    separator = "," + inner
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         opening, closing = "[", "]"
-        if all(type(x) is int for x in value):
-            texts = map(int.__repr__, value)
-        else:
-            rows = _rows_text(value, inner)
-            texts = ([rows] if rows is not None
-                     else [_json_text(x, inner) for x in value])
+        texts = (_rows_text(value, inner)
+                 or [_json_text(x, inner) for x in value])
     elif kind is dict and all(type(key) is str for key in value):
         if not value:
             return "{}"
         opening, closing = "{", "}"
         keys = sorted(value)
         items = [value[key] for key in keys]
-        texts = [key + ": " + text for key, text in zip(
-            map(_quote, keys),
-            map(int.__repr__, items) if all(type(x) is int for x in items)
-            else [_json_text(x, inner) for x in items])]
+        if all(type(x) is int for x in items):
+            texts = map(int.__repr__, items)
+        else:
+            texts = [_json_text(x, inner) for x in items]
+        texts = [key + ": " + text if type(text) is str
+                 else [key + ": ", *text]
+                 for key, text in zip(map(_quote, keys), texts)]
     else:
         raise InternalInconsistency("no json writer for a %s value"
                                     % kind.__name__)
-    return opening + inner + ("," + inner).join(texts) + newline + closing
+    # at least the length of the joined text: separator is as long as
+    # opening + inner, and longer than newline + closing
+    if (sum(map(len, texts)) + len(separator) * (len(texts) + 1)
+            <= PIECE_CHARS):
+        try:
+            return (opening + inner + separator.join(texts) + newline
+                    + closing)
+        except TypeError:  # one of the texts is a list of strs
+            pass
+    strs = [opening + inner]
+    for text in texts:
+        if type(text) is str:
+            strs.append(text)
+        else:
+            strs += text
+        strs.append(separator)
+    strs[-1] = newline + closing
+    return strs
 
 
 def _rows_text(rows, newline):
-    """The json of the items of rows joined by "," and newline, when they
-    are uniform rows: every item a non-empty list of ints of one length, or
-    every item a dict with one non-empty set of str keys and int values
-    (bool is not int here).  Such rows are written by one % format of a
-    row template over their values in sorted-key order.  None otherwise."""
+    """The json of the items of rows, _BATCH_ROWS rows at a time, each
+    batch's rows joined by "," and newline, when they are uniform rows:
+    every item an int, every item a non-empty list of ints of one length,
+    or every item a dict with one non-empty set of str keys and int values
+    (bool is not int here).  Each batch is written by one % format of a
+    row template over its values in sorted-key order.  None otherwise."""
     first = rows[0]
     kind = type(first)
-    if kind is list and first:
+    inner = newline + "  "
+    if kind is int:
+        row_template = "%d"
+    elif kind is list and first:
         width = len(first)
         if any(type(row) is not list or len(row) != width for row in rows):
             return None
-        values = [x for row in rows for x in row]
-        opening, closing, fields = "[", "]", ["%d"] * width
+        row_template = ("[" + inner + ("," + inner).join(["%d"] * width)
+                        + newline + "]")
     elif kind is dict and first and all(type(key) is str for key in first):
         keys = sorted(first)
         if any(type(row) is not dict or row.keys() != first.keys()
                for row in rows):
             return None
-        values = [row[key] for row in rows for key in keys]
-        opening, closing = "{", "}"
         fields = [_quote(key).replace("%", "%%") + ": %d" for key in keys]
+        row_template = "{" + inner + ("," + inner).join(fields) + newline + "}"
     else:
         return None
-    if any(type(x) is not int for x in values):
-        return None
-    inner = newline + "  "
-    row = opening + inner + ("," + inner).join(fields) + newline + closing
-    return ("," + newline).join([row] * len(rows)) % tuple(values)
+    texts, template, size = [], "", 0
+    for start in range(0, len(rows), _BATCH_ROWS):
+        batch = rows[start:start + _BATCH_ROWS]
+        if kind is int:
+            values = batch
+        elif kind is list:
+            values = [x for row in batch for x in row]
+        else:
+            values = [row[key] for row in batch for key in keys]
+        if any(type(x) is not int for x in values):
+            return None
+        if len(batch) != size:  # the first batch, or a shorter last one
+            size = len(batch)
+            template = ("," + newline).join([row_template] * size)
+        texts.append(template % tuple(values))
+    return texts
 
 
 # -- entry point -----------------------------------------------------------------
@@ -353,7 +413,9 @@ def run(argv) -> int:
         sys.stdout.write(payload["_raw"])
         return 0
     if args.format == "json":
-        print(report_json(_meta(inputs, args), payload, flags))
+        pieces = json_pieces(_meta(inputs, args), payload, flags)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
     else:
         from .cli_table import render_table
 
@@ -405,7 +467,10 @@ def _to_devnull(stream):
 def entry():
     """The ``orbikt`` program: main(), a flush of stdout and stderr, and
     os._exit with main's status, which skips the interpreter's teardown.
-    A failed final flush is reported as main reports one.  orbikt registers
+    A json reply is written as the pieces of json_pieces, all made before
+    the first is written, so a value the writer cannot write leaves stdout
+    empty; output that fails in mid-reply, or in the final flush, is
+    reported as main reports any output failure.  orbikt registers
     no atexit handler and writes no file of its own, so nothing is lost;
     code that opens a file must close it before main returns.  Tools that
     run this module as __main__ and report at exit (cProfile, coverage)

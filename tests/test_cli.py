@@ -21,10 +21,25 @@ COMMANDS = ["group", "complex", "orbits", "fixed", "quotient", "betti",
             "identity-check", "fixture"]
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+# stands for the path of the d4_torus_12 bundle in a parametrized argv
+D4_TORUS_12 = "<d4-torus-12>"
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture(scope="module")
+def d4_torus_12(inputs, tmp_path_factory):
+    """A bundle file of the grid-12 torus under D4 (relabeling seed 13),
+    whose prim reply (about 79 KB) is longer than one piece of the json
+    writer."""
+    path = tmp_path_factory.mktemp("bundle") / "d4-torus-12.txt"
+    path.write_text(inputs.torus_bundle_text("d4", 12, 13))
+    return str(path)
 
 
 # -- table output -------------------------------------------------------------------
@@ -151,21 +166,107 @@ def test_json_byte_deterministic(capsys):
 
 
 def test_a_value_the_json_writer_cannot_write_is_an_internal_error(
-        capsys, monkeypatch):
+        capsys, monkeypatch, d4_torus_12):
     """Documents hold str, int, bool, None, lists, tuples and str-keyed
     dicts; any other value (a float) is a bug, reported by one line with
-    exit status 1."""
-    from orbikt import InternalInconsistency, cli
+    exit status 1.  The whole document is formatted before any of it is
+    written, so a float in the last row of a reply of many pieces leaves
+    stdout empty."""
+    from orbikt import InternalInconsistency, cli, cli_crossed
 
     with pytest.raises(InternalInconsistency,
                        match="^no json writer for a float value$"):
         cli.report_json({}, {"chi": 0.5}, [])
-    monkeypatch.setattr(cli, "_meta", lambda inputs, args: {"ratio": 0.5})
-    code, out, err = run_cli(capsys, ["group", "--group", "builtin:cyclic:4",
+    message = ("orbikt: InternalInconsistency: "
+               "no json writer for a float value\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_meta", lambda inputs, args: {"ratio": 0.5})
+        code, out, err = run_cli(capsys, [
+            "group", "--group", "builtin:cyclic:4", "--format", "json"])
+    assert (code, out, err) == (1, "", message)
+
+    def prim_with_a_float_last(inputs, args):
+        payload, flags = prim(inputs, args)
+        assert len(payload["relation"]) > cli._BATCH_ROWS
+        payload["relation"].append([0, 0.5])
+        return payload, flags
+
+    prim = cli_crossed.cmd_prim
+    monkeypatch.setattr(cli_crossed, "cmd_prim", prim_with_a_float_last)
+    code, out, err = run_cli(capsys, ["prim", "--complex", d4_torus_12,
                                       "--format", "json"])
-    assert (code, out) == (1, "")
-    assert err == ("orbikt: InternalInconsistency: "
-                   "no json writer for a float value\n")
+    assert (code, out, err) == (1, "", message)
+
+
+def _json_pieces_of(monkeypatch, capsys, argv):
+    """Run argv; return the arguments json_pieces was given, the pieces it
+    made, and what the call printed."""
+    from orbikt import cli
+
+    calls = []
+    json_pieces = cli.json_pieces
+
+    def recording(*args):
+        pieces = json_pieces(*args)
+        calls.append((args, pieces))
+        return pieces
+
+    monkeypatch.setattr(cli, "json_pieces", recording)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    [(args, pieces)] = calls
+    return args, pieces, out
+
+
+def test_a_long_reply_is_written_in_bounded_pieces(monkeypatch, capsys,
+                                                   d4_torus_12):
+    """The grid-12 D4 torus: prim's nodes and relation each span more
+    than one batch of rows, and the reply more than one piece.  No piece
+    is longer than the writer's bound, the pieces join to the text
+    report_json and json.dumps write, and making them never holds a second
+    copy of the document."""
+    import tracemalloc
+
+    from orbikt import cli
+
+    (meta, payload, flags), pieces, out = _json_pieces_of(
+        monkeypatch, capsys, ["prim", "--complex", d4_torus_12,
+                              "--format", "json"])
+    assert min(len(payload["nodes"]), len(payload["relation"])) \
+        > cli._BATCH_ROWS
+    assert len(pieces) > 1
+    assert max(map(len, pieces)) <= cli.PIECE_CHARS
+    text = "".join(pieces)
+    assert out == text + "\n"
+    assert text == cli.report_json(meta, payload, flags)
+    assert text == json.dumps({"meta": meta, "payload": payload,
+                               "flags": flags}, sort_keys=True, indent=2)
+    tracemalloc.start()
+    try:
+        cli.json_pieces(meta, payload, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("prim_d4-torus.json", ["--fixture", "d4-torus"]),
+    ("prim_d4-torus_aggregate.json",
+     ["--fixture", "d4-torus", "--aggregate"]),
+    ("prim_d4-torus-6-seed3.json",
+     ["--complex", os.path.join(GOLDEN_DIR, "d4-torus-6-seed3.txt")]),
+])
+def test_json_pieces_join_to_the_golden_prim_replies(monkeypatch, capsys,
+                                                     name, argv):
+    from orbikt import cli
+
+    args, pieces, _ = _json_pieces_of(
+        monkeypatch, capsys, ["prim", *argv, "--format", "json"])
+    assert max(map(len, pieces)) <= cli.PIECE_CHARS
+    with open(os.path.join(GOLDEN_DIR, name), encoding="ascii") as golden:
+        assert "".join(pieces) + "\n" == golden.read()
+    assert "".join(pieces) == cli.report_json(*args)
 
 
 def test_bc_json_flip_torus(capsys):
@@ -703,13 +804,16 @@ def test_program_help_exits_0_with_its_text():
 @pytest.mark.parametrize("argv", [
     ["group", "--fixture", "z2-circle"],
     ["orbits", "--fixture", "z2-circle", "--format", "json"],
-], ids=["table", "json"])
+    # a reply of many pieces fails while they are written
+    ["prim", "--complex", D4_TORUS_12, "--format", "json"],
+], ids=["table", "json", "json-pieces"])
 @pytest.mark.parametrize("python", [[], ["-u"]],
                          ids=["buffered", "unbuffered"])
-def test_closed_stdout_ends_with_one_stderr_line(argv, python):
+def test_closed_stdout_ends_with_one_stderr_line(argv, python, d4_torus_12):
     """A reader that closes the pipe (``orbikt ... | head -c 10``) gets exit
     1 and one diagnostic line, not a BrokenPipeError traceback.  Buffered,
-    the output fails only when flushed; unbuffered, when printed."""
+    a short reply fails only when flushed; unbuffered, when printed."""
+    argv = [d4_torus_12 if arg == D4_TORUS_12 else arg for arg in argv]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -728,13 +832,16 @@ def test_closed_stdout_ends_with_one_stderr_line(argv, python):
     ["group", "--group", "builtin:cyclic:4", "--format", "json"],
     # a document larger than the output buffer fails while it is printed
     ["group", "--group", "builtin:cyclic:24", "--format", "json"],
+    # a reply of many pieces fails while they are written
+    ["prim", "--complex", D4_TORUS_12, "--format", "json"],
     ["group", "--fixture", "z2-circle"],
-], ids=["json", "json-large", "table"])
+], ids=["json", "json-large", "json-pieces", "table"])
 @pytest.mark.parametrize("python", [[], ["-u"]],
                          ids=["buffered", "unbuffered"])
-def test_full_device_ends_with_one_stderr_line(argv, python):
+def test_full_device_ends_with_one_stderr_line(argv, python, d4_torus_12):
     """Output to a full device (``orbikt ... > /dev/full``) gets exit 1 and
     one ``orbikt: OSError: ...`` line, not a traceback."""
+    argv = [d4_torus_12 if arg == D4_TORUS_12 else arg for arg in argv]
     with open("/dev/full", "wb") as full:
         proc = _program(python, argv, stdout=full)
     err = proc.stderr.decode()

@@ -6,6 +6,7 @@ import functools
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 from itertools import combinations
 from math import gcd
 
@@ -19,7 +20,8 @@ from orbikt import (Cyclotomic, FiniteGroup, GSimplicialComplex,
                     induced_character, multiplicity, orbits_and_stabilizers,
                     product_group, rational_rank, smith_invariant_factors,
                     specialization, trivial_group)
-from orbikt.cli import _rows_text, report_json
+from orbikt import cli
+from orbikt.cli import _rows_text, json_pieces, report_json
 from orbikt.errors import BadAction, NotAGroup, NotSubgroup
 from orbikt.linalg import Echelon, nullspace
 
@@ -633,3 +635,21 @@ def test_uniform_rows_are_written_from_one_template(rows):
 def test_near_miss_rows_are_written_item_by_item(rows):
     assert _rows_text(rows, "\n") is None
     _written_as_json_dumps_writes(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values, uniform_rows() | near_miss_rows(), st.integers(1, 80),
+       st.integers(1, 3))
+def test_pieces_join_to_what_json_dumps_writes(payload, rows, piece_chars,
+                                               batch_rows):
+    """With a bound of a few characters and batches of a few rows, nearly
+    every container is written as a list of strs, and long strs are cut:
+    the pieces still join to what json.dumps writes, and none is longer
+    than the bound."""
+    meta, payload = {"rows": rows}, [payload, rows]
+    doc = {"meta": meta, "payload": payload, "flags": rows}
+    with mock.patch.multiple(cli, PIECE_CHARS=piece_chars,
+                             _BATCH_ROWS=batch_rows):
+        pieces = json_pieces(meta, payload, rows)
+    assert "".join(pieces) == json.dumps(doc, sort_keys=True, indent=2)
+    assert max(map(len, pieces)) <= piece_chars
