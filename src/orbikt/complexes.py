@@ -8,7 +8,7 @@ constant-isotropy strata.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import factorial
 from typing import NamedTuple
 
@@ -60,13 +60,14 @@ class SimplicialComplex:
             given.append(s)
         _check_simplex_bound(
             vertex_count + sum((1 << len(s)) - 1 for s in given))
-        # one set of simplices per dimension
+        # one set of simplices per dimension; every vertex is a 0-simplex
+        # already, so the faces of a given simplex start at edges
         levels = [{(v,) for v in range(vertex_count)}] if vertex_count else []
         for s in given:
             while len(levels) < len(s):
                 levels.append(set())
             levels[len(s) - 1].add(s)
-            for k in range(1, len(s)):
+            for k in range(2, len(s)):
                 levels[k - 1].update(combinations(s, k))
         self.vertex_count = vertex_count
         self.simplices = tuple(tuple(sorted(level)) for level in levels)
@@ -264,61 +265,72 @@ class OrbitData:
         return self.orbits[i][2]
 
 
+def _images(columns, rep):
+    """The images g·rep of a simplex under every element g, in element
+    order, read from the vertex image columns (columns[v][g] = g·v).  A
+    vertex's images need no sort and an edge's one comparison each."""
+    if len(rep) == 1:
+        return list(zip(columns[rep[0]]))
+    if len(rep) == 2:
+        return [(a, b) if a < b else (b, a)
+                for a, b in zip(columns[rep[0]], columns[rep[1]])]
+    return [tuple(sorted(t)) for t in zip(*[columns[v] for v in rep])]
+
+
 def _orbit_pass(gx: GSimplicialComplex, check=False):
     """The orbits of gx and its admissibility witness, built once and cached
-    in gx._orbit_data.  With check, it returns None as soon as an image of a
+    in gx._orbit_data.  With check, it returns None when an image of a
     representative is not a simplex of gx, and caches nothing.
 
     Simplices are walked in (dimension, lex) order, so the first one met of
     each orbit is its representative; it is mapped under every element
-    exactly once, and its members, transporters and stabilizer are read from
-    those images, and its facets from the orbits met before it.  Orbits with
-    the same stabilizer share one checked Subgroup.  Stabilizers are
-    conjugate along an orbit, so the orbit is admissible iff Stab(rep)
-    fixes rep pointwise.  Only when some orbit is not are the violators
-    conjugated along the transporters to every member, to find the smallest
-    violating element and its first simplex.
+    exactly once, by _images, and its members, transporters and stabilizer
+    are read from those images, and its facets from the orbits met before
+    it.  The transporter of a member is the least g mapping rep to it: the
+    dict is built over the images in reverse, so the least g is written
+    last.  Orbits with the same stabilizer share one checked Subgroup.
+    Stabilizers are conjugate along an orbit, so the orbit is admissible iff
+    Stab(rep) fixes rep pointwise.  Only when some orbit is not are the
+    violators conjugated along the transporters to every member, to find
+    the smallest violating element and its first simplex.
     """
     if gx._orbit_data is not None:
         return gx._orbit_data
     group = gx.group
     complex = gx.complex
+    columns = list(zip(*gx.vertex_action))
+    elements = range(group.order)
     orbit_of = {}
     orbits = []
     facets = []
     subgroups = {}  # stabilizer elements -> its one Subgroup in this pass
     violations = []  # (transporter, elements of Stab(rep) moving a vertex)
-    for rep in complex.all_simplices():
-        if rep in orbit_of:
-            continue
-        level = complex._levels[len(rep) - 1]
-        transporter = {}
-        stab = []
-        for g in range(group.order):
-            t = gx.simplex_image(g, rep)
-            if check and t not in level:
+    for simplices, level in zip(complex.simplices, complex._levels):
+        for rep in simplices:
+            if rep in orbit_of:
+                continue
+            images = _images(columns, rep)
+            if check and not level.issuperset(images):
                 return None
-            if t not in transporter:
-                transporter[t] = g
-            if t == rep:
-                stab.append(g)
-        members = tuple(sorted(transporter))
-        if len(members) * len(stab) != group.order:
-            raise NotAdmissible(
-                "orbit-stabilizer identity fails for %r" % (rep,))
-        moving = [g for g in stab
-                  if any(gx.vertex_action[g][v] != v for v in rep)]
-        if moving:
-            violations.append((transporter, moving))
-        faces_of_rep = (rep[:i] + rep[i + 1:] for i in range(len(rep)))
-        facets.append(tuple((orbit_of[f], orbits[orbit_of[f]][3][f])
-                            for f in faces_of_rep if f))  # none for a vertex
-        for t in members:
-            orbit_of[t] = len(orbits)
-        stab = tuple(stab)
-        if stab not in subgroups:
-            subgroups[stab] = Subgroup(group, stab)
-        orbits.append((rep, members, subgroups[stab], transporter))
+            transporter = dict(zip(reversed(images), reversed(elements)))
+            stab = tuple([g for g in elements if images[g] == rep])
+            members = tuple(sorted(transporter))
+            if len(members) * len(stab) != group.order:
+                raise NotAdmissible(
+                    "orbit-stabilizer identity fails for %r" % (rep,))
+            moving = [g for g in stab if any(columns[v][g] != v for v in rep)]
+            if moving:
+                violations.append((transporter, moving))
+            # combinations lists first the face without the last vertex,
+            # so reversed, face i is the one without vertex i
+            faces_of_rep = (combinations(rep, len(rep) - 1)
+                            if len(rep) > 1 else ())  # a vertex has none
+            facets.append(tuple([(orbit_of[f], orbits[orbit_of[f]][3][f])
+                                 for f in faces_of_rep][::-1]))
+            orbit_of.update(zip(members, repeat(len(orbits))))
+            if stab not in subgroups:
+                subgroups[stab] = Subgroup(group, stab)
+            orbits.append((rep, members, subgroups[stab], transporter))
     witness = None
     if violations:
         # t g t^-1 leaves t·rep invariant and moves one of its vertices

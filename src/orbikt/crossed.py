@@ -219,10 +219,17 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
     od = orbits_and_stabilizers(gx)
     nodes = prim_nodes(gx)
     above = [set() for _ in nodes]
-    # prim_nodes lists each orbit's irreps in id order: node first[o] + id
-    first = {}
-    for i, node in enumerate(nodes):
-        first.setdefault(node.orbit_id, i)
+    # prim_nodes lists each orbit's irreps in id order: node first[o] + id;
+    # the stabilizer orders and degrees are filled per orbit in that order
+    stabs = [stab for _rep, _members, stab, _transporter in od.orbits]
+    first = []
+    stab_orders = []
+    degrees = []
+    for stab in stabs:
+        first.append(len(degrees))
+        orbit_degrees = [d for _, d, _ in subgroup_table(stab).irreps]
+        degrees += orbit_degrees
+        stab_orders += [stab.order] * len(orbit_degrees)
 
     mult, inv = gx.group.mult, gx.group.inv
     transported = {}  # (Stab(t) elements, h, tau) -> (Stab(m), h.tau id)
@@ -254,10 +261,10 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
         return pairs
 
     for t_orb, record in enumerate(od.facets):
-        stab_t = od.stabilizer(t_orb)
+        stab_t = stabs[t_orb]
         up = first[t_orb]
         for s_orb, k in record:
-            stab_s = od.stabilizer(s_orb)
+            stab_s = stabs[s_orb]
             key = (stab_s.elements, stab_t.elements, inv[k])
             pairs = triples.get(key)
             if pairs is None:
@@ -267,10 +274,6 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
                 above[down + sigma_id].add(up + tau_id)
     for a in reversed(range(len(nodes))):
         above[a] = {a}.union(*(above[b] for b in above[a]))
-
-    stab_orders = [od.stabilizer(node.orbit_id).order for node in nodes]
-    degrees = [subgroup_table(od.stabilizer(node.orbit_id)).degree(node.irrep_id)
-               for node in nodes]
     return PrimPoset(nodes, above, stab_orders, degrees)
 
 

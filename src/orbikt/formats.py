@@ -279,7 +279,7 @@ def parse_action_text(text, group: FiniteGroup,
         if not match:
             raise ParseError(
                 "line %d: expected 'act <element-index> : <images>'" % lineno)
-        g = int(match.group(1))
+        g = _int_token(match.group(1), lineno, "element index")
         if not 0 <= g < group.order:
             raise BadAction("line %d: element index %d out of range"
                             % (lineno, g))
@@ -430,7 +430,9 @@ def parse_filtration_text(text):
         if step_no != len(steps) + 1:
             raise ParseError("line %d: step labels must be 1, 2, ... in "
                              "order (got %d)" % (lineno, step_no))
-        pairs = [(int(a), int(b)) for a, b in re.findall(_PAIR, rest)]
+        pairs = [(_int_token(a, lineno, "stratum id"),
+                  _int_token(b, lineno, "irrep id"))
+                 for a, b in re.findall(_PAIR, rest)]
         leftover = re.sub(_PAIR, "", rest).strip()
         if leftover:
             raise ParseError("line %d: unparsable text %r in step"

@@ -4,7 +4,10 @@ receive what they measure, so that moving, renaming or changing the input
 of a function cannot silently break a traced benchmark run."""
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -53,3 +56,30 @@ def test_matrix_probe_sees_dense_boundary_matrices(trace_call, monkeypatch):
         assert trace_call._matrix_size(matrix) == {
             "entries": len(matrix) * len(matrix[0]),
             "nnz": (k + 1) * len(matrix[0])}
+
+
+INPUT_PATH_STAGES = ("formats.parse_group_text", "formats.parse_complex_text",
+                     "formats.parse_action_text",
+                     "complexes.SimplicialComplex.__init__",
+                     "crossed.specialization")
+
+
+def test_a_traced_prim_call_reaches_the_input_path_stages(inputs, tmp_path):
+    """A name that resolves can still go dark: when the CLI stops calling
+    it, its span is never recorded and its per-layer metric reads 0 with
+    nothing failing.  ``cli.report_json`` went dark that way once the
+    replies were written in pieces by ``cli.json_pieces``.  So
+    bench/trace_call.py runs one grid-6 ``prim --complex`` call in a fresh
+    interpreter, and each input-path stage must leave a span."""
+    bundle = tmp_path / "d4-torus-6.txt"
+    bundle.write_text(inputs.torus_bundle_text("d4", 6, 13))
+    spans = tmp_path / "spans.jsonl"
+    done = subprocess.run(
+        [sys.executable, TRACE_CALL, str(spans), "0", "--", "prim",
+         "--complex", str(bundle), "--format", "json"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["payload"]["nodes"]
+    names = {json.loads(line).get("name")
+             for line in spans.read_text().splitlines()}
+    assert set(INPUT_PATH_STAGES) <= names

@@ -584,6 +584,27 @@ def test_bundle_errors_name_the_line_of_the_file(capsys, tmp_path, lineno,
             "line %d" % lineno, "line %d" % where)
 
 
+@pytest.mark.parametrize("argv, text, lineno, what", [
+    (["prim", "--complex", "{path}"],
+     "\n".join(BUNDLE[:-1] + ["act {big} : 1 0 2"]) + "\n", 8,
+     "element index"),
+    (["filtration", "{path}", "--fixture", "z2-circle"],
+     "1: (0, 0)\n2: ({big}, 0)\n", 2, "stratum id"),
+], ids=["act-element", "filtration-pair"])
+def test_an_index_past_the_int_digit_limit_is_a_parse_error(
+        capsys, tmp_path, argv, text, lineno, what):
+    """int() refuses a string of more than 4,300 digits with a ValueError;
+    an element index or a filtration pair id that long is one ParseError
+    line naming its line, not a traceback."""
+    big = "9" * 4301
+    path = tmp_path / "input.txt"
+    path.write_text(text.format(big=big))
+    code, out, err = run_cli(capsys, [a.format(path=path) for a in argv])
+    assert code == 1 and out == ""
+    assert err == ("orbikt: ParseError: line %d: %s must be an integer, "
+                   "got '%s'\n" % (lineno, what, big))
+
+
 # -- argument parser ------------------------------------------------------------------
 
 
@@ -690,17 +711,19 @@ def test_orbit_pass_maps_each_orbit_once(monkeypatch):
     """The action check, admissibility and orbits come from one pass that
     maps the first simplex of each orbit under every element, when the
     G-complex is built: |G| * #orbits images, and none after it."""
-    from orbikt import GSimplicialComplex, fixture, orbits_and_stabilizers
+    from orbikt import (GSimplicialComplex, complexes, fixture,
+                        orbits_and_stabilizers)
 
     built = fixture("d4-torus")
     calls = []
-    original = GSimplicialComplex.simplex_image
+    original = complexes._images
 
-    def counted(self, g, simplex):
-        calls.append((g, simplex))
-        return original(self, g, simplex)
+    def counted(columns, rep):
+        images = original(columns, rep)
+        calls.extend(images)
+        return images
 
-    monkeypatch.setattr(GSimplicialComplex, "simplex_image", counted)
+    monkeypatch.setattr(complexes, "_images", counted)
     gx = GSimplicialComplex(built.complex, built.group, built.vertex_action)
     assert len(calls) == gx.group.order * 33 == 264
     assert gx.admissibility_witness() == (True, None)

@@ -2,12 +2,12 @@ import pytest
 
 from orbikt import (BadAction, BoundExceeded, GSimplicialComplex, NotAComplex,
                     NotAdmissible, NotRegular, SimplicialComplex,
-                    barycentric_subdivide, cyclic_group, dihedral_group,
-                    fixed_subcomplex, fixture, isotropy_strata,
+                    barycentric_subdivide, complexes, cyclic_group,
+                    dihedral_group, fixed_subcomplex, fixture, isotropy_strata,
                     orbits_and_stabilizers, parse_action_text,
                     quotient_complex, serialize_action, trivial_group)
 from orbikt.complexes import faces
-from orbikt.fixtures import FIXTURE_NAMES
+from orbikt.fixtures import FIXTURE_NAMES, circle_complex
 
 
 def interval():
@@ -113,13 +113,14 @@ def test_action_check_maps_each_orbit_representative(monkeypatch):
     one image per element and orbit representative, not per simplex."""
     built = fixture("d4-torus")
     images = []
-    original = GSimplicialComplex.simplex_image
+    original = complexes._images
 
-    def counted(self, g, simplex):
-        images.append(simplex)
-        return original(self, g, simplex)
+    def counted(columns, rep):
+        out = original(columns, rep)
+        images.extend([rep] * len(out))
+        return out
 
-    monkeypatch.setattr(GSimplicialComplex, "simplex_image", counted)
+    monkeypatch.setattr(complexes, "_images", counted)
     gx = GSimplicialComplex(built.complex, built.group, built.vertex_action)
     od = gx._orbit_data
     assert len(images) == built.group.order * len(od) == 264
@@ -200,6 +201,89 @@ def test_orbit_stabilizer_identity_catches_a_broken_action():
                             [(1, 0), (1, 0)], check=False)
     with pytest.raises(NotAdmissible, match="orbit-stabilizer identity"):
         orbits_and_stabilizers(gx)
+
+
+def _oracle_cases():
+    """(id, function of the bench inputs module) for every G-complex the
+    orbit pass is compared with the old pass on."""
+    cases = [(name, lambda inputs, name=name: fixture(name))
+             for name in FIXTURE_NAMES]
+    cases += [("%s-grid%d-seed%d" % spec,
+               lambda inputs, spec=spec: inputs.relabel_action(
+                   inputs.torus_action(*spec[:2]), spec[2]))
+              for spec in (("d4", 4, 0), ("d4", 6, 1), ("d4", 6, 13),
+                           ("z4", 4, 5), ("z4", 6, 13))]
+    cases += [
+        ("sd(z4-torus)", lambda inputs: fixture("z4-torus").subdivision()),
+        # not admissible: the swap leaves the edge invariant
+        ("interval-reflection", lambda inputs: GSimplicialComplex(
+            interval(), cyclic_group(2), [(0, 1), (1, 0)])),
+        # Z4 through Z2: elements 0 and 2 fix every vertex, 1 and 3 swap
+        ("interval-reflection-via-z4", lambda inputs: GSimplicialComplex(
+            interval(), cyclic_group(4), [(0, 1), (1, 0)] * 2)),
+        # S3 through Z2 on the 8-cycle: the rotations fix every vertex
+        ("s3-circle", lambda inputs: GSimplicialComplex(
+            circle_complex(8), dihedral_group(3),
+            [tuple(range(8))] * 3 + [(4, 5, 6, 7, 0, 1, 2, 3)] * 3)),
+        # not admissible in dimension 3, where images are sorted tuples
+        ("tetrahedron-rotation", lambda inputs: GSimplicialComplex(
+            SimplicialComplex(4, [(0, 1, 2, 3)]), cyclic_group(4),
+            [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)])),
+        # the swap of 0 and 3 maps (1, 2, 3) to (0, 1, 2), not a simplex
+        ("not-kept", lambda inputs: GSimplicialComplex(
+            SimplicialComplex(4, [(1, 2, 3)]), cyclic_group(2),
+            [(0, 1, 2, 3), (3, 1, 2, 0)], check=False)),
+        # an identity that moves points breaks |orbit| * |Stab| = |G|
+        ("broken-identity", lambda inputs: GSimplicialComplex(
+            SimplicialComplex(2, []), cyclic_group(2), [(1, 0), (1, 0)],
+            check=False)),
+        # ... also when the images are distinct and none of them is rep
+        ("broken-identity-distinct", lambda inputs: GSimplicialComplex(
+            SimplicialComplex(3, []), cyclic_group(2),
+            [(1, 2, 0), (2, 0, 1)], check=False)),
+    ]
+    return cases
+
+
+def _pass_outcome(orbit_pass, gx, check):
+    """What one pass gives on a copy of gx whose pass has not run: None,
+    the error it raises, or every field of its OrbitData."""
+    fresh = GSimplicialComplex(gx.complex, gx.group, gx.vertex_action,
+                               check=False)
+    try:
+        od = orbit_pass(fresh, check=check)
+    except NotAdmissible as error:
+        return str(error)
+    if od is None:
+        return None
+    return ([(rep, members, stab.elements, transporter)
+             for rep, members, stab, transporter in od.orbits],
+            list(od.orbit_of.items()), od.facets, od.witness)
+
+
+@pytest.mark.parametrize("name, build", _oracle_cases(),
+                         ids=[name for name, _ in _oracle_cases()])
+def test_orbit_pass_matches_the_old_pass(name, build, inputs):
+    """Images read from vertex image columns give the orbits the old pass
+    read from one simplex_image call per element (tests/orbit_oracle.py):
+    the same representatives, members, stabilizers and least transporters,
+    the same orbit_of (in its order), facets and witness, and with check
+    the same None when an image leaves the complex."""
+    from orbit_oracle import _orbit_pass as old_pass
+
+    gx = build(inputs)
+    for check in (False, True):
+        new = _pass_outcome(complexes._orbit_pass, gx, check)
+        assert new == _pass_outcome(old_pass, gx, check)
+        if name == "not-kept" and check:
+            assert new is None
+        elif name.startswith("broken-identity"):
+            assert new == "orbit-stabilizer identity fails for (0,)"
+        else:
+            assert new is not None
+    if name in ("interval-reflection", "interval-reflection-via-z4",
+                "tetrahedron-rotation"):
+        assert new[3] is not None
 
 
 def test_orbits_with_one_stabilizer_share_one_subgroup(d4_torus):

@@ -54,8 +54,8 @@ def test_bc_reads_the_identity_row_from_x_itself(monkeypatch):
     """X^e = X and Z(e) = G, so the identity's row reuses the orbit pass made
     when gx was built: bc maps simplices only in the orbit passes of the
     nontrivial classes, |Z(g)| images per orbit of X^g, and none for X."""
-    from orbikt import (GSimplicialComplex, centralizer_fixed_action,
-                        conjugacy_data, fixture, orbits_and_stabilizers)
+    from orbikt import (centralizer_fixed_action, complexes, conjugacy_data,
+                        fixture, orbits_and_stabilizers)
 
     gx = fixture("d4-torus")
     expected = sum(
@@ -64,13 +64,14 @@ def test_bc_reads_the_identity_row_from_x_itself(monkeypatch):
                     for rep in conjugacy_data(gx.group).reps
                     if rep != gx.group.identity))
     calls = []
-    original = GSimplicialComplex.simplex_image
+    original = complexes._images
 
-    def counted(self, g, simplex):
-        calls.append((g, simplex))
-        return original(self, g, simplex)
+    def counted(columns, rep):
+        images = original(columns, rep)
+        calls.extend(images)
+        return images
 
-    monkeypatch.setattr(GSimplicialComplex, "simplex_image", counted)
+    monkeypatch.setattr(complexes, "_images", counted)
     bc_decomposition(gx)
     # a second orbit pass over a copy of X would add 8 * 33 = 264
     assert len(calls) == expected == 108
