@@ -48,7 +48,7 @@ _EXPORTS = {
                 "InclusionMultiplicityMatrix", "PrimNode", "PrimPoset",
                 "aggregate_strata", "fiber_decomposition",
                 "filtration_report", "inclusion_multiplicities", "ix_nodes",
-                "prim_nodes", "specialization"),
+                "specialization"),
     "ktheory": ("BCDecomposition", "IsolatedKResult", "bc_cross_check",
                 "bc_decomposition", "isolated_k_theory"),
     "euler": ("CountIdentity", "EulerQuotientCheck", "bc_vs_count_identity",

@@ -472,18 +472,12 @@ def character_table(group: FiniteGroup, conductor=None) -> CharacterTable:
         return cached
 
     rows, degrees = _dixon_rows(group, conductor)
-    # Rows are sorted on the integer coefficients of their values, taken
-    # once per value object (rows share them; each is held by rows for the
-    # whole call, so its id is not reused).
-    coefficients = {}
-    for row in rows:
-        for v in row:
-            if id(v) not in coefficients:
-                coefficients[id(v)] = tuple(_integer_coefficients(v))
-    one = tuple(_integer_coefficients(Cyclotomic.one(conductor)))
+    # Rows are sorted on the coefficients of their values; _verify_table
+    # proves them integral.
+    one = Cyclotomic.one(conductor).coeffs
     records = []
     for row, d in zip(rows, degrees):
-        key_row = tuple(coefficients[id(v)] for v in row)
+        key_row = tuple(v.coeffs for v in row)
         trivial = all(c == one for c in key_row)
         records.append(((d, 0 if trivial else 1, key_row), d, tuple(row)))
     records.sort(key=lambda rec: rec[0])

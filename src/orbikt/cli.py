@@ -30,9 +30,8 @@ import os
 import sys
 from typing import NamedTuple
 
-from .errors import (BadAction, BoundExceeded, InternalInconsistency,
-                     OrbiktError, ParseError)
-from .formats import (parse_action_text, parse_builtin_spec,
+from .errors import BadAction, InternalInconsistency, OrbiktError, ParseError
+from .formats import (check_order, parse_action_text, parse_builtin_spec,
                       parse_complex_text, parse_group_text, read_file,
                       split_bundle_text)
 
@@ -130,7 +129,7 @@ class Inputs(NamedTuple):
 def _load_group(source, max_order):
     if source.startswith("builtin:"):
         return parse_builtin_spec(source[len("builtin:"):], max_order)
-    return parse_group_text(read_file(source))
+    return parse_group_text(read_file(source), max_order)
 
 
 def resolve_inputs(args) -> Inputs:
@@ -147,7 +146,7 @@ def resolve_inputs(args) -> Inputs:
         from .fixtures import fixture
 
         gx = fixture(name)
-        _check_order(gx.group, args)
+        check_order(gx.group.order, args.max_order)
         return Inputs(gx.group, gx.complex, gx, name)
 
     group = _load_group(args.group, args.max_order) if args.group else None
@@ -164,9 +163,7 @@ def resolve_inputs(args) -> Inputs:
             if group is not None:
                 raise ParseError("group given both via --group and inside "
                                  "the complex file")
-            group = parse_group_text(sections["group"])
-    if group is not None:
-        _check_order(group, args)
+            group = parse_group_text(sections["group"], args.max_order)
     gx = None
     if action_text is not None:
         if group is None:
@@ -174,12 +171,6 @@ def resolve_inputs(args) -> Inputs:
                              "embedded group section)")
         gx = parse_action_text(action_text, group, complex)
     return Inputs(group, complex, gx)
-
-
-def _check_order(group, args):
-    if args.max_order is not None and group.order > args.max_order:
-        raise BoundExceeded("group order %d exceeds --max-order %d"
-                            % (group.order, args.max_order))
 
 
 # command -> (the module holding its handler, help, its own arguments as
@@ -319,11 +310,7 @@ def _json_text(value, newline):
             return "{}"
         opening, closing = "{", "}"
         keys = sorted(value)
-        items = [value[key] for key in keys]
-        if all(type(x) is int for x in items):
-            texts = map(int.__repr__, items)
-        else:
-            texts = [_json_text(x, inner) for x in items]
+        texts = [_json_text(value[key], inner) for key in keys]
         texts = [key + ": " + text if type(text) is str
                  else [key + ": ", *text]
                  for key, text in zip(map(_quote, keys), texts)]

@@ -178,18 +178,6 @@ class PrimPoset:
                 for b in sorted(up) if b != a]
 
 
-def prim_nodes(gx: GSimplicialComplex):
-    """One node per (simplex orbit, irrep of its stabilizer)."""
-    gx.require_admissible()
-    od = orbits_and_stabilizers(gx)
-    nodes = []
-    for i in range(len(od)):
-        table = subgroup_table(od.stabilizer(i))
-        for rid, _, _ in table.irreps:
-            nodes.append(PrimNode(i, rid))
-    return nodes
-
-
 def specialization(gx: GSimplicialComplex) -> PrimPoset:
     """The specialization preorder on prim nodes.
 
@@ -215,21 +203,18 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
     restriction matrix, with its degree and Frobenius identities, once per
     (Stab(rep_s), Stab(m)) pair.
     """
-    gx.require_admissible()
     od = orbits_and_stabilizers(gx)
-    nodes = prim_nodes(gx)
+    # one node per (orbit, irrep of its stabilizer), each orbit's irreps in
+    # id order: irrep rid of orbit o is node first[o] + rid
+    stabs, first, nodes, stab_orders, degrees = [], [], [], [], []
+    for orbit_id, (_rep, _members, stab, _transporter) in enumerate(od.orbits):
+        stabs.append(stab)
+        first.append(len(nodes))
+        for rid, d, _ in subgroup_table(stab).irreps:
+            nodes.append(PrimNode(orbit_id, rid))
+            stab_orders.append(stab.order)
+            degrees.append(d)
     above = [set() for _ in nodes]
-    # prim_nodes lists each orbit's irreps in id order: node first[o] + id;
-    # the stabilizer orders and degrees are filled per orbit in that order
-    stabs = [stab for _rep, _members, stab, _transporter in od.orbits]
-    first = []
-    stab_orders = []
-    degrees = []
-    for stab in stabs:
-        first.append(len(degrees))
-        orbit_degrees = [d for _, d, _ in subgroup_table(stab).irreps]
-        degrees += orbit_degrees
-        stab_orders += [stab.order] * len(orbit_degrees)
 
     mult, inv = gx.group.mult, gx.group.inv
     transported = {}  # (Stab(t) elements, h, tau) -> (Stab(m), h.tau id)
@@ -239,18 +224,15 @@ def specialization(gx: GSimplicialComplex) -> PrimPoset:
     def related(stab_s, stab_t, k_inv):
         pairs = set()
         for tau_id, _, _ in subgroup_table(stab_t).irreps:
-            targets = {}  # (Stab(m) elements, h.tau id) -> Stab(m)
             for a in stab_s.elements:
                 h = mult[a][k_inv]
                 key = (stab_t.elements, h, tau_id)
                 if key not in transported:
                     transported[key] = conjugate_irrep(h, tau_id, stab_t)
                 sub_m, tau_m = transported[key]
-                targets[sub_m.elements, tau_m] = sub_m
-            for (elements, tau_m), sub_m in targets.items():
-                pair = (stab_s.elements, elements)
+                pair = (stab_s.elements, sub_m.elements)
                 if pair not in matrices:
-                    if not set(elements) <= set(stab_s.elements):
+                    if not set(sub_m.elements) <= set(stab_s.elements):
                         raise InternalInconsistency(
                             "face stabilizer does not contain cell stabilizer")
                     matrices[pair] = inclusion_multiplicities(

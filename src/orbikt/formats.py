@@ -71,11 +71,15 @@ def _content_lines(text):
 
 
 def _int_token(token, lineno, what):
+    """int(token), or a ParseError naming the line and the token; a token
+    longer than 40 characters is named by its length."""
     try:
         return int(token)
     except ValueError:
-        raise ParseError("line %d: %s must be an integer, got %r"
-                         % (lineno, what, token))
+        got = (repr(token) if len(token) <= 40
+               else "a token of %d characters" % len(token))
+        raise ParseError("line %d: %s must be an integer, got %s"
+                         % (lineno, what, got))
 
 
 def _int_tokens(tokens, lineno, what):
@@ -90,7 +94,16 @@ def _int_tokens(tokens, lineno, what):
 # -- groups --------------------------------------------------------------------
 
 
-def parse_group_text(text) -> FiniteGroup:
+def check_order(order, max_order):
+    """BoundExceeded when order exceeds max_order (None: no bound)."""
+    if max_order is not None and order > max_order:
+        raise BoundExceeded("group order %d exceeds --max-order %d"
+                            % (order, max_order))
+
+
+def parse_group_text(text, max_order=None) -> FiniteGroup:
+    """A group file; with ``max_order``, the order its header declares is
+    checked before any element is read."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty group file")
@@ -101,6 +114,7 @@ def parse_group_text(text) -> FiniteGroup:
     n = _int_token(parts[1], lineno, "group order")
     if n < 1:
         raise ParseError("line %d: group order must be positive" % lineno)
+    check_order(n, max_order)
     if len(lines) < 2:
         raise ParseError("group file ends after the header")
     lineno, mode_line = lines[1]
@@ -167,12 +181,6 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
     tokens = [t for t in spec.split(":") if t != ""]
     if not tokens:
         raise ParseError("empty builtin group spec")
-
-    def check(order):
-        if max_order is not None and order > max_order:
-            raise BoundExceeded("group order %d exceeds --max-order %d"
-                                % (order, max_order))
-
     pos, open_products = 0, []  # each open product: None or its left factor
     while True:
         if pos >= len(tokens):
@@ -194,7 +202,7 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
                 raise ParseError("builtin spec %r: %s parameter must be an "
                                  "integer, got %r" % (spec, head, tokens[pos]))
             pos += 1
-            check(n if head == "cyclic" else 2 * n)
+            check_order(n if head == "cyclic" else 2 * n, max_order)
             group = (cyclic_group if head == "cyclic" else dihedral_group)(n)
         else:
             raise ParseError("unknown builtin group %r (expected trivial, "
@@ -203,7 +211,7 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
         # has its left one, and the left factor of the innermost other one
         while open_products and open_products[-1] is not None:
             left = open_products.pop()
-            check(left.order * group.order)
+            check_order(left.order * group.order, max_order)
             group = product_group(left, group)
         if not open_products:
             break

@@ -254,6 +254,61 @@ def test_verify_table_checks_pairs_of_non_trivial_rows(name):
         _verify_table(CharacterTable(g, table.conductor, irreps))
 
 
+def _with_degrees(table, degrees):
+    """A copy of the table with the degree records replaced."""
+    return CharacterTable(table.group, table.conductor,
+                          [(rid, d, vals) for (rid, _, vals), d
+                           in zip(table.irreps, degrees)])
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda t: CharacterTable(t.group, t.conductor, t.irreps[:-1]),
+     "irrep count != class count"),
+    (lambda t: _with_degrees(t, [1, 1, 1, 1, 3]),
+     "sum of squared degrees != |G|"),
+    (lambda t: CharacterTable(t.group, t.conductor, [
+        (0, 1, t.values(1)), (1, 1, t.values(0)), *t.irreps[2:]]),
+     "irrep 0 is not the trivial character"),
+    (lambda t: CharacterTable(t.group, t.conductor, [
+        t.irreps[0], (1, 1, t.values(4)), *t.irreps[2:]]),
+     "degree disagrees with identity value"),
+], ids=["count", "squares", "trivial", "identity-value"])
+def test_verify_table_checks_the_shape_of_the_table(mutate, message):
+    """Each mutant of the D4 table passes the checks made before the one
+    it names."""
+    table = character_table(dihedral_group(4))
+    assert [d for _, d, _ in table.irreps] == [1, 1, 1, 1, 2]
+    with pytest.raises(InternalInconsistency) as info:
+        _verify_table(mutate(table))
+    assert str(info.value) == message
+
+
+def test_verify_table_checks_that_each_degree_divides_the_order():
+    """D11 has degrees 1, 1, 2, 2, 2, 2, 2; the records 1, 4, 1, 1, 1, 1, 1
+    keep the count and the sum of squares 22, but 4 does not divide 22."""
+    table = character_table(dihedral_group(11))
+    assert [d for _, d, _ in table.irreps] == [1, 1, 2, 2, 2, 2, 2]
+    with pytest.raises(InternalInconsistency) as info:
+        _verify_table(_with_degrees(table, [1, 4, 1, 1, 1, 1, 1]))
+    assert str(info.value) == "degree does not divide |G|"
+
+
+def test_each_character_value_is_converted_once(monkeypatch):
+    """The rows are sorted on the values' own coefficients, so only
+    _verify_table converts them, once per value object."""
+    group = product_group(dihedral_group(8), cyclic_group(6))
+    seen = []
+    convert = characters._integer_coefficients
+
+    def spy(value):
+        seen.append(value)
+        return convert(value)
+
+    monkeypatch.setattr(characters, "_integer_coefficients", spy)
+    character_table(group)
+    assert len(seen) == len({id(v) for v in seen}) == 24
+
+
 def test_verify_table_rejects_non_integral_value():
     g = dihedral_group(4)
     table = character_table(g)

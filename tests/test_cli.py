@@ -447,6 +447,66 @@ def test_fixture_command_checks_the_input_flags(capsys, flag, kind):
     assert err.count("\n") == 1
 
 
+def _cycle_text(points):
+    """One generator line: the cycle 0 -> 1 -> ... -> points - 1 -> 0."""
+    return " ".join(map(str, range(1, points))) + " 0\n"
+
+
+@pytest.fixture
+def no_group_built(monkeypatch):
+    """Make building a group from a parsed file fail the test."""
+    import orbikt.formats as formats
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(formats, "group_from_permutations", refuse)
+    monkeypatch.setattr(formats, "FiniteGroup", refuse)
+
+
+@pytest.mark.parametrize("text", [
+    "group 20000\nperm 20000\n" + _cycle_text(20000),
+    "group 8\ntable\n" + "".join(
+        " ".join(str((a + b) % 8) for b in range(8)) + "\n"
+        for a in range(8)),
+], ids=["perm", "table"])
+def test_a_group_file_past_max_order_is_refused_from_its_header(
+        capsys, tmp_path, no_group_built, text):
+    path = tmp_path / "group.txt"
+    path.write_text(text)
+    order = text.split()[1]
+    code, out, err = run_cli(capsys, ["group", "--group", str(path),
+                                      "--max-order", "4"])
+    assert code == 1 and out == ""
+    assert err == ("orbikt: BoundExceeded: group order %s exceeds "
+                   "--max-order 4\n" % order)
+
+
+def test_an_embedded_group_past_max_order_is_refused_from_its_header(
+        capsys, tmp_path, no_group_built):
+    path = tmp_path / "bundle.txt"
+    path.write_text("group 20000\nperm 20000\n" + _cycle_text(20000)
+                    + "vertices 2\nsimplex 0 1\n")
+    code, out, err = run_cli(capsys, ["orbits", "--complex", str(path),
+                                      "--max-order", "4"])
+    assert code == 1 and out == ""
+    assert err == ("orbikt: BoundExceeded: group order 20000 exceeds "
+                   "--max-order 4\n")
+
+
+def test_generators_past_the_order_bound_are_refused_while_composed(
+        capsys, tmp_path):
+    """A header within --max-order does not bound what its generators
+    span: a 600-cycle stops the composition walk at 512 elements."""
+    path = tmp_path / "group.txt"
+    path.write_text("group 4\nperm 600\n" + _cycle_text(600))
+    code, out, err = run_cli(capsys, ["group", "--group", str(path),
+                                      "--max-order", "4"])
+    assert code == 1 and out == ""
+    assert err == ("orbikt: NotAGroup: permutation group exceeds order "
+                   "bound 512\n")
+
+
 def test_input_errors_exit_1(capsys):
     code, _, err = run_cli(capsys, ["bc", "--fixture", "no-such-fixture"])
     assert code == 1 and "ParseError" in err
@@ -595,14 +655,15 @@ def test_an_index_past_the_int_digit_limit_is_a_parse_error(
         capsys, tmp_path, argv, text, lineno, what):
     """int() refuses a string of more than 4,300 digits with a ValueError;
     an element index or a filtration pair id that long is one ParseError
-    line naming its line, not a traceback."""
+    line naming its line and the token's length, not a traceback, and not
+    an echo of the token."""
     big = "9" * 4301
     path = tmp_path / "input.txt"
     path.write_text(text.format(big=big))
     code, out, err = run_cli(capsys, [a.format(path=path) for a in argv])
     assert code == 1 and out == ""
     assert err == ("orbikt: ParseError: line %d: %s must be an integer, "
-                   "got '%s'\n" % (lineno, what, big))
+                   "got a token of 4301 characters\n" % (lineno, what))
 
 
 # -- argument parser ------------------------------------------------------------------

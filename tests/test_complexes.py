@@ -71,6 +71,16 @@ def test_action_must_be_homomorphism():
         GSimplicialComplex(c, g, [(1, 0), (1, 0)])
 
 
+@pytest.mark.parametrize("action, message", [
+    ([(0, 1, 2)], "need one vertex permutation per group element"),
+    ([(0, 1, 2), (0, 0, 2)], "element 1 does not act by a permutation"),
+], ids=["missing-row", "not-a-permutation"])
+def test_action_rows_must_be_one_permutation_per_element(action, message):
+    with pytest.raises(BadAction) as info:
+        GSimplicialComplex(circle_complex(3), cyclic_group(2), action)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("build, message", [
     (direct, "homomorphism"),
     (parsed, "inconsistent with the group table at element g%d")])

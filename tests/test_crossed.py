@@ -11,7 +11,7 @@ from orbikt import (CharacterTable, InternalInconsistency,
                     conjugate_irrep, cyclic_group, dihedral_group,
                     fiber_decomposition, filtration_report,
                     inclusion_multiplicities, ix_nodes, fixture,
-                    orbits_and_stabilizers, parse_bundle_text, prim_nodes,
+                    orbits_and_stabilizers, parse_bundle_text,
                     specialization, subgroup_table)
 from orbikt.complexes import (GSimplicialComplex, SimplicialComplex,
                                barycentric_subdivide, faces)
@@ -174,7 +174,7 @@ def test_inclusion_requires_containment():
 
 
 def test_prim_node_count_is_sum_of_irrep_counts(z2_circle):
-    nodes = prim_nodes(z2_circle)
+    nodes = specialization(z2_circle).nodes
     # 2 fixed vertices with 2 irreps each + 7 free orbits with 1 each
     assert len(nodes) == 11
 
@@ -198,7 +198,7 @@ def test_raw_node_counts(all_fixtures):
     expected = {"d4-torus": 57, "z4-torus": 57, "z2-flip-torus": 102,
                 "z2-circle": 11}
     for name, gx in all_fixtures.items():
-        assert len(prim_nodes(gx)) == expected[name]
+        assert len(specialization(gx).nodes) == expected[name]
 
 
 def test_sign_nodes_lie_below_adjacent_free_edge_only(z2_circle):
@@ -296,6 +296,23 @@ def test_specialization_checks_the_matrix_of_every_face_translate(
     monkeypatch.setattr(crossed, "inclusion_multiplicities", spy)
     specialization(gx)
     assert sorted(built) == sorted(expected)
+
+
+def test_specialization_reads_each_orbit_table_once(monkeypatch):
+    """One walk over the orbits builds the nodes, orders and degrees; the
+    other reads are of the restriction matrices and the facet triples."""
+    gx = fixture("d4-torus")
+    orbits = len(orbits_and_stabilizers(gx))
+    calls = []
+    table = crossed.subgroup_table
+
+    def spy(sub):
+        calls.append(sub)
+        return table(sub)
+
+    monkeypatch.setattr(crossed, "subgroup_table", spy)
+    specialization(gx)
+    assert (orbits, len(calls)) == (33, 74)
 
 
 def _specialization_by_definition(gx):

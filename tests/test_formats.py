@@ -118,6 +118,26 @@ def test_builtin_spec_order_is_bounded_before_construction():
             parse_builtin_spec(spec, max_order=512)
 
 
+def test_group_file_order_is_bounded_from_its_header():
+    """The header is checked before any row is read: these rows are not
+    even a group."""
+    assert parse_group_text("group 2\ntable\n0 1\n1 0\n",
+                            max_order=2).order == 2
+    for text in ("group 3\ntable\n", "group 3\nperm 2\n1 0\n"):
+        with pytest.raises(BoundExceeded) as caught:
+            parse_group_text(text, max_order=2)
+        assert str(caught.value) == "group order 3 exceeds --max-order 2"
+
+
+@pytest.mark.parametrize("length, shown", [
+    (40, "'%s'" % ("x" * 40)), (41, "a token of 41 characters")])
+def test_a_long_bad_token_is_named_by_its_length(length, shown):
+    with pytest.raises(ParseError) as caught:
+        parse_complex_text("vertices 3\nsimplex 0 %s\n" % ("x" * length))
+    assert str(caught.value) == ("line 2: vertex must be an integer, got %s"
+                                 % shown)
+
+
 def test_builtin_spec_errors():
     with pytest.raises(ParseError, match="unknown builtin"):
         parse_builtin_spec("symmetric:4")

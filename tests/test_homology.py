@@ -25,6 +25,27 @@ def projective_plane():
     ])
 
 
+def test_disagreeing_rank_oracles_are_an_internal_inconsistency(
+        monkeypatch, capsys):
+    """Every rank is taken by both oracles; a fraction-free rank one too
+    high stops the computation, and the command ends in one line."""
+    from orbikt import homology
+    from orbikt.cli import main
+
+    rank = homology.fraction_free_rank
+    monkeypatch.setattr(homology, "fraction_free_rank",
+                        lambda matrix: rank(matrix) + 1)
+    with pytest.raises(InternalInconsistency) as info:
+        homology_integral(sphere2())
+    assert str(info.value) == ("rank oracles disagree: SNF 3 vs "
+                               "fraction-free 4")
+    assert main(["betti", "--fixture", "z4-torus"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("orbikt: InternalInconsistency: rank oracles disagree: "
+                   "SNF 31 vs fraction-free 32\n")
+
+
 def test_boundary_of_boundary_is_zero():
     for complex in (sphere2(), projective_plane(),
                     fixture("d4-torus").complex):
