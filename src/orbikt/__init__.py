@@ -25,8 +25,8 @@ _EXPORTS = {
                "InternalInconsistency", "NonConstantStabilizer",
                "NonIntegralMultiplicity", "NonIntegralResult", "NotAComplex",
                "NotAdmissible", "NotAGroup", "NotApplicable", "NotIsolated",
-               "NotOpen", "NotRegular", "NotSubgroup", "OrbiktError",
-               "ParseError", "RefusalError", "UnknownFixture"),
+               "NotOpen", "NotSubgroup", "OrbiktError", "ParseError",
+               "RefusalError", "UnknownFixture"),
     "cyclotomic": ("Cyclotomic",),
     "groups": ("ConjugacyData", "FiniteGroup", "Subgroup", "commuting_pairs",
                "conjugacy_data", "cyclic_group", "dihedral_group",

@@ -157,13 +157,14 @@ def resolve_inputs(args) -> Inputs:
         if sections["complex"] is None:
             raise ParseError("%s contains no complex section"
                              % args.complex_file)
-        complex = parse_complex_text(sections["complex"])
-        action_text = sections["action"]
+        # the group section, and its order, is checked before the complex
         if sections["group"] is not None:
             if group is not None:
                 raise ParseError("group given both via --group and inside "
                                  "the complex file")
             group = parse_group_text(sections["group"], args.max_order)
+        complex = parse_complex_text(sections["complex"])
+        action_text = sections["action"]
     gx = None
     if action_text is not None:
         if group is None:
@@ -184,11 +185,7 @@ _COMMANDS = {
               [(["elements"], dict(nargs="+", metavar="ELT",
                                    help="group elements by name or index"))]),
     # the one command that builds the simplicial quotient sd(X)/G
-    "quotient": ("cli_complexes", "orbit space as a simplicial complex",
-                 [(["--no-subdivide"], dict(
-                     action="store_true",
-                     help="forbid automatic barycentric subdivision "
-                          "when forming quotients"))]),
+    "quotient": ("cli_complexes", "orbit space as a simplicial complex", ()),
     "betti": ("cli_complexes", "integral homology of the complex", ()),
     "euler": ("cli_ktheory", "equivariant Euler characteristic",
               [(["--method"], dict(default="bc", choices=(
@@ -235,8 +232,6 @@ def _meta(inputs, args):
         meta["group_order"] = inputs.group.order
     if inputs.complex is not None:
         meta["f_vector"] = list(inputs.complex.f_vector())
-    if getattr(args, "no_subdivide", False):
-        meta["subdivision"] = "forbidden"
     return meta
 
 

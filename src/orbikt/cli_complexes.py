@@ -79,7 +79,7 @@ def cmd_quotient(inputs, args):
     from .homology import quotient_homology
 
     gx = inputs.require_action()
-    quotient = quotient_complex(gx, allow_subdivide=not args.no_subdivide)
+    quotient = quotient_complex(gx)
     # sd(X) is admissible and |sd X| = |X|, so its orbit cells give X/G too;
     # quotient_complex has built it already when X is not admissible
     model = gx if gx.is_admissible() else gx.subdivision()

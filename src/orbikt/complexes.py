@@ -12,8 +12,8 @@ from itertools import chain, combinations, repeat
 from math import factorial
 from typing import NamedTuple
 
-from .errors import (BadAction, BoundExceeded, NotAComplex, NotAdmissible,
-                     NotRegular)
+from .errors import (BadAction, BoundExceeded, InternalInconsistency,
+                     NotAComplex, NotAdmissible)
 from .groups import FiniteGroup, Subgroup
 
 # Most barycentric subdivisions quotient_complex applies to reach a quotient.
@@ -386,14 +386,13 @@ def _bredon_witness(gx: GSimplicialComplex):
     vertex orbits.  Condition (b): simplices with the same vertex-orbit image
     form a single G-orbit.
     """
-    od = orbits_and_stabilizers(gx)
-    vert_orbit = {s[0]: i for s, i in od.orbit_of.items() if len(s) == 1}
+    orbit_of = orbits_and_stabilizers(gx).orbit_of
     buckets = {}
     for s in gx.complex.all_simplices():
-        image = tuple(sorted(vert_orbit[v] for v in s))
+        image = tuple(sorted(orbit_of[(v,)] for v in s))
         if len(set(image)) != len(s):
             return ("vertices collide", s)
-        buckets.setdefault(image, set()).add(od.orbit_of[s])
+        buckets.setdefault(image, set()).add(orbit_of[s])
     for image, orbit_ids in buckets.items():
         if len(orbit_ids) > 1:
             return ("distinct orbits identified", image)
@@ -427,10 +426,15 @@ def _subdivided_quotient(gx: GSimplicialComplex, subdivisions):
                           subdivisions)
 
 
-def quotient_complex(gx: GSimplicialComplex,
-                     allow_subdivide=True) -> QuotientResult:
-    """X/G as a simplicial complex, after at most MAX_SUBDIVISIONS
+def quotient_complex(gx: GSimplicialComplex) -> QuotientResult:
+    """X/G as a simplicial complex, after at most MAX_SUBDIVISIONS = 2
     barycentric subdivisions of X, with the projection of vertices.
+
+    Two always suffice: the vertices of a simplex of sd(X) are simplices of
+    X of distinct dimensions, so no element maps one to another (Bredon's
+    condition (A)), and the subdivision of a complex with (A) is regular
+    (Bredon, Introduction to Compact Transformation Groups, 1972, III.1).
+    Running out of them is a bug, reported as InternalInconsistency.
 
     sd(X) is always admissible.  When X is admissible too, sd(X)/G is read
     from the orbits of X without building sd(X).  sd(X) has one vertex per
@@ -456,29 +460,24 @@ def quotient_complex(gx: GSimplicialComplex,
         witness = _bredon_witness(current) if ok else "not admissible"
         if witness is None:
             break
-        if not allow_subdivide or subdivisions >= MAX_SUBDIVISIONS:
-            raise NotRegular(
-                "quotient is not simplicial (%s); subdivision %s"
-                % (witness, "exhausted" if allow_subdivide else "forbidden"))
+        if subdivisions >= MAX_SUBDIVISIONS:
+            raise InternalInconsistency(
+                "quotient is not simplicial (%s); subdivision exhausted"
+                % (witness,))
         subdivisions += 1
         if ok:
             quotient = _subdivided_quotient(current, subdivisions)
             if quotient is not None:
                 return quotient
         current = current.subdivision()
-    od = orbits_and_stabilizers(current)
-    vert_orbit = {s[0]: i for s, i in od.orbit_of.items() if len(s) == 1}
-    # quotient vertices numbered by the (dim, rep)-sorted vertex-orbit order
-    vertex_orbits = sorted(set(vert_orbit.values()))
-    new_id = {o: i for i, o in enumerate(vertex_orbits)}
-    maximal = [
-        tuple(sorted(new_id[vert_orbit[v]] for v in s))
-        for s in current.complex.maximal_simplices()
-    ]
-    qcomplex = SimplicialComplex(len(vertex_orbits), maximal)
-    vertex_map = tuple(new_id[vert_orbit[v]]
+    # vertex orbits are numbered first, so they are the quotient's vertices
+    orbit_of = orbits_and_stabilizers(current).orbit_of
+    vertex_map = tuple(orbit_of[(v,)]
                        for v in range(current.complex.vertex_count))
-    return QuotientResult(qcomplex, vertex_map, subdivisions)
+    maximal = [[vertex_map[v] for v in s]
+               for s in current.complex.maximal_simplices()]
+    return QuotientResult(SimplicialComplex(len(set(vertex_map)), maximal),
+                          vertex_map, subdivisions)
 
 
 class CentralizerFixedAction(NamedTuple):

@@ -68,10 +68,6 @@ class NotAdmissible(RefusalError):
     """
 
 
-class NotRegular(RefusalError):
-    """Quotient would not be simplicial even after the allowed subdivisions."""
-
-
 class NonConstantStabilizer(RefusalError):
     """A stratum's irreps do not match up around it; carries as witness two
     (orbit, irrep) nodes of one orbit that the prim poset joins inside it."""

@@ -41,8 +41,9 @@ import re
 from typing import TYPE_CHECKING
 
 from .errors import BadAction, BoundExceeded, NotAGroup, ParseError
-from .groups import (FiniteGroup, _span, cyclic_group, dihedral_group,
-                     group_from_permutations, product_group, trivial_group)
+from .groups import (GROUP_ORDER_BOUND, FiniteGroup, _span, cyclic_group,
+                     dihedral_group, group_from_permutations, product_group,
+                     trivial_group)
 
 if TYPE_CHECKING:
     from .complexes import GSimplicialComplex, SimplicialComplex
@@ -70,16 +71,21 @@ def _content_lines(text):
     return out
 
 
+def _echo(text, what=None):
+    """repr(text), after what when given; past 40 characters, "a <what> of
+    <n> characters" instead, what defaulting to "token"."""
+    if len(text) > 40:
+        return "a %s of %d characters" % (what or "token", len(text))
+    return "%s %r" % (what, text) if what else repr(text)
+
+
 def _int_token(token, lineno, what):
-    """int(token), or a ParseError naming the line and the token; a token
-    longer than 40 characters is named by its length."""
+    """int(token), or a ParseError naming the line and the token."""
     try:
         return int(token)
     except ValueError:
-        got = (repr(token) if len(token) <= 40
-               else "a token of %d characters" % len(token))
         raise ParseError("line %d: %s must be an integer, got %s"
-                         % (lineno, what, got))
+                         % (lineno, what, _echo(token)))
 
 
 def _int_tokens(tokens, lineno, what):
@@ -152,7 +158,10 @@ def parse_group_text(text, max_order=None) -> FiniteGroup:
                 raise ParseError("line %d: expected %d images" %
                                  (row_lineno, degree))
             perms.append(tuple(images))
-        group = group_from_permutations(degree, perms)
+        # the walk stops past the header's order, and past GROUP_ORDER_BOUND
+        # when no max_order bounds the header
+        group = group_from_permutations(
+            degree, perms, bound=min(n, max_order or GROUP_ORDER_BOUND))
         if group.order != n:
             raise NotAGroup(
                 "permutation generators produce a group of order %d, "
@@ -181,10 +190,11 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
     tokens = [t for t in spec.split(":") if t != ""]
     if not tokens:
         raise ParseError("empty builtin group spec")
+    named = _echo(spec, "builtin spec")
     pos, open_products = 0, []  # each open product: None or its left factor
     while True:
         if pos >= len(tokens):
-            raise ParseError("builtin spec %r ends mid-expression" % spec)
+            raise ParseError("%s ends mid-expression" % named)
         head = tokens[pos]
         pos += 1
         if head == "product":
@@ -194,19 +204,18 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
             group = trivial_group()
         elif head in ("cyclic", "dihedral"):
             if pos >= len(tokens):
-                raise ParseError("builtin spec %r: %s needs a parameter"
-                                 % (spec, head))
+                raise ParseError("%s: %s needs a parameter" % (named, head))
             try:
                 n = int(tokens[pos])
             except ValueError:
-                raise ParseError("builtin spec %r: %s parameter must be an "
-                                 "integer, got %r" % (spec, head, tokens[pos]))
+                raise ParseError("%s: %s parameter must be an integer, got %s"
+                                 % (named, head, _echo(tokens[pos])))
             pos += 1
             check_order(n if head == "cyclic" else 2 * n, max_order)
             group = (cyclic_group if head == "cyclic" else dihedral_group)(n)
         else:
-            raise ParseError("unknown builtin group %r (expected trivial, "
-                             "cyclic, dihedral, or product)" % head)
+            raise ParseError("unknown builtin group %s (expected trivial, "
+                             "cyclic, dihedral, or product)" % _echo(head))
         # a finished group is the right factor of every open product that
         # has its left one, and the left factor of the innermost other one
         while open_products and open_products[-1] is not None:
@@ -217,8 +226,8 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
             break
         open_products[-1] = group
     if pos != len(tokens):
-        raise ParseError("builtin spec %r has trailing tokens %r"
-                         % (spec, ":".join(tokens[pos:])))
+        raise ParseError("%s has trailing tokens %s"
+                         % (named, _echo(":".join(tokens[pos:]))))
     return group
 
 

@@ -373,9 +373,10 @@ def product_group(g1, g2):
     return FiniteGroup(table, element_names=names, check=False)
 
 
-def group_from_permutations(degree, perms, element_names=None):
+def group_from_permutations(degree, perms, element_names=None,
+                            bound=GROUP_ORDER_BOUND):
     """Expand permutation generators (image notation on 0..degree-1) to a
-    multiplication-table group.
+    multiplication-table group, or NotAGroup at element bound + 1.
 
     Elements are listed breadth first from the identity; each b but the
     identity is first met as p∘gen_j for an earlier p.  Composing each
@@ -395,10 +396,9 @@ def group_from_permutations(degree, perms, element_names=None):
         for j, gen in enumerate(perms):
             composed = tuple(map(perm.__getitem__, gen))
             if composed not in index:
-                if len(elements) >= GROUP_ORDER_BOUND + 1:
-                    raise NotAGroup(
-                        "permutation group exceeds order bound %d"
-                        % GROUP_ORDER_BOUND)
+                if len(elements) == bound:
+                    raise NotAGroup("permutation generators produce more "
+                                    "than %d elements" % bound)
                 index[composed] = len(elements)
                 elements.append(composed)
                 parent.append((x, j))

@@ -341,13 +341,14 @@ def test_orbits_json(capsys):
     assert doc["payload"]["orbit_count"] == 9
 
 
-def test_quotient_routes_respect_no_subdivide(capsys):
-    code, out, _ = run_cli(capsys, ["quotient", "--fixture", "z2-circle",
-                                    "--no-subdivide", "--format", "json"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["meta"]["subdivision"] == "forbidden"
-    assert doc["payload"]["subdivisions"] == 0
+def test_quotient_refuses_no_subdivide(capsys):
+    """Two subdivisions always make X/G simplicial, so there is nothing to
+    forbid."""
+    code, out, err = run_cli(capsys, ["quotient", "--fixture", "z4-torus",
+                                      "--no-subdivide"])
+    assert code == 1 and out == ""
+    assert err == ("orbikt: ParseError: unrecognized arguments: "
+                   "--no-subdivide\n")
 
 
 # -- filtration command ---------------------------------------------------------------
@@ -398,9 +399,6 @@ def test_refusals_exit_2(capsys):
     code, _, err = run_cli(capsys, ["identity-check", "--fixture",
                                     "d4-torus"])
     assert code == 2 and "NotApplicable" in err
-    code, _, err = run_cli(capsys, ["quotient", "--fixture", "z4-torus",
-                                    "--no-subdivide"])
-    assert code == 2 and "NotRegular" in err
     code, _, err = run_cli(capsys, ["euler", "--method", "isolated",
                                     "--fixture", "d4-torus"])
     assert code == 2 and "NotIsolated" in err
@@ -494,17 +492,76 @@ def test_an_embedded_group_past_max_order_is_refused_from_its_header(
                    "--max-order 4\n")
 
 
-def test_generators_past_the_order_bound_are_refused_while_composed(
-        capsys, tmp_path):
-    """A header within --max-order does not bound what its generators
-    span: a 600-cycle stops the composition walk at 512 elements."""
-    path = tmp_path / "group.txt"
-    path.write_text("group 4\nperm 600\n" + _cycle_text(600))
-    code, out, err = run_cli(capsys, ["group", "--group", str(path),
-                                      "--max-order", "4"])
+def test_a_bundle_is_refused_by_its_group_header_before_its_complex(
+        capsys, tmp_path, monkeypatch):
+    """The group section of a bundle, and its order, is checked before the
+    complex section is parsed; a bundle bad in both reports its group
+    error."""
+    import orbikt.cli as cli
+
+    parsed = []
+    original = cli.parse_complex_text
+    monkeypatch.setattr(cli, "parse_complex_text",
+                        lambda text: parsed.append(text) or original(text))
+    path = tmp_path / "bundle.txt"
+    path.write_text("group 20000\nperm 2\n1 0\n"
+                    "vertices 3\nsimplex 0 1 2\nact 1 : 1 0 2\n")
+    code, out, err = run_cli(capsys, ["orbits", "--complex", str(path)])
     assert code == 1 and out == ""
-    assert err == ("orbikt: NotAGroup: permutation group exceeds order "
-                   "bound 512\n")
+    assert err == ("orbikt: BoundExceeded: group order 20000 exceeds "
+                   "--max-order 512\n")
+    assert parsed == []
+    path.write_text("group 2\ntable\n0 1\n1 0 1\nvertices 3\nsimplex 1 x\n")
+    code, out, err = run_cli(capsys, ["orbits", "--complex", str(path)])
+    assert code == 1 and out == ""
+    assert err == ("orbikt: ParseError: line 4: expected 2 entries in table "
+                   "row\n")
+
+
+@pytest.mark.parametrize("header, generators", [
+    (4, _cycle_text(600)),
+    (6, "1 0 2 3 4 5 6 7\n" + _cycle_text(8)),
+], ids=["600-cycle", "s8"])
+def test_generators_past_the_header_order_are_refused_while_composed(
+        capsys, tmp_path, monkeypatch, header, generators):
+    """The header's order bounds the composition walk: it stops at the
+    element after that many, whatever the generators span.  Each element
+    walked is composed with each generator by one map call."""
+    import orbikt.groups as groups
+
+    calls = []
+
+    def counted_map(function, *iterables):
+        calls.append(function)
+        return map(function, *iterables)
+
+    monkeypatch.setattr(groups, "map", counted_map, raising=False)
+    path = tmp_path / "group.txt"
+    degree = len(generators.split("\n")[0].split())
+    path.write_text("group %d\nperm %d\n%s" % (header, degree, generators))
+    code, out, err = run_cli(capsys, ["group", "--group", str(path)])
+    assert code == 1 and out == ""
+    assert err == ("orbikt: NotAGroup: permutation generators produce more "
+                   "than %d elements\n" % header)
+    assert len(calls) <= (header + 1) * generators.count("\n")
+
+
+def test_a_perm_group_file_answers_up_to_max_order(capsys, tmp_path):
+    """A cyclic group of order 600 from a group file answers as the builtin
+    one does under --max-order 1000; only the identity's name differs."""
+    path = tmp_path / "perm600.txt"
+    path.write_text("group 600\nperm 600\n" + _cycle_text(600))
+    payloads = []
+    for group in (str(path), "builtin:cyclic:600"):
+        code, out, err = run_cli(capsys, ["fiber", "--group", group,
+                                          "--max-order", "1000",
+                                          "--format", "json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)["payload"]
+        assert len(payload.pop("stabilizer")) == 1
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["index"] == 600
 
 
 def test_input_errors_exit_1(capsys):
@@ -555,8 +612,21 @@ def test_deep_builtin_spec_cut_short_ends_with_one_line(capsys):
     cut = DEEP_SPEC[:-len(":trivial")]
     code, out, err = run_cli(capsys, ["group", "--group", "builtin:" + cut])
     assert (code, out) == (1, "")
-    assert err == ("orbikt: ParseError: builtin spec %r ends mid-expression\n"
-                   % cut)
+    assert err == ("orbikt: ParseError: a builtin spec of %d characters ends"
+                   " mid-expression\n" % len(cut))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("cyclic:" + "9" * 4301, "a builtin spec of 4308 characters: cyclic "
+     "parameter must be an integer, got a token of 4301 characters"),
+    ("x" * 5000, "unknown builtin group a token of 5000 characters "
+     "(expected trivial, cyclic, dihedral, or product)"),
+], ids=["long-parameter", "long-name"])
+def test_a_long_builtin_spec_is_named_by_its_length(capsys, spec, message):
+    code, out, err = run_cli(capsys, ["group", "--group", "builtin:" + spec])
+    assert (code, out) == (1, "")
+    assert err == "orbikt: ParseError: %s\n" % message
+    assert len(err) < 200
 
 
 def test_oversized_inputs_are_refused_before_allocation(capsys, tmp_path):

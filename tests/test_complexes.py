@@ -1,7 +1,7 @@
 import pytest
 
 from orbikt import (BadAction, BoundExceeded, GSimplicialComplex, NotAComplex,
-                    NotAdmissible, NotRegular, SimplicialComplex,
+                    NotAdmissible, SimplicialComplex,
                     barycentric_subdivide, complexes, cyclic_group,
                     dihedral_group, fixed_subcomplex, fixture, isotropy_strata,
                     orbits_and_stabilizers, parse_action_text,
@@ -362,11 +362,6 @@ def test_quotient_of_dihedral_torus_is_disk(d4_torus):
 def test_quotient_of_rotation_torus_needs_one_subdivision(z4_torus):
     q = quotient_complex(z4_torus)
     assert q.subdivisions == 1
-
-
-def test_quotient_refuses_when_subdivision_is_forbidden(z4_torus):
-    with pytest.raises(NotRegular):
-        quotient_complex(z4_torus, allow_subdivide=False)
 
 
 def test_quotient_projection_is_surjective(z2_circle):

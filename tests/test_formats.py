@@ -34,8 +34,20 @@ perm 4
 
 
 def test_group_perm_form_order_mismatch():
-    text = "group 3\nperm 4\n1 2 3 0\n"
-    with pytest.raises(NotAGroup, match="order 4"):
+    with pytest.raises(NotAGroup, match="order 2, but the header declares 4"):
+        parse_group_text("group 4\nperm 4\n1 0 2 3\n")
+    # a larger group is refused at the element past the header's order
+    with pytest.raises(NotAGroup, match="more than 3 elements"):
+        parse_group_text("group 3\nperm 4\n1 2 3 0\n")
+
+
+def test_a_perm_file_is_expanded_up_to_its_header_or_the_library_cap():
+    """max_order bounds the header, and the header the expansion; without
+    max_order, GROUP_ORDER_BOUND bounds the expansion too."""
+    text = ("group 600\nperm 600\n" + " ".join(map(str, range(1, 600)))
+            + " 0\n")
+    assert parse_group_text(text, max_order=1000).order == 600
+    with pytest.raises(NotAGroup, match="more than 512 elements"):
         parse_group_text(text)
 
 

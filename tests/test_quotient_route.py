@@ -3,7 +3,8 @@
 quotient_complex reads sd(X)/G from the orbits of X instead of building
 sd(X).  The oracle below is the loop that builds every subdivision and runs
 the Bredon check on it; both must give the same quotient, vertex map and
-subdivision count, or the same refusal.
+subdivision count, or the same refusal.  Two subdivisions always make X/G
+simplicial: on every case, and on small drawn G-complexes, both answer.
 
 bc_decomposition and the quotient command read H_*(X^g/Z(g)) and H_*(X/G)
 from the cellular chains of the orbit cells (homology.quotient_homology);
@@ -19,8 +20,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbikt import (GSimplicialComplex, SimplicialComplex,
+from orbikt import (FiniteGroup, GSimplicialComplex, SimplicialComplex,
                     centralizer_fixed_action, complexes, conjugacy_data,
                     cyclic_group, equivariant_euler, euler_characteristic,
                     euler_quotient_check, fixture, homology,
@@ -28,7 +30,8 @@ from orbikt import (GSimplicialComplex, SimplicialComplex,
 from orbikt.cli import main
 from orbikt.complexes import (MAX_SUBDIVISIONS, _bredon_witness,
                               barycentric_subdivide, orbits_and_stabilizers)
-from orbikt.errors import BoundExceeded, NotIsolated, NotRegular, OrbiktError
+from orbikt.errors import (BoundExceeded, InternalInconsistency, NotIsolated,
+                           OrbiktError)
 from orbikt.fixtures import FIXTURE_NAMES, _torus_permutation, torus_complex
 from orbikt.formats import serialize_bundle
 
@@ -44,7 +47,7 @@ def inputs():
     return module
 
 
-def materialized_quotient(gx, allow_subdivide=True):
+def materialized_quotient(gx):
     """X/G with every subdivision built and checked by _bredon_witness,
     projected through the vertex orbits of the last one."""
     subdivisions = 0
@@ -53,10 +56,10 @@ def materialized_quotient(gx, allow_subdivide=True):
         witness = _bredon_witness(gx) if ok else "not admissible"
         if witness is None:
             break
-        if not allow_subdivide or subdivisions >= MAX_SUBDIVISIONS:
-            raise NotRegular(
-                "quotient is not simplicial (%s); subdivision %s"
-                % (witness, "exhausted" if allow_subdivide else "forbidden"))
+        if subdivisions >= MAX_SUBDIVISIONS:
+            raise InternalInconsistency(
+                "quotient is not simplicial (%s); subdivision exhausted"
+                % (witness,))
         gx = barycentric_subdivide(gx)
         subdivisions += 1
     od = orbits_and_stabilizers(gx)
@@ -155,33 +158,27 @@ def _build(inputs, case):
     return SMALL[case[1]]()
 
 
-def _quotient_command(gx, tmp_path, capsys, allow_subdivide=True):
+def _quotient_command(gx, tmp_path, capsys):
     """The exit code, payload (or None) and stderr of ``quotient`` on gx."""
     path = tmp_path / "bundle.txt"
     path.write_text(serialize_bundle(gx))
-    argv = ["quotient", "--complex", str(path), "--format", "json"]
-    code = main(argv + ([] if allow_subdivide else ["--no-subdivide"]))
+    code = main(["quotient", "--complex", str(path), "--format", "json"])
     out, err = capsys.readouterr()
     return code, json.loads(out)["payload"] if out else None, err
 
 
 @pytest.mark.parametrize("case", _cases())
-@pytest.mark.parametrize("allow_subdivide", (True, False))
-def test_quotient_equals_the_materialized_subdivision(inputs, case,
-                                                      allow_subdivide,
-                                                      tmp_path, capsys):
-    expected = _outcome(lambda: materialized_quotient(
-        _build(inputs, case), allow_subdivide))
-    assert _outcome(lambda: quotient_complex(
-        _build(inputs, case), allow_subdivide)) == expected
+def test_quotient_equals_the_materialized_subdivision(inputs, case, tmp_path,
+                                                      capsys):
+    expected = _outcome(lambda: materialized_quotient(_build(inputs, case)))
+    assert _outcome(lambda: quotient_complex(_build(inputs, case))) == expected
     # the command reads the homology from orbit cells, the oracle from the
     # materialized quotient
     code, payload, err = _quotient_command(_build(inputs, case), tmp_path,
-                                           capsys, allow_subdivide)
+                                           capsys)
     if isinstance(expected[0], str):
-        assert (code, payload, err) == (
-            1 if expected[0] == "BoundExceeded" else 2, None,
-            "orbikt: %s: %s\n" % expected)
+        assert (code, payload, err) == (1, None, "orbikt: %s: %s\n"
+                                        % expected)
         return
     hom = homology_integral(expected[0])
     assert code == 0 and err == ""
@@ -191,7 +188,7 @@ def test_quotient_equals_the_materialized_subdivision(inputs, case,
                        "torsion": [list(t) for t in hom.torsion],
                        "euler": euler_characteristic(expected[0])}
     gx = _build(inputs, case)
-    if isinstance(expected[0], str) or not gx.is_admissible():
+    if not gx.is_admissible():
         return
     # the Euler routes through X/G read it from its orbit cells
     euler = euler_characteristic(expected[0])
@@ -208,15 +205,109 @@ def test_quotient_equals_the_materialized_subdivision(inputs, case,
 
 
 def test_the_cases_cover_every_route(inputs):
-    """0, 1 and 2 subdivisions and both refusals occur among the cases."""
+    """0, 1 and 2 subdivisions and the size refusal occur among the
+    cases."""
     seen = set()
     for case in _cases():
-        for allow_subdivide in (True, False):
-            outcome = _outcome(lambda: quotient_complex(
-                _build(inputs, case.values[0]), allow_subdivide))
-            seen.add(outcome[0] if isinstance(outcome[0], str)
-                     else outcome[2])
-    assert seen == {0, 1, 2, "NotRegular", "BoundExceeded"}
+        outcome = _outcome(lambda: quotient_complex(
+            _build(inputs, case.values[0])))
+        seen.add(outcome[0] if isinstance(outcome[0], str) else outcome[2])
+    assert seen == {0, 1, 2, "BoundExceeded"}
+
+
+def _condition_a_violation(gx):
+    """A simplex and an element that maps one of its vertices to another of
+    its vertices (Bredon's condition (A) fails there), or None."""
+    for s in gx.complex.all_simplices():
+        members = set(s)
+        for g, row in enumerate(gx.vertex_action):
+            if any(row[v] != v and row[v] in members for v in s):
+                return s, g
+    return None
+
+
+def _subdivided(inputs, case):
+    """sd(X) of the case, or None where sd(X) is past the size bound; there
+    quotient_complex refuses the case with the same message."""
+    try:
+        return barycentric_subdivide(_build(inputs, case))
+    except BoundExceeded as exc:
+        assert _outcome(lambda: quotient_complex(_build(inputs, case))) == (
+            "BoundExceeded", str(exc))
+        return None
+
+
+@pytest.mark.parametrize("case", _cases())
+def test_one_subdivision_satisfies_condition_a(inputs, case):
+    """The vertices of a simplex of sd(X) are simplices of X of distinct
+    dimensions, so no element maps one of them to another."""
+    sd = _subdivided(inputs, case)
+    assert sd is None or _condition_a_violation(sd) is None
+
+
+@pytest.mark.parametrize("case", _cases())
+def test_a_subdivided_input_needs_at_most_one_more(inputs, case):
+    """sd(X) satisfies condition (A), so sd(sd(X)) is regular: the quotient
+    of sd(X) needs at most one subdivision, on both routes."""
+    sd = _subdivided(inputs, case)
+    if sd is None:
+        return
+    quotient = quotient_complex(sd)
+    assert quotient.subdivisions <= 1
+    assert tuple(quotient) == materialized_quotient(sd)
+
+
+def test_running_out_of_subdivisions_is_an_internal_inconsistency(
+        monkeypatch):
+    """The rotated 3-cycle needs two subdivisions; with one allowed, the
+    loop runs out, which only a bug could make it do."""
+    monkeypatch.setattr(complexes, "MAX_SUBDIVISIONS", 1)
+    with pytest.raises(InternalInconsistency) as info:
+        quotient_complex(rotated_cycle(3))
+    assert str(info.value).startswith("quotient is not simplicial (")
+    assert str(info.value).endswith("); subdivision exhausted")
+
+
+def _permutation_span(gens, limit):
+    """The group the permutations generate, identity first, or None when
+    it has more than limit elements."""
+    elements = [tuple(range(len(gens[0])))]
+    for p in elements:  # grows while it is walked
+        for q in gens:
+            pq = tuple(p[v] for v in q)
+            if pq not in elements:
+                if len(elements) == limit:
+                    return None
+                elements.append(pq)
+    return elements
+
+
+@st.composite
+def small_g_complex(draw):
+    """A cyclic or two-generator permutation group on at most 7 points (two
+    generators only while they span at most 24 elements), acting on a
+    complex of dimension at most 2 made of the images of drawn simplices."""
+    n = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    elements = (_permutation_span(gens, 24)
+                or _permutation_span(gens[:1], 24))
+    index = {p: i for i, p in enumerate(elements)}
+    mult = [[index[tuple(a[v] for v in b)] for b in elements]
+            for a in elements]
+    seeds = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1,
+                                  max_size=3), min_size=1, max_size=3))
+    simplices = {tuple(sorted(p[v] for v in s))
+                 for s in seeds for p in elements}
+    return GSimplicialComplex(SimplicialComplex(n, simplices),
+                              FiniteGroup(mult), elements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_g_complex())
+def test_two_subdivisions_make_every_quotient_simplicial(gx):
+    quotient = quotient_complex(gx)
+    assert quotient.subdivisions <= 2
+    assert tuple(quotient) == materialized_quotient(gx)
 
 
 def _count_subdivisions(monkeypatch):

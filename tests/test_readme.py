@@ -1,6 +1,7 @@
 """The examples in README.md must hold: each ``console`` block is run through
 the CLI and compared with the text shown, and each commented value of the
-Library block is compared with what its expression evaluates to."""
+Library block is compared with what its expression evaluates to.  The
+Commands table lists the parser's commands and options."""
 
 import ast
 import os
@@ -10,16 +11,19 @@ import shlex
 import pytest
 
 import orbikt
-from orbikt.cli import main
+from orbikt.cli import _COMMANDS, main
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                       "README.md")
 
 
-def _blocks(language):
+def _readme():
     with open(README, encoding="utf-8") as handle:
-        text = handle.read()
-    return re.findall(r"^```%s\n(.*?)^```$" % language, text,
+        return handle.read()
+
+
+def _blocks(language):
+    return re.findall(r"^```%s\n(.*?)^```$" % language, _readme(),
                       flags=re.M | re.S)
 
 
@@ -68,3 +72,16 @@ def test_library_example():
         else:
             exec(ast.get_source_segment(block, statement), namespace)
     assert checked == 5
+
+
+def test_commands_table_lists_the_parsers_commands_and_options():
+    """Each row's first cell names one command of cli._COMMANDS, in order,
+    with exactly the --options that command adds to the common ones."""
+    section = _readme().split("### Commands\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([^`]*)` \|", section, flags=re.M)
+    listed = [(cell.split()[0], re.findall(r"--[a-z-]+", cell))
+              for cell in rows]
+    parsed = [(name, [flag for names, _ in arguments for flag in names
+                      if flag.startswith("--")])
+              for name, (_, _, arguments) in _COMMANDS.items()]
+    assert listed == parsed

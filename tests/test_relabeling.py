@@ -10,9 +10,8 @@ from collections import Counter
 
 import pytest
 
-from orbikt import (NotIsolated, NotRegular, bc_decomposition,
-                    conjugacy_data, fixture, homology_integral,
-                    isolated_k_theory, quotient_complex)
+from orbikt import (NotIsolated, bc_decomposition, conjugacy_data, fixture,
+                    homology_integral, isolated_k_theory, quotient_complex)
 from orbikt.cli import main
 from orbikt.fixtures import FIXTURE_NAMES
 from orbikt.formats import serialize_bundle
@@ -199,15 +198,10 @@ def _identity_row_cases():
 
 
 @pytest.mark.parametrize("torus, name", _identity_row_cases())
-@pytest.mark.parametrize("allow_subdivide", (True, False))
-def test_identity_row_is_the_plain_quotient(inputs, torus, name,
-                                            allow_subdivide):
+def test_identity_row_is_the_plain_quotient(inputs, torus, name):
     """isolated_k_theory reads H_*(X/G) from the identity row of the
-    decomposition; that row must be the homology of quotient_complex(gx)
-    under either subdivision policy, found by the identity's class index
-    wherever relabeling sorts it.  Where the quotient refuses without a
-    subdivision, the orbit-cell row still answers, with the homology of the
-    subdivided quotient."""
+    decomposition; that row must be the homology of quotient_complex(gx),
+    found by the identity's class index wherever relabeling sorts it."""
     if torus is None:
         gx = fixture(name)
     else:
@@ -216,9 +210,4 @@ def test_identity_row_is_the_plain_quotient(inputs, torus, name,
     identity_class = conjugacy_data(gx.group).class_of[gx.group.identity]
 
     row = bc_decomposition(gx).per_class[identity_class][2]
-    try:
-        plain = quotient_complex(gx, allow_subdivide=allow_subdivide)
-    except NotRegular:
-        assert not allow_subdivide
-        plain = quotient_complex(gx)
-    assert row == homology_integral(plain.complex)
+    assert row == homology_integral(quotient_complex(gx).complex)
