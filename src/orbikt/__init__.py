@@ -43,7 +43,6 @@ _EXPORTS = {
                  "boundary_matrix", "euler_characteristic",
                  "fraction_free_rank", "homology_integral",
                  "quotient_homology", "smith_invariant_factors"),
-    "linalg": ("rational_rank",),
     "crossed": ("FiberDecomposition", "FiltrationReport",
                 "InclusionMultiplicityMatrix", "PrimNode", "PrimPoset",
                 "aggregate_strata", "fiber_decomposition",

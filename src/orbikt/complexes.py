@@ -490,7 +490,6 @@ class CentralizerFixedAction(NamedTuple):
 
 def centralizer_fixed_action(gx: GSimplicialComplex,
                              g: int) -> CentralizerFixedAction:
-    gx.require_admissible()
     group = gx.group
     cent = group.centralizer(g)
     fixed = fixed_subcomplex(gx, [g])

@@ -4,7 +4,17 @@ Two user-facing families matter for the CLI exit status: InputError (exit 1,
 the input itself is unusable) and RefusalError (exit 2, the input is fine but
 a mathematical precondition of the requested computation does not hold).
 Everything else signals an internal bug and is never expected in normal use.
+``echo`` quotes an input token in a message, by its length when it is long.
 """
+
+
+def echo(text, what=None):
+    """repr(text), after what when given; past 40 characters, "a <what> of
+    <n> characters" instead, what defaulting to "token", so that a message
+    never repeats a long input token whole."""
+    if len(text) > 40:
+        return "a %s of %d characters" % (what or "token", len(text))
+    return "%s %r" % (what, text) if what else repr(text)
 
 
 class OrbiktError(Exception):

@@ -103,7 +103,6 @@ def bc_vs_count_identity(gx: GSimplicialComplex) -> CountIdentity:
     Requires every fixed set of a nontrivial element to be 0-dimensional.
     The points of such an X^g/Z(g) are the orbits of its vertices.
     """
-    gx.require_admissible()
     cd = conjugacy_data(gx.group)
     identity_class = cd.class_of[gx.group.identity]
     lhs = 0

@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from .errors import BadAction, BoundExceeded, NotAGroup, ParseError
+from .errors import BadAction, BoundExceeded, NotAGroup, ParseError, echo
 from .groups import (GROUP_ORDER_BOUND, FiniteGroup, _span, cyclic_group,
                      dihedral_group, group_from_permutations, product_group,
                      trivial_group)
@@ -71,21 +71,13 @@ def _content_lines(text):
     return out
 
 
-def _echo(text, what=None):
-    """repr(text), after what when given; past 40 characters, "a <what> of
-    <n> characters" instead, what defaulting to "token"."""
-    if len(text) > 40:
-        return "a %s of %d characters" % (what or "token", len(text))
-    return "%s %r" % (what, text) if what else repr(text)
-
-
 def _int_token(token, lineno, what):
     """int(token), or a ParseError naming the line and the token."""
     try:
         return int(token)
     except ValueError:
         raise ParseError("line %d: %s must be an integer, got %s"
-                         % (lineno, what, _echo(token)))
+                         % (lineno, what, echo(token)))
 
 
 def _int_tokens(tokens, lineno, what):
@@ -168,8 +160,8 @@ def parse_group_text(text, max_order=None) -> FiniteGroup:
                 "but the header declares %d" % (group.order, n))
         return group
 
-    raise ParseError("line %d: expected 'table' or 'perm <k>', got %r"
-                     % (lineno, mode[0]))
+    raise ParseError("line %d: expected 'table' or 'perm <k>', got %s"
+                     % (lineno, echo(mode[0])))
 
 
 def serialize_group(group: FiniteGroup) -> str:
@@ -190,7 +182,7 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
     tokens = [t for t in spec.split(":") if t != ""]
     if not tokens:
         raise ParseError("empty builtin group spec")
-    named = _echo(spec, "builtin spec")
+    named = echo(spec, "builtin spec")
     pos, open_products = 0, []  # each open product: None or its left factor
     while True:
         if pos >= len(tokens):
@@ -209,13 +201,13 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
                 n = int(tokens[pos])
             except ValueError:
                 raise ParseError("%s: %s parameter must be an integer, got %s"
-                                 % (named, head, _echo(tokens[pos])))
+                                 % (named, head, echo(tokens[pos])))
             pos += 1
             check_order(n if head == "cyclic" else 2 * n, max_order)
             group = (cyclic_group if head == "cyclic" else dihedral_group)(n)
         else:
             raise ParseError("unknown builtin group %s (expected trivial, "
-                             "cyclic, dihedral, or product)" % _echo(head))
+                             "cyclic, dihedral, or product)" % echo(head))
         # a finished group is the right factor of every open product that
         # has its left one, and the left factor of the innermost other one
         while open_products and open_products[-1] is not None:
@@ -227,7 +219,7 @@ def parse_builtin_spec(spec, max_order=None) -> FiniteGroup:
         open_products[-1] = group
     if pos != len(tokens):
         raise ParseError("%s has trailing tokens %s"
-                         % (named, _echo(":".join(tokens[pos:]))))
+                         % (named, echo(":".join(tokens[pos:]))))
     return group
 
 
@@ -384,8 +376,8 @@ def split_bundle_text(text):
         elif head in ("group", "table", "perm") or _is_int(head):
             sections["group"].append((lineno, line))
         else:
-            raise ParseError("line %d: unrecognized directive %r"
-                             % (lineno, head))
+            raise ParseError("line %d: unrecognized directive %s"
+                             % (lineno, echo(head)))
     return {name: _placed_text(lines) for name, lines in sections.items()}
 
 
@@ -452,8 +444,8 @@ def parse_filtration_text(text):
                  for a, b in re.findall(_PAIR, rest)]
         leftover = re.sub(_PAIR, "", rest).strip()
         if leftover:
-            raise ParseError("line %d: unparsable text %r in step"
-                             % (lineno, leftover))
+            raise ParseError("line %d: unparsable text %s in step"
+                             % (lineno, echo(leftover)))
         if not pairs:
             raise ParseError("line %d: step adds no nodes" % lineno)
         steps.append(pairs)

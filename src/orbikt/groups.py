@@ -12,7 +12,7 @@ them, in at most |span| k^2 table lookups for k kept elements.
 
 from __future__ import annotations
 
-from .errors import InternalInconsistency, NotAGroup, NotSubgroup
+from .errors import InternalInconsistency, NotAGroup, NotSubgroup, echo
 
 GROUP_ORDER_BOUND = 512
 
@@ -147,7 +147,7 @@ class FiniteGroup:
         try:
             g = int(token)
         except ValueError:
-            raise NotAGroup("unknown element %r" % (token,))
+            raise NotAGroup("unknown element %s" % echo(token))
         if not 0 <= g < self.order:
             raise NotAGroup("element index %d out of range" % g)
         return g

@@ -3,11 +3,12 @@ orbit spaces.
 
 Integer Smith normal form gives Betti numbers and torsion; every rank is
 independently recomputed by fraction-free (integer, division-free) Gaussian
-elimination and the two must agree.  Both oracles eliminate on sparse rows
-built from the dense boundary matrices.  A chain complex comes either from
-the simplices of a complex or, for the orbit space X/G of an admissible
-action, from its simplex orbits: X/G is then a CW complex with one cell per
-orbit, so its homology needs no subdivision and no simplicial quotient.
+elimination and the two must agree.  A chain complex stores sparse columns,
+and the oracles eliminate on sparse rows built from one dense d_k at a time.
+A chain complex comes either from the simplices of a complex or, for the
+orbit space X/G of an admissible action, from its simplex orbits: X/G is
+then a CW complex with one cell per orbit, so its homology needs no
+subdivision and no simplicial quotient.
 Also: Euler characteristics and rational K-ranks (even/odd Betti sums) of
 compact polyhedra.
 """
@@ -23,7 +24,9 @@ from .complexes import (GSimplicialComplex, SimplicialComplex,
                         orbits_and_stabilizers)
 from .errors import BoundExceeded, InternalInconsistency
 
-# Most entries a dense boundary matrix may have, checked before any is built.
+# Most entries a dense boundary matrix may have, checked before any column is
+# built.  Only one dense d_k exists at a time: ``ChainComplex.homology`` makes
+# each from its sparse columns just before the rank oracles read it.
 # d2 of `betti` on the grid-32 torus of bench/inputs.py is 6144 x 4096
 # (25.2M); `quotient` on its Z4 action reads the orbit cells, 1536 x 1024.
 MAX_MATRIX_ENTRIES = 2 ** 25
@@ -38,38 +41,43 @@ def _check_matrix_bound(dims):
                 " than %d" % (k, dims[k - 1], dims[k], MAX_MATRIX_ENTRIES))
 
 
+def _boundary_columns(complex: SimplicialComplex, k):
+    """d_k as sparse columns: per k-simplex, {(k-1)-simplex index: sign}."""
+    row_id = {s: i for i, s in enumerate(complex.simplices[k - 1])}
+    return [{row_id[s[:drop] + s[drop + 1:]]: -1 if drop % 2 else 1
+             for drop in range(len(s))}
+            for s in complex.simplices[k]]
+
+
+def _dense(columns, height):
+    """The height x len(columns) matrix with the given sparse columns."""
+    matrix = [[0] * len(columns) for _ in range(height)]
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            matrix[i][j] = x
+    return matrix
+
+
 def boundary_matrix(complex: SimplicialComplex, k):
     """The boundary map C_k -> C_{k-1}: rows (k-1)-simplices, columns k-simplices."""
     if k <= 0 or k > complex.dimension:
         return []
-    rows = complex.simplices[k - 1]
-    cols = complex.simplices[k]
-    row_id = {s: i for i, s in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for j, s in enumerate(cols):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1:]
-            matrix[row_id[face]][j] = -1 if drop % 2 else 1
-    return matrix
+    return _dense(_boundary_columns(complex, k), len(complex.simplices[k - 1]))
 
 
 class ChainComplex:
-    """Integer chain complex of a simplicial complex; checks boundary-squared-zero."""
+    """Integer chain complex of sparse columns; checks d_{k-1} d_k = 0."""
 
-    def __init__(self, dims, boundaries):
+    def __init__(self, dims, columns):
         self.dims = tuple(dims)
-        self.boundaries = boundaries  # boundaries[k] maps C_k -> C_{k-1}
-        # each column's nonzero support, read once per matrix, so checking
-        # d_{k-1} d_k = 0 costs the nonzeros, not the entries
-        supports = [_column_supports(b) for b in boundaries]
+        # columns[k][j]: column j of d_k: C_k -> C_{k-1}, as {row: coefficient}
+        self.columns = columns
         for k in range(2, len(self.dims)):
-            a_cols, b_cols = supports[k - 1], supports[k]
-            if not a_cols or not b_cols:
-                continue
-            for column in b_cols:
+            lower = columns[k - 1]
+            for column in columns[k]:
                 acc = {}
-                for t, coeff in column:
-                    for i, val in a_cols[t]:
+                for t, coeff in column.items():
+                    for i, val in lower[t].items():
                         acc[i] = acc.get(i, 0) + val * coeff
                 if any(acc.values()):
                     raise InternalInconsistency(
@@ -79,8 +87,9 @@ class ChainComplex:
     def from_complex(cls, complex: SimplicialComplex):
         dims = complex.f_vector()
         _check_matrix_bound(dims)
-        boundaries = [boundary_matrix(complex, k) for k in range(len(dims))]
-        return cls(dims, boundaries)
+        columns = [_boundary_columns(complex, k) if k else []
+                   for k in range(len(dims))]
+        return cls(dims, columns)
 
     @classmethod
     def from_orbits(cls, gx: GSimplicialComplex):
@@ -107,18 +116,19 @@ class ChainComplex:
             dims[len(rep) - 1] += 1
         _check_matrix_bound(dims)
         first = [sum(dims[:k]) for k in range(len(dims))]
-        boundaries = [[[0] * dims[k] for _ in range(dims[k - 1])] if k else []
-                      for k in range(len(dims))]
+        columns = [[{} for _ in range(dims[k])] if k else []
+                   for k in range(len(dims))]
         action = gx.vertex_action
         for t, record in enumerate(od.facets):
             if not record:
                 continue
             k = len(record) - 1
-            column, matrix = t - first[k], boundaries[k]
+            column = columns[k][t - first[k]]
             for i, (s, g) in enumerate(record):
                 sign = _sorting_sign([action[g][v] for v in od.rep(s)])
-                matrix[s - first[k - 1]][column] += -sign if i % 2 else sign
-        return cls(dims, boundaries)
+                row = s - first[k - 1]
+                column[row] = column.get(row, 0) + (-sign if i % 2 else sign)
+        return cls(dims, columns)
 
     def homology(self) -> HomologyResult:
         """Betti numbers and torsion from the checked ranks of each d_k."""
@@ -127,7 +137,8 @@ class ChainComplex:
         ranks = [0] * (top + 1)
         factors = [[] for _ in range(top + 1)]
         for k in range(1, top):
-            ranks[k], factors[k] = _checked_rank(self.boundaries[k])
+            ranks[k], factors[k] = _checked_rank(
+                _dense(self.columns[k], dims[k - 1]))
         betti = tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(top))
         torsion = tuple(tuple(d for d in factors[k + 1] if d > 1)
                         for k in range(top))
@@ -137,18 +148,6 @@ class ChainComplex:
 def _sorting_sign(values):
     """The sign of the permutation that sorts distinct values."""
     return -1 if sum(a > b for a, b in combinations(values, 2)) % 2 else 1
-
-
-def _column_supports(matrix):
-    """Per column, the (row, value) pairs of its nonzero entries."""
-    if not matrix:
-        return []
-    cols = [[] for _ in matrix[0]]
-    positions = range(len(cols))
-    for i, row in enumerate(matrix):
-        for j in compress(positions, row):
-            cols[j].append((i, row[j]))
-    return cols
 
 
 def _add_multiple(rows, cols, dst, src, q):
@@ -275,8 +274,8 @@ def fraction_free_rank(matrix):
     row, at its lowest column; every other row holding that column becomes
     p*row_i - a_ic*row_pivot, divided by the gcd of its entries, so the
     arithmetic never leaves the integers.  Row operations only, and no
-    helper shared with ``smith_invariant_factors`` or ``linalg``: each
-    boundary matrix goes through two distinct algorithms.
+    helper shared with ``smith_invariant_factors``: each boundary matrix
+    goes through two distinct algorithms.
     """
     n = len(matrix[0]) if matrix else 0
     positions = range(n)

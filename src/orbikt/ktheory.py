@@ -45,7 +45,6 @@ def bc_decomposition(gx: GSimplicialComplex) -> BCDecomposition:
     equivalent to C0(cell) (x) C*(Stab), so even - odd must equal the sum
     over orbits of (-1)^dim #classes(Stab).
     """
-    gx.require_admissible()
     cd = conjugacy_data(gx.group)
     per_class = []
     totals = KRanks(0, 0)
@@ -112,7 +111,6 @@ def isolated_k_theory(gx: GSimplicialComplex) -> IsolatedKResult:
     bc_decomposition (not row 0: relabeling can sort central elements
     first), plus one correction per singular orbit; checked by
     bc_cross_check."""
-    gx.require_admissible()
     od, singular = _singular_orbits(gx)
     singular_records = tuple(
         (i, od.stabilizer(i), _rep_star_count(od.stabilizer(i)))

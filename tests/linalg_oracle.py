@@ -1,11 +1,12 @@
-"""Exact Gaussian elimination over Q or a prime field F_p.
+"""Exact Gaussian elimination over Q or a prime field F_p, for the tests.
 
-One incremental echelon form serves the field computations of homology:
-kernels and homology bases of boundary matrices, and ranks, over Q; it works
-over F_p just as well.  The field enters only where an entry is normalized
-and where a pivot is inverted; the integer oracles of ``homology`` (Smith
-normal form and fraction-free rank) deliberately stay separate from this
-module.
+One incremental echelon form serves the field computations the tests check
+the package against: kernels and homology bases of boundary matrices (the
+transfer oracle), and ranks over Q (``rational_rank``, the reference for the
+two integer rank oracles of ``orbikt.homology``); it works over F_p just as
+well.  The field enters only where an entry is normalized and where a pivot
+is inverted.  No command loads it, so it lives beside the tests and shares
+no code with the integer oracles it checks.
 """
 
 from __future__ import annotations

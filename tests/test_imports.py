@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import orbikt
+from orbikt import cli
 
 SRC = os.path.dirname(os.path.dirname(orbikt.__file__))
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)),
@@ -77,8 +78,7 @@ def test_group_loads_only_table_modules():
                                  "--format", "json"])
     modules = _orbikt_modules(loaded)
     assert "characters" in modules
-    assert not modules & {"complexes", "crossed", "homology", "ktheory",
-                          "linalg"}
+    assert not modules & {"complexes", "crossed", "homology", "ktheory"}
     assert "dataclasses" not in loaded
     assert not loaded & FRACTIONS
 
@@ -88,7 +88,7 @@ def test_prim_loads_no_homology():
         ["prim", "--fixture", "z2-circle", "--format", "json"])
     modules = _orbikt_modules(loaded)
     assert "crossed" in modules
-    assert not modules & {"homology", "ktheory", "linalg"}
+    assert not modules & {"homology", "ktheory"}
     assert "dataclasses" not in loaded
 
 
@@ -101,23 +101,13 @@ def test_ktheory_loads_no_characters():
     assert "dataclasses" not in loaded
 
 
-@pytest.mark.parametrize("argv", [
-    ["ktheory", "--fixture", "z4-torus", "--format", "json"],
-    ["betti", "--fixture", "z2-circle", "--format", "json"],
-], ids=["ktheory", "betti"])
-def test_homology_commands_load_no_linalg(argv):
-    modules = _orbikt_modules(_loaded_by_command(argv))
-    assert "homology" in modules
-    assert "linalg" not in modules
-
-
 def test_ktheory_from_a_file_loads_only_its_route(files):
     loaded = _loaded_by_command(["ktheory", "--complex", files["--complex"],
                                  "--format", "json"])
     modules = _orbikt_modules(loaded)
     assert {"cli_ktheory", "ktheory", "homology"} <= modules
-    assert not modules & {"fixtures", "cli_table", "euler", "linalg",
-                          "characters", "crossed"}
+    assert not modules & {"fixtures", "cli_table", "euler", "characters",
+                          "crossed"}
     assert not loaded & FRACTIONS
     assert not _json_package(loaded)
 
@@ -135,6 +125,33 @@ def test_commands_on_files_load_no_fixtures_and_no_json(files, command,
     assert not modules & {"fixtures", "cli_table"}
     assert not _json_package(loaded)
     assert not loaded & FRACTIONS
+
+
+def test_every_package_module_is_loaded_by_some_command(tmp_path):
+    """A module that no command loads is dead weight in the package: run
+    every command, in table and JSON form, in one fresh interpreter and
+    compare the union of what they load with the package's modules."""
+    steps = tmp_path / "steps.txt"
+    steps.write_text("1: (0, 0) (1, 0) (2, 0) (3, 0) (4, 0) (5, 0) (6, 0)\n")
+    runs = {"group": ["--group", "builtin:dihedral:4"],
+            "fixed": ["1", "--fixture", "z4-torus"],
+            "fiber": ["1", "--fixture", "z4-torus"],
+            "filtration": [str(steps), "--fixture", "d4-torus"],
+            "fixture": ["z4-torus", "--emit"]}
+    argvs = [[command, *runs.get(command, ["--fixture", "z4-torus"]),
+              *form]
+             for command in cli._COMMANDS
+             for form in ([], ["--format", "json"])]
+    loaded = _loaded(
+        "import contextlib, io\n"
+        "from orbikt.cli import main\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n" % (argvs,))
+    package = os.path.dirname(orbikt.__file__)
+    modules = {name[:-3] for name in os.listdir(package)
+               if name.endswith(".py") and name != "__init__.py"}
+    assert _orbikt_modules(loaded) == modules
 
 
 def _lines_loaded_table():

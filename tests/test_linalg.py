@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from orbikt.characters import _berlekamp_massey
-from orbikt.linalg import Echelon, nullspace
+from linalg_oracle import Echelon, nullspace
 
 SETTINGS = settings(max_examples=40, deadline=None)
 

@@ -18,12 +18,12 @@ from orbikt import (Cyclotomic, FiniteGroup, GSimplicialComplex,
                     boundary_matrix, character_table, cyclic_group,
                     dihedral_group, fraction_free_rank, homology_integral,
                     induced_character, multiplicity, orbits_and_stabilizers,
-                    product_group, rational_rank, smith_invariant_factors,
+                    product_group, smith_invariant_factors,
                     specialization, trivial_group)
 from orbikt import cli
 from orbikt.cli import _rows_text, json_pieces, report_json
 from orbikt.errors import BadAction, NotAGroup, NotSubgroup
-from orbikt.linalg import Echelon, nullspace
+from linalg_oracle import Echelon, nullspace, rational_rank
 
 SETTINGS = settings(max_examples=25, deadline=None)
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from orbikt.complexes import GSimplicialComplex
+from orbikt.complexes import GSimplicialComplex, SimplicialComplex
 from orbikt.errors import InternalInconsistency
-from orbikt.homology import ChainComplex, _sorting_sign, quotient_homology
-from orbikt.linalg import Echelon, nullspace
+from orbikt.homology import _sorting_sign, boundary_matrix, quotient_homology
+from linalg_oracle import Echelon, nullspace
 
 
 def _signed_permutation(gx: GSimplicialComplex, g, k):
@@ -43,12 +43,11 @@ def chain_map_matrix(gx: GSimplicialComplex, g, k):
     return matrix
 
 
-def _homology_basis(cc: ChainComplex, k):
+def _homology_basis(complex: SimplicialComplex, k):
     """(echelon over [boundaries | reps], boundary count, homology reps)."""
-    n_k = cc.dims[k] if k < len(cc.dims) else 0
-    d_k = cc.boundaries[k] if 0 < k < len(cc.dims) else []
-    cycles = nullspace(d_k, n_k)
-    d_next = cc.boundaries[k + 1] if k + 1 < len(cc.dims) else []
+    n_k = len(complex.simplices[k]) if k <= complex.dimension else 0
+    cycles = nullspace(boundary_matrix(complex, k), n_k)
+    d_next = boundary_matrix(complex, k + 1)
     ech = Echelon()
     if d_next:
         for j in range(len(d_next[0])):
@@ -79,8 +78,7 @@ def _induced_on_basis(gx, g, k, ech, n_boundaries, reps):
 
 def induced_homology_matrix(gx: GSimplicialComplex, g, k):
     """The matrix of g acting on H_k(X; Q) in a fixed homology basis."""
-    cc = ChainComplex.from_complex(gx.complex)
-    ech, n_boundaries, reps = _homology_basis(cc, k)
+    ech, n_boundaries, reps = _homology_basis(gx.complex, k)
     return _induced_on_basis(gx, g, k, ech, n_boundaries, reps)
 
 
@@ -92,11 +90,10 @@ def invariant_cohomology_dims(gx: GSimplicialComplex):
     an idempotent, so its rank is its trace, (1/|G|) sum_g tr(g_*).
     """
     gx.require_admissible()
-    cc = ChainComplex.from_complex(gx.complex)
     order = gx.group.order
     dims = []
-    for k in range(len(cc.dims)):
-        ech, n_boundaries, reps = _homology_basis(cc, k)
+    for k in range(gx.complex.dimension + 1):
+        ech, n_boundaries, reps = _homology_basis(gx.complex, k)
         total = 0
         if reps:
             for g in range(order):
