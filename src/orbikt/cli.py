@@ -391,9 +391,6 @@ def run(argv) -> int:
     handler = getattr(family, "cmd_" + args.command.replace("-", "_"))
     inputs = resolve_inputs(args)
     payload, flags = handler(inputs, args)
-    if "_raw" in payload:
-        sys.stdout.write(payload["_raw"])
-        return 0
     if args.format == "json":
         pieces = json_pieces(_meta(inputs, args), payload, flags)
         sys.stdout.writelines(pieces)

@@ -99,7 +99,8 @@ def cmd_betti(inputs, args):
 def cmd_fixture(inputs, args):
     gx = inputs.gx
     if args.emit:
-        return {"_raw": serialize_bundle(gx)}, []
+        return {"name": inputs.fixture_name,
+                "bundle": serialize_bundle(gx)}, []
     payload = {
         "name": inputs.fixture_name,
         "group_order": gx.group.order,

@@ -1,6 +1,6 @@
 """The aligned table that ``--format table`` prints: one ``key: value``
 line per scalar, nested values indented, with summary lines for ``bc``,
-``ktheory`` and ``prim``."""
+``ktheory`` and ``prim``; ``fixture --emit`` prints its bundle as it is."""
 
 
 def _table_lines(value, indent=""):
@@ -79,6 +79,8 @@ def render_table(command, payload, flags) -> str:
         lines.append("relation pairs: %d" % len(payload["relation"]))
         lines.append("ix: %s (size %d, open)"
                      % (_flat(payload["ix"]), len(payload["ix"])))
+    elif command == "fixture" and "bundle" in payload:
+        lines.append(payload["bundle"].rstrip("\n"))
     else:
         lines.extend(_table_lines(payload))
     for flag in flags:

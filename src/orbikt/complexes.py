@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import (BadAction, BoundExceeded, InternalInconsistency,
                      NotAComplex, NotAdmissible)
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _span
 
 # Most barycentric subdivisions quotient_complex applies to reach a quotient.
 MAX_SUBDIVISIONS = 2
@@ -118,38 +118,63 @@ class FixedSubcomplex(NamedTuple):
 
 
 class GSimplicialComplex:
-    """A simplicial complex with a simplicial action of a finite group."""
+    """A simplicial complex with a simplicial action of a finite group.
+
+    vertex_action has one row of vertex images per element; a None row is
+    derived through the group table.  check=False takes every row as given.
+    """
 
     def __init__(self, complex: SimplicialComplex, group: FiniteGroup,
                  vertex_action, check=True):
         self.complex = complex
         self.group = group
-        self.vertex_action = tuple(tuple(row) for row in vertex_action)
         self._orbit_data = None
         self._subdivision = None
         if check:
-            self._validate()
+            self._validate(vertex_action)
+        else:
+            self.vertex_action = tuple(tuple(row) for row in vertex_action)
 
-    def _validate(self):
-        n = self.complex.vertex_count
-        action = self.vertex_action
-        if len(action) != self.group.order:
+    def _validate(self, rows):
+        """Close the given rows into the action, proving it a homomorphism
+        into the vertex permutations that keeps the complex."""
+        group = self.group
+        if len(rows) != group.order:
             raise BadAction("need one vertex permutation per group element")
-        for g, row in enumerate(action):
-            if sorted(row) != list(range(n)):
+        identity = tuple(range(self.complex.vertex_count))
+        ordered = list(identity)
+        rows = [row if row is None else tuple(row) for row in rows]
+        for g, row in enumerate(rows):
+            if row is not None and sorted(row) != ordered:
                 raise BadAction("element %d does not act by a permutation" % g)
-        if action[self.group.identity] != tuple(range(n)):
+        if rows[group.identity] not in (None, identity):
             raise BadAction("identity does not act trivially")
-        # Checking h over a generating set is a complete proof: every element
-        # is a product of generators, so rho(g) rho(h) = rho(gh) for all g and
-        # generators h gives a homomorphism by induction on word length.
-        gens = self.group.generators
-        for g, row in enumerate(action):
-            for h in gens:
-                if (tuple(map(row.__getitem__, action[h]))
-                        != action[self.group.mult[g][h]]):
+        rows[group.identity] = identity
+        # span lists the identity, then each element as a*s for an earlier a
+        # and a kept s.  Setting or checking act(a*s) = act(a) o act(s) for
+        # every a in span and kept s proves a homomorphism on the group the
+        # kept (so also the given) elements generate, by induction on the
+        # length of a word in the kept elements.
+        mult = group.mult
+        kept, span = _span(mult, group.identity,
+                           [g for g, row in enumerate(rows) if row is not None])
+        generators = [(s, rows[s]) for s in kept]
+        for a in span:
+            pa, row = rows[a], mult[a]
+            for s, ps in generators:
+                c = row[s]
+                pc = tuple(map(pa.__getitem__, ps))
+                if rows[c] is None:
+                    rows[c] = pc
+                elif rows[c] != pc:
                     raise BadAction(
-                        "action is not a homomorphism at (%d,%d)" % (g, h))
+                        "action is not a homomorphism: inconsistent with the "
+                        "group table at element %s" % group.name_of(c))
+        if len(span) != group.order:
+            raise BadAction(
+                "action file elements do not generate the group "
+                "(element %s is unreachable)" % group.name_of(rows.index(None)))
+        self.vertex_action = tuple(rows)
         self._validate_images()
 
     def _validate_images(self):

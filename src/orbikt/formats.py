@@ -41,7 +41,7 @@ import re
 from typing import TYPE_CHECKING
 
 from .errors import BadAction, BoundExceeded, NotAGroup, ParseError, echo
-from .groups import (GROUP_ORDER_BOUND, FiniteGroup, _span, cyclic_group,
+from .groups import (GROUP_ORDER_BOUND, FiniteGroup, cyclic_group,
                      dihedral_group, group_from_permutations, product_group,
                      trivial_group)
 
@@ -266,20 +266,17 @@ def serialize_complex(complex: SimplicialComplex) -> str:
 
 def parse_action_text(text, group: FiniteGroup,
                       complex: SimplicialComplex) -> GSimplicialComplex:
-    """Parse generator action lines and extend to the whole group.
-
-    The listed elements together with the identity must generate the group.
-    The action is closed over the generating subset of them that
-    ``groups._span`` keeps: a listed element is kept only when it lies
-    outside the subgroup that the elements kept before it generate.  Listing
-    that subgroup costs at most |G| k^2 table lookups for k kept elements,
-    and the closure then costs |G| compositions per kept element.  Every
-    other listed line is compared with the closure at its element.
+    """Parse action lines into a G-complex.  A line is read here for its
+    syntax, its element index and any clash with an earlier row of its
+    element (the identity's is the identity permutation).  The
+    GSimplicialComplex constructor checks that each row is a permutation,
+    derives the unlisted elements and proves the action: the listed elements
+    together with the identity must generate the group.
     """
     from .complexes import GSimplicialComplex
 
-    n = complex.vertex_count
-    known = {group.identity: tuple(range(n))}
+    rows = [None] * group.order
+    rows[group.identity] = tuple(range(complex.vertex_count))
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty action file")
@@ -292,54 +289,20 @@ def parse_action_text(text, group: FiniteGroup,
         if not 0 <= g < group.order:
             raise BadAction("line %d: element index %d out of range"
                             % (lineno, g))
-        images = _int_tokens(match.group(2).split(), lineno, "vertex image")
-        if sorted(images) != list(range(n)):
-            raise BadAction(
-                "line %d: images are not a permutation of 0..%d"
-                % (lineno, n - 1))
-        perm = tuple(images)
-        if g in known and known[g] != perm:
+        perm = tuple(_int_tokens(match.group(2).split(), lineno,
+                                 "vertex image"))
+        if rows[g] not in (None, perm):
             raise BadAction("line %d: conflicting permutations for element %s"
                             % (lineno, group.name_of(g)))
-        known[g] = perm
-
-    # span lists the identity, then each element as a*s for an earlier a
-    mult = group.mult
-    kept, span = _span(mult, group.identity, known)
-    # Walk span and set act(a*s) = act(a) o act(s) for every kept s,
-    # checking it wherever act(a*s) is already known, a listed line
-    # included.  That proves a homomorphism on the group the kept elements
-    # generate, which the listed ones generate too: each b there is a word
-    # in the kept elements, so act(a*b) = act(a) o act(b) by induction on
-    # the length of the word.
-    generators = [(s, known[s]) for s in kept]
-    for a in span:
-        pa, row = known[a], mult[a]
-        for s, ps in generators:
-            c = row[s]
-            pc = tuple(map(pa.__getitem__, ps))
-            if known.setdefault(c, pc) != pc:
-                raise BadAction(
-                    "action file is inconsistent with the group "
-                    "table at element %s" % group.name_of(c))
-    if len(known) != group.order:
-        missing = next(g for g in range(group.order) if g not in known)
-        raise BadAction(
-            "action file elements do not generate the group "
-            "(element %s is unreachable)" % group.name_of(missing))
-    # the walk proved the rest of _validate: one permutation per element,
-    # the identity fixed, a homomorphism
-    vertex_action = [known[g] for g in range(group.order)]
-    gx = GSimplicialComplex(complex, group, vertex_action, check=False)
-    gx._validate_images()
-    return gx
+        rows[g] = perm
+    return GSimplicialComplex(complex, group, rows)
 
 
 def serialize_action(gx: GSimplicialComplex) -> str:
     """One ``act`` line per non-identity element.  Parsing them again closes
     the action over a generating subset of these lines and compares every
-    other line with that closure, so each entry is checked against the
-    group table again."""
+    other line with that closure (see GSimplicialComplex), so each entry is
+    checked against the group table again."""
     lines = []
     for g in range(gx.group.order):
         if g == gx.group.identity:

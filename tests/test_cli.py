@@ -390,6 +390,22 @@ def test_fixture_emit_round_trips_through_bc(capsys, tmp_path):
     assert out.splitlines()[-1] == "totals: K0 rank 3, K1 rank 0"
 
 
+@pytest.mark.parametrize("name", ["z2-circle", "d4-torus"])
+def test_fixture_emit_json_is_one_document(capsys, name):
+    """With --format json the bundle goes into the payload of the one
+    meta/payload/flags document; the table form is the bundle itself."""
+    _, bundle, _ = run_cli(capsys, ["fixture", name, "--emit"])
+    code, out, err = run_cli(capsys, ["fixture", name, "--emit",
+                                      "--format", "json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert sorted(doc) == ["flags", "meta", "payload"]
+    assert doc["meta"]["fixture"] == name and doc["flags"] == []
+    assert doc["payload"] == {"name": name, "bundle": bundle}
+    gx = orbikt.parse_bundle_text(doc["payload"]["bundle"])
+    assert gx.vertex_action == orbikt.fixture(name).vertex_action
+
+
 # -- exit codes -----------------------------------------------------------------------
 
 

@@ -81,6 +81,30 @@ def test_action_rows_must_be_one_permutation_per_element(action, message):
     assert str(info.value) == message
 
 
+def test_identity_must_act_trivially():
+    with pytest.raises(BadAction) as info:
+        GSimplicialComplex(interval(), trivial_group(), [(1, 0)])
+    assert str(info.value) == "identity does not act trivially"
+
+
+@pytest.mark.parametrize("action", [
+    [(0, 1, 2, 3), (1, 2, 3, 0), (0, 1, 2, 3), (3, 0, 1, 2)],
+    [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (1, 2, 3, 0)],
+    [(0, 1, 2, 3), (3, 0, 1, 2), (2, 3, 0, 1), (3, 0, 1, 2)],
+], ids=["g2", "g3", "g3-after-g1"])
+def test_a_non_homomorphism_has_one_message_on_both_routes(action):
+    """The direct and the parsed route share one proof, so they refuse the
+    same action with the same message."""
+    messages = []
+    for build in (direct, parsed):
+        with pytest.raises(BadAction) as info:
+            build(two_point_circle(), cyclic_group(4), action)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("action is not a homomorphism: "
+                                  "inconsistent with the group table at")
+
+
 @pytest.mark.parametrize("build, message", [
     (direct, "homomorphism"),
     (parsed, "inconsistent with the group table at element g%d")])

@@ -9,6 +9,7 @@ from orbikt import (BadAction, BoundExceeded, NotAGroup, ParseError,
                     parse_group_text, serialize_action, serialize_bundle,
                     serialize_complex, serialize_filtration, serialize_group,
                     split_bundle_text)
+from orbikt import complexes
 from orbikt.complexes import GSimplicialComplex
 
 
@@ -239,26 +240,28 @@ def test_emitted_cyclic_bundle_parses_again_quickly():
 
 
 def test_a_parsed_bundle_proves_its_action_once(monkeypatch):
-    """The span walk of parse_action_text proves the action a homomorphism,
-    so the G-complex it builds runs only the check that the action keeps
-    the complex, not the homomorphism loop of _validate."""
+    """The parser only reads act lines: the parsed and the direct G-complex
+    each prove their action once, in one closure walk of
+    GSimplicialComplex._validate and one check that it keeps the complex."""
     group = cyclic_group(12)
     action = [tuple((v + k) % 12 for v in range(12)) for k in range(12)]
     text = serialize_bundle(GSimplicialComplex(circle_complex(12), group,
                                                action, check=False))
     calls = []
-    for name in ("_validate", "_validate_images"):
-        original = getattr(GSimplicialComplex, name)
+    for owner, name in ((GSimplicialComplex, "_validate"),
+                        (complexes, "_span"),
+                        (GSimplicialComplex, "_validate_images")):
+        original = getattr(owner, name)
 
-        def spy(self, name=name, original=original):
+        def spy(*args, name=name, original=original):
             calls.append(name)
-            return original(self)
-        monkeypatch.setattr(GSimplicialComplex, name, spy)
+            return original(*args)
+        monkeypatch.setattr(owner, name, spy)
     assert parse_bundle_text(text).vertex_action == tuple(action)
-    assert calls == ["_validate_images"]
+    assert calls == ["_validate", "_span", "_validate_images"]
     calls.clear()
     GSimplicialComplex(circle_complex(12), group, action)
-    assert calls == ["_validate", "_validate_images"]
+    assert calls == ["_validate", "_span", "_validate_images"]
 
 
 def test_a_line_outside_the_kept_generators_is_still_checked(d4_torus):
