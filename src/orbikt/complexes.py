@@ -121,7 +121,8 @@ class GSimplicialComplex:
     """A simplicial complex with a simplicial action of a finite group.
 
     vertex_action has one row of vertex images per element; a None row is
-    derived through the group table.  check=False takes every row as given.
+    derived through the group table.  check=False takes every row as given;
+    the first orbit pass still checks that they keep the complex.
     """
 
     def __init__(self, complex: SimplicialComplex, group: FiniteGroup,
@@ -136,8 +137,9 @@ class GSimplicialComplex:
             self.vertex_action = tuple(tuple(row) for row in vertex_action)
 
     def _validate(self, rows):
-        """Close the given rows into the action, proving it a homomorphism
-        into the vertex permutations that keeps the complex."""
+        """Close the given rows into the action and prove it a homomorphism
+        into the vertex permutations; the orbit pass then proves that it
+        keeps the complex, and caches the orbits."""
         group = self.group
         if len(rows) != group.order:
             raise BadAction("need one vertex permutation per group element")
@@ -175,24 +177,7 @@ class GSimplicialComplex:
                 "action file elements do not generate the group "
                 "(element %s is unreachable)" % group.name_of(rows.index(None)))
         self.vertex_action = tuple(rows)
-        self._validate_images()
-
-    def _validate_images(self):
-        """Check that the action keeps the complex, given that it is a
-        homomorphism into the vertex permutations.  Every simplex is k.rep
-        for an orbit representative rep, so g.(k.rep) = (gk).rep: the action
-        keeps the complex once every image of every representative is a
-        simplex, which the orbit pass checks."""
-        if _orbit_pass(self, check=True) is not None:
-            return
-        complex = self.complex
-        # name the first (generator, simplex) in dimension-then-lex order
-        for g in self.group.generators:
-            for s in complex.all_simplices():
-                if self.simplex_image(g, s) not in complex:
-                    raise BadAction(
-                        "element %d maps simplex %r outside the complex"
-                        % (g, s))
+        _orbit_pass(self)
 
     def simplex_image(self, g, simplex):
         return tuple(sorted(map(self.vertex_action[g].__getitem__, simplex)))
@@ -302,22 +287,27 @@ def _images(columns, rep):
     return [tuple(sorted(t)) for t in zip(*[columns[v] for v in rep])]
 
 
-def _orbit_pass(gx: GSimplicialComplex, check=False):
+def _orbit_pass(gx: GSimplicialComplex):
     """The orbits of gx and its admissibility witness, built once and cached
-    in gx._orbit_data.  With check, it returns None when an image of a
-    representative is not a simplex of gx, and caches nothing.
+    in gx._orbit_data, and the one proof that the action keeps the complex.
 
     Simplices are walked in (dimension, lex) order, so the first one met of
     each orbit is its representative; it is mapped under every element
-    exactly once, by _images, and its members, transporters and stabilizer
-    are read from those images, and its facets from the orbits met before
-    it.  The transporter of a member is the least g mapping rep to it: the
-    dict is built over the images in reverse, so the least g is written
-    last.  Orbits with the same stabilizer share one checked Subgroup.
-    Stabilizers are conjugate along an orbit, so the orbit is admissible iff
-    Stab(rep) fixes rep pointwise.  Only when some orbit is not are the
-    violators conjugated along the transporters to every member, to find
-    the smallest violating element and its first simplex.
+    exactly once, by _images.  A representative with an image outside the
+    complex raises BadAction, naming the least element that maps it out.
+    For a homomorphism g·(k·rep) = (gk)·rep, so this proves that the action
+    keeps the complex, and names the first simplex in (dimension, lex)
+    order with an image outside.
+
+    Each representative's members, transporters and stabilizer are read
+    from its images, and its facets from the orbits met before it.  The
+    transporter of a member is the least g mapping rep to it: the dict is
+    built over the images in reverse, so the least g is written last.
+    Orbits with the same stabilizer share one checked Subgroup.  Stabilizers
+    are conjugate along an orbit, so the orbit is admissible iff Stab(rep)
+    fixes rep pointwise.  Only when some orbit is not are the violators
+    conjugated along the transporters to every member, to find the smallest
+    violating element and its first simplex.
     """
     if gx._orbit_data is not None:
         return gx._orbit_data
@@ -335,8 +325,10 @@ def _orbit_pass(gx: GSimplicialComplex, check=False):
             if rep in orbit_of:
                 continue
             images = _images(columns, rep)
-            if check and not level.issuperset(images):
-                return None
+            if not level.issuperset(images):
+                g = next(g for g in elements if images[g] not in level)
+                raise BadAction("element %d maps simplex %r outside the "
+                                "complex" % (g, rep))
             transporter = dict(zip(reversed(images), reversed(elements)))
             stab = tuple([g for g in elements if images[g] == rep])
             members = tuple(sorted(transporter))

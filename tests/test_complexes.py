@@ -142,6 +142,39 @@ def test_bad_simplex_message_names_first_simplex_in_order(build):
         "element 1 maps simplex (1, 3) outside the complex"
 
 
+def _c4_rotating_a_path():
+    """C4 rotating four vertices, on the path (0, 1), (1, 2) and the point 3:
+    the rotation by 1 maps (1, 2) to (2, 3), and the rotation by 2 maps the
+    first edge (0, 1) there, neither of them an edge."""
+    rotations = [tuple((v + k) % 4 for v in range(4)) for k in range(4)]
+    return SimplicialComplex(4, [(0, 1), (1, 2)]), cyclic_group(4), rotations
+
+
+@pytest.mark.parametrize("build", [direct, parsed])
+def test_bad_simplex_message_names_the_least_element_moving_it_out(build):
+    """The message names the first simplex with an image outside the
+    complex, (0, 1), and the least element mapping it out, 2, though the
+    generator 1 maps the later edge (1, 2) out."""
+    with pytest.raises(BadAction) as info:
+        build(*_c4_rotating_a_path())
+    assert str(info.value) == \
+        "element 2 maps simplex (0, 1) outside the complex"
+
+
+def test_an_unchecked_action_is_checked_by_the_orbit_pass():
+    """check=False takes the rows as given, but no orbits are read from an
+    action that does not keep the complex: each call that needs them
+    raises, as nothing is cached."""
+    gx = GSimplicialComplex(*_c4_rotating_a_path(), check=False)
+    for call in (GSimplicialComplex.admissibility_witness,
+                 orbits_and_stabilizers):
+        with pytest.raises(BadAction) as info:
+            call(gx)
+        assert str(info.value) == \
+            "element 2 maps simplex (0, 1) outside the complex"
+    assert gx._orbit_data is None
+
+
 def test_action_check_maps_each_orbit_representative(monkeypatch):
     """Keeping the complex is checked inside the orbit pass: on d4-torus,
     one image per element and orbit representative, not per simplex."""
@@ -279,15 +312,15 @@ def _oracle_cases():
     return cases
 
 
-def _pass_outcome(orbit_pass, gx, check):
+def _pass_outcome(orbit_pass, gx, *check):
     """What one pass gives on a copy of gx whose pass has not run: None,
     the error it raises, or every field of its OrbitData."""
     fresh = GSimplicialComplex(gx.complex, gx.group, gx.vertex_action,
                                check=False)
     try:
-        od = orbit_pass(fresh, check=check)
-    except NotAdmissible as error:
-        return str(error)
+        od = orbit_pass(fresh, *check)
+    except (BadAction, NotAdmissible) as error:
+        return type(error).__name__, str(error)
     if od is None:
         return None
     return ([(rep, members, stab.elements, transporter)
@@ -301,20 +334,24 @@ def test_orbit_pass_matches_the_old_pass(name, build, inputs):
     """Images read from vertex image columns give the orbits the old pass
     read from one simplex_image call per element (tests/orbit_oracle.py):
     the same representatives, members, stabilizers and least transporters,
-    the same orbit_of (in its order), facets and witness, and with check
-    the same None when an image leaves the complex."""
+    the same orbit_of (in its order), facets and witness, with and without
+    the old pass's check.  Where that check finds an image outside the
+    complex, the pass raises BadAction instead."""
     from orbit_oracle import _orbit_pass as old_pass
 
     gx = build(inputs)
-    for check in (False, True):
-        new = _pass_outcome(complexes._orbit_pass, gx, check)
-        assert new == _pass_outcome(old_pass, gx, check)
-        if name == "not-kept" and check:
-            assert new is None
-        elif name.startswith("broken-identity"):
-            assert new == "orbit-stabilizer identity fails for (0,)"
-        else:
-            assert new is not None
+    new = _pass_outcome(complexes._orbit_pass, gx)
+    checked = _pass_outcome(old_pass, gx, True)
+    if name == "not-kept":
+        assert checked is None
+        assert new == ("BadAction",
+                       "element 1 maps simplex (1, 3) outside the complex")
+    else:
+        assert new == checked == _pass_outcome(old_pass, gx, False)
+        assert new is not None
+    if name.startswith("broken-identity"):
+        assert new == ("NotAdmissible",
+                       "orbit-stabilizer identity fails for (0,)")
     if name in ("interval-reflection", "interval-reflection-via-z4",
                 "tetrahedron-rotation"):
         assert new[3] is not None

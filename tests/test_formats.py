@@ -242,7 +242,8 @@ def test_emitted_cyclic_bundle_parses_again_quickly():
 def test_a_parsed_bundle_proves_its_action_once(monkeypatch):
     """The parser only reads act lines: the parsed and the direct G-complex
     each prove their action once, in one closure walk of
-    GSimplicialComplex._validate and one check that it keeps the complex."""
+    GSimplicialComplex._validate and one orbit pass, which checks that it
+    keeps the complex."""
     group = cyclic_group(12)
     action = [tuple((v + k) % 12 for v in range(12)) for k in range(12)]
     text = serialize_bundle(GSimplicialComplex(circle_complex(12), group,
@@ -250,7 +251,7 @@ def test_a_parsed_bundle_proves_its_action_once(monkeypatch):
     calls = []
     for owner, name in ((GSimplicialComplex, "_validate"),
                         (complexes, "_span"),
-                        (GSimplicialComplex, "_validate_images")):
+                        (complexes, "_orbit_pass")):
         original = getattr(owner, name)
 
         def spy(*args, name=name, original=original):
@@ -258,10 +259,10 @@ def test_a_parsed_bundle_proves_its_action_once(monkeypatch):
             return original(*args)
         monkeypatch.setattr(owner, name, spy)
     assert parse_bundle_text(text).vertex_action == tuple(action)
-    assert calls == ["_validate", "_span", "_validate_images"]
+    assert calls == ["_validate", "_span", "_orbit_pass"]
     calls.clear()
     GSimplicialComplex(circle_complex(12), group, action)
-    assert calls == ["_validate", "_span", "_validate_images"]
+    assert calls == ["_validate", "_span", "_orbit_pass"]
 
 
 def test_a_line_outside_the_kept_generators_is_still_checked(d4_torus):

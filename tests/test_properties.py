@@ -531,12 +531,12 @@ def acted_complex(draw):
 @given(acted_complex())
 def test_action_check_names_the_first_simplex_sent_outside(data):
     """The check inside the orbit pass accepts exactly the actions that keep
-    every simplex inside, and a refusal names the first generator, in
-    generating-set order, and its first simplex in (dimension, lex) order
-    that it sends outside."""
+    every simplex inside, and a refusal names the first simplex, in
+    (dimension, lex) order, that some element sends outside, and the least
+    element that does."""
     complex, group, action = data
-    outside = [(g, s) for g in group.generators
-               for s in complex.all_simplices()
+    outside = [(g, s) for s in complex.all_simplices()
+               for g in range(group.order)
                if tuple(sorted(action[g][v] for v in s)) not in complex]
     if not outside:
         GSimplicialComplex(complex, group, action)
